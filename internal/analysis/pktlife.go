@@ -102,7 +102,7 @@ func (tr *pktTracker) allocCall(call *ast.CallExpr) bool {
 }
 
 // freeCall returns the tracked identifier freed by a FreePacket method call,
-// or nil. Non-identifier arguments (e.pq[i].pkt) are outside the tracked
+// or nil. Non-identifier arguments (p.pkt) are outside the tracked
 // domain and are ignored.
 func (tr *pktTracker) freeCall(call *ast.CallExpr) *ast.Ident {
 	fn := calleeFuncOf(tr.pass.Info, call)

@@ -16,7 +16,7 @@ import (
 func perFlowRun(seed int64, merged bool, placement LimiterPlacement, dur time.Duration) (m1, m2 measure.Path, d1, d2 []measure.Delivery) {
 	var eng netsim.Engine
 	// Stops at a fixed horizon with timers still queued; Release recycles
-	// the event queue and packet freelist for the next trial.
+	// the in-flight packets and the packet freelist for the next trial.
 	defer eng.Release()
 	const (
 		rtt1      = 35 * time.Millisecond

@@ -149,7 +149,8 @@ func RunSim(spec SimSpec) SimResult {
 	spec.fill()
 	var eng netsim.Engine
 	// The run stops at a fixed horizon with timers still queued; Release
-	// recycles the event queue and packet freelist for the next trial.
+	// recycles the in-flight packets and the packet freelist for the next
+	// trial.
 	defer eng.Release()
 
 	maxRTT := spec.RTT1

@@ -10,34 +10,44 @@
 // draw from explicitly seeded *rand.Rand streams.
 //
 // The scheduling hot path is allocation-free in steady state: events are
-// typed records in a non-boxing 4-ary min-heap (no container/heap
+// typed records in a non-boxing binary min-heap (no container/heap
 // interface{} boxing, no per-delivery closures), hop queues are growable
 // ring buffers, and packets recycle through an engine-owned freelist. See
 // DESIGN.md §8 for the event model and the packet-ownership rules.
 package netsim
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
 
-// Experiments build one short-lived Engine per trial, so the expensive
-// backing arrays — the event queue and the packet freelist — are recycled
-// across engines through sync.Pools. This is pure storage reuse: buffers
-// come back empty (the queue) or fully reset on AllocPacket (packets), so
-// event order and packet contents are unaffected. Both pools are
-// goroutine-safe; the parallel experiment runner shares them across
-// workers.
-var (
-	pqPool       sync.Pool // *[]event, len 0, contents zeroed
-	freelistPool sync.Pool // *[]*Packet, every element recycled (dead)
-)
+// Experiments build one short-lived Engine per trial, so the packet
+// freelist — the one backing array that grows with the trial's traffic — is
+// recycled across engines through a sync.Pool. This is pure storage reuse:
+// packets come back fully reset on AllocPacket, so event order and packet
+// contents are unaffected. The pool is goroutine-safe; the parallel
+// experiment runner shares it across workers. (The event queue is not
+// pooled: it holds ~100 entries, see DESIGN.md §8.)
+var freelistPool sync.Pool // *[]*Packet, every element recycled (dead)
 
 // Engine is the discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
 	now time.Duration
-	pq  []event
 	seq uint64
+
+	// The event queue is split in two. keys is a binary min-heap of
+	// pointer-free (at, seq, slot) records — all a sift ever moves or
+	// compares. slab holds each queued event's payload at keys[i].slot; it
+	// is written once at push, read once at pop, and zeroed there so a
+	// vacant slot pins nothing. freeSlots is the stack of vacant slots.
+	keys      []qkey
+	slab      []payload
+	freeSlots []uint32
+
+	// streams are the presorted series (scheduleSeries): each holds one
+	// queue entry — its next item — whatever its length.
+	streams []stream
 
 	// Packet freelist (see AllocPacket/FreePacket). Single-threaded like
 	// the rest of the engine: each Engine owns its packets exclusively.
@@ -57,15 +67,20 @@ const (
 	evFunc eventKind = iota
 	// evDeliver hands a packet to a hop (link/limiter egress).
 	evDeliver
+	// evStream marks a stream's queue entry; arg indexes Engine.streams.
+	// pop replaces it with the stream item's own kind, so it is never
+	// dispatched.
+	evStream
 	// The remaining kinds are interned method callbacks, dispatched to the
 	// event's handler with the packed arg.
 	evLinkTransmitNext
 	evTBFDrain
 	evTCPTrySend
 	evTCPPace
-	evTCPRTO // arg: timer generation
-	evTCPAck // arg: seq<<1 | echoRtx
-	evUDPSend
+	evTCPRTO  // arg: timer generation
+	evTCPAck  // arg: seq<<1 | echoRtx
+	evUDPSend // arg: index into the replay's schedule
+	evSeries  // arg: index into the ScheduleSeries times
 	evBGModulate
 	evBGEmit
 	evChurnArrive
@@ -83,12 +98,28 @@ type handler interface {
 	handle(kind eventKind, arg uint64)
 }
 
-// event is a typed scheduler record. Exactly one of the payload groups is
-// used, selected by kind: fn (evFunc), pkt+hop (evDeliver), or h+arg
-// (interned callbacks).
-type event struct {
+// qkey is one heap entry: the event's place in the total order and where
+// its payload lives. It holds no pointers, so sifting needs no write
+// barriers and moves 24 bytes.
+type qkey struct {
 	at   time.Duration
 	seq  uint64
+	slot uint32
+}
+
+// before is the total event order: time, then insertion sequence. Every
+// (at, seq) pair is unique, so any correct heap yields the same pop order —
+// the determinism contract does not depend on heap arity or layout.
+func (k qkey) before(o qkey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// payload is what an event does. Exactly one group is used, selected by
+// kind: fn (evFunc), pkt+hop (evDeliver), or h+arg (interned callbacks).
+type payload struct {
 	arg  uint64
 	pkt  *Packet
 	hop  Hop
@@ -97,14 +128,30 @@ type event struct {
 	kind eventKind
 }
 
-// eventLess is the total event order: time, then insertion sequence. Every
-// (at, seq) pair is unique, so any correct heap yields the same pop order —
-// the determinism contract does not depend on heap arity or layout.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// stream is a series of events whose times are all known when it is
+// scheduled. Item i carries insertion sequence base+1+i — what a loop of
+// pushes at that moment would have assigned — but only the next item to
+// fire is in the queue.
+type stream struct {
+	times []time.Duration // clamped to the engine time at scheduling
+	order []uint32        // firing order; nil when times is already sorted
+	base  uint64
+	next  int // position in firing order of the item now in the queue
+	h     handler
+	kind  eventKind
+}
+
+// index returns which item of the series is at position pos in firing order.
+func (s *stream) index(pos int) int {
+	if s.order != nil {
+		return int(s.order[pos])
 	}
-	return a.seq < b.seq
+	return pos
+}
+
+// key returns the queue key of series item i.
+func (s *stream) key(i int, slot uint32) qkey {
+	return qkey{at: s.times[i], seq: s.base + 1 + uint64(i), slot: slot}
 }
 
 // Now returns the current simulation time.
@@ -117,7 +164,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Go function value. Hot paths inside the package use the typed record
 // schedulers below instead.
 func (e *Engine) Schedule(at time.Duration, fn func()) {
-	e.push(at, event{kind: evFunc, fn: fn})
+	p := e.push(at)
+	p.kind, p.fn = evFunc, fn
 }
 
 // After schedules fn to run d from now.
@@ -128,7 +176,8 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // ScheduleDeliver hands pkt to hop at simulation time at without
 // allocating. A nil hop is a terminal delivery: the packet is recycled.
 func (e *Engine) ScheduleDeliver(at time.Duration, pkt *Packet, hop Hop) {
-	e.push(at, event{kind: evDeliver, pkt: pkt, hop: hop})
+	p := e.push(at)
+	p.kind, p.pkt, p.hop = evDeliver, pkt, hop
 }
 
 // AfterDeliver hands pkt to hop d from now without allocating.
@@ -138,7 +187,8 @@ func (e *Engine) AfterDeliver(d time.Duration, pkt *Packet, hop Hop) {
 
 // scheduleCall schedules an interned callback event.
 func (e *Engine) scheduleCall(at time.Duration, h handler, kind eventKind, arg uint64) {
-	e.push(at, event{kind: kind, h: h, arg: arg})
+	p := e.push(at)
+	p.kind, p.h, p.arg = kind, h, arg
 }
 
 // afterCall schedules an interned callback event d from now.
@@ -146,80 +196,160 @@ func (e *Engine) afterCall(d time.Duration, h handler, kind eventKind, arg uint6
 	e.scheduleCall(e.now+d, h, kind, arg)
 }
 
-// push clamps at to the present, assigns the insertion sequence, and sifts
-// the record into the 4-ary heap.
-func (e *Engine) push(at time.Duration, ev event) {
+// seriesFunc adapts a ScheduleSeries callback to the handler interface.
+type seriesFunc func(i int)
+
+func (f seriesFunc) handle(_ eventKind, arg uint64) { f(int(arg)) }
+
+// ScheduleSeries runs fn(i) at simulation time times[i] for every i, exactly
+// as calling Schedule(times[i], …) for i = 0, 1, 2, … would: the same event
+// order relative to everything else, the same event count. It is the
+// scheduler for sources whose whole timetable is known up front — it keeps
+// one queue entry however long the series is, and allocates no closure per
+// item. The engine takes ownership of times.
+func (e *Engine) ScheduleSeries(times []time.Duration, fn func(i int)) {
+	e.scheduleSeries(times, seriesFunc(fn), evSeries)
+}
+
+// scheduleSeries schedules h.handle(kind, i) at times[i] for every i. It
+// reserves the block of insertion sequence numbers a loop of scheduleCall
+// would have consumed and queues only the first item to fire; pop queues
+// each successor as its predecessor leaves. The successor's key is never
+// smaller than its predecessor's and is in the queue before anything else
+// can pop, so every event fires at the same (at, seq) as under the loop.
+func (e *Engine) scheduleSeries(times []time.Duration, h handler, kind eventKind) {
+	if len(times) == 0 {
+		return
+	}
+	st := stream{times: times, base: e.seq, h: h, kind: kind}
+	sorted := true
+	for i, at := range times {
+		if at < e.now {
+			times[i] = e.now
+		}
+		sorted = sorted && (i == 0 || times[i-1] <= times[i])
+	}
+	if !sorted {
+		// Firing order is (time, index): index order is sequence order.
+		st.order = make([]uint32, len(times))
+		for i := range st.order {
+			st.order[i] = uint32(i)
+		}
+		sort.SliceStable(st.order, func(a, b int) bool {
+			return times[st.order[a]] < times[st.order[b]]
+		})
+	}
+	e.seq += uint64(len(times))
+	e.streams = append(e.streams, st)
+	slot := e.allocSlot()
+	e.slab[slot] = payload{kind: evStream, arg: uint64(len(e.streams) - 1)}
+	e.siftUp(st.key(st.index(0), slot))
+}
+
+// push clamps at to the present, assigns the insertion sequence, queues the
+// key, and returns the zeroed payload slot for the caller to fill in place.
+func (e *Engine) push(at time.Duration) *payload {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	ev.at, ev.seq = at, e.seq
-	if e.pq == nil {
-		if b, _ := pqPool.Get().(*[]event); b != nil {
-			e.pq = (*b)[:0]
-		}
-	}
-	e.pq = append(e.pq, ev)
-	e.siftUp(len(e.pq) - 1)
+	slot := e.allocSlot()
+	e.siftUp(qkey{at: at, seq: e.seq, slot: slot})
+	return &e.slab[slot]
 }
 
-// The heap is 4-ary: children of i are 4i+1..4i+4, parent is (i-1)/4.
-// Shallower than a binary heap (fewer swap levels per op on the large
-// queues paper-scale runs build up), with the 4-way child minimum staying
-// in one cache line of events.
+// allocSlot returns a vacant (zeroed) slab slot.
+func (e *Engine) allocSlot() uint32 {
+	if n := len(e.freeSlots); n > 0 {
+		slot := e.freeSlots[n-1]
+		e.freeSlots = e.freeSlots[:n-1]
+		return slot
+	}
+	e.slab = append(e.slab, payload{})
+	return uint32(len(e.slab) - 1)
+}
 
-func (e *Engine) siftUp(i int) {
+// The heap is binary: children of i are 2i+1 and 2i+2, parent is (i-1)/2.
+// Both sifts move a hole instead of swapping: one 24-byte store per level.
+// DESIGN.md §8 records the arity ablation.
+
+// siftUp appends k and moves it up to its place.
+func (e *Engine) siftUp(k qkey) {
+	i := len(e.keys)
+	e.keys = append(e.keys, k)
 	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(&e.pq[i], &e.pq[p]) {
+		p := (i - 1) >> 1
+		if !k.before(e.keys[p]) {
 			break
 		}
-		e.pq[i], e.pq[p] = e.pq[p], e.pq[i]
+		e.keys[i] = e.keys[p]
 		i = p
 	}
+	e.keys[i] = k
 }
 
-func (e *Engine) siftDown(i int) {
-	n := len(e.pq)
+// siftDown overwrites the root with k and moves it down to its place.
+func (e *Engine) siftDown(k qkey) {
+	keys := e.keys
+	n := len(keys)
+	i := 0
 	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(&e.pq[c], &e.pq[min]) {
-				min = c
+		c := 2*i + 1
+		if c+1 < n {
+			// Which child is smaller is a coin flip the branch predictor
+			// loses half the time, so select it arithmetically: d < 0 iff
+			// the right child is before the left. Times are non-negative,
+			// so the difference cannot overflow; a tie falls through to
+			// seq, which is unique.
+			d := int64(keys[c+1].at - keys[c].at)
+			if d == 0 {
+				d = int64(keys[c+1].seq - keys[c].seq)
 			}
+			c += int(uint64(d) >> 63)
+		} else if c >= n {
+			break
 		}
-		if !eventLess(&e.pq[min], &e.pq[i]) {
-			return
+		if !keys[c].before(k) {
+			break
 		}
-		e.pq[i], e.pq[min] = e.pq[min], e.pq[i]
-		i = min
+		keys[i] = keys[c]
+		i = c
 	}
+	keys[i] = k
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue's spare capacity never pins packets or closures.
-func (e *Engine) pop() event {
-	top := e.pq[0]
-	n := len(e.pq) - 1
-	e.pq[0] = e.pq[n]
-	e.pq[n] = event{}
-	e.pq = e.pq[:n]
+// pop removes the minimum event, copies its payload to ev and returns its
+// key. A stream's entry yields the stream's current item — the payload a
+// scheduleCall of that item would have stored — and is re-keyed in place to
+// the stream's next item, if any.
+func (e *Engine) pop(ev *payload) qkey {
+	top := e.keys[0]
+	p := &e.slab[top.slot]
+	if p.kind == evStream {
+		st := &e.streams[p.arg]
+		*ev = payload{kind: st.kind, h: st.h, arg: uint64(st.index(st.next))}
+		st.next++
+		if st.next < len(st.times) {
+			e.siftDown(st.key(st.index(st.next), top.slot))
+			return top
+		}
+		*st = stream{} // exhausted: drop the schedule
+	} else {
+		*ev = *p
+	}
+	*p = payload{}
+	e.freeSlots = append(e.freeSlots, top.slot)
+	n := len(e.keys) - 1
+	last := e.keys[n]
+	e.keys = e.keys[:n]
 	if n > 0 {
-		e.siftDown(0)
+		e.siftDown(last)
 	}
 	return top
 }
 
 // dispatch runs one event.
-func (e *Engine) dispatch(ev *event) {
+func (e *Engine) dispatch(ev *payload) {
 	switch ev.kind {
 	case evFunc:
 		ev.fn()
@@ -238,14 +368,14 @@ func (e *Engine) dispatch(ev *event) {
 // until. It returns the number of events processed.
 func (e *Engine) Run(until time.Duration) int {
 	processed := 0
-	for len(e.pq) > 0 {
-		if e.pq[0].at > until {
+	var ev payload
+	for len(e.keys) > 0 {
+		if e.keys[0].at > until {
 			// Leave it for a later Run and stop.
 			e.now = until
 			return processed
 		}
-		ev := e.pop()
-		e.now = ev.at
+		e.now = e.pop(&ev).at
 		e.dispatch(&ev)
 		processed++
 	}
@@ -253,43 +383,45 @@ func (e *Engine) Run(until time.Duration) int {
 		e.now = until
 	}
 	// The queue drained: the simulation is over or quiescent, so hand the
-	// backing arrays to the cross-engine pools. pop zeroed every vacated
-	// slot, and a freed packet is by contract unreferenced, so neither
-	// buffer pins live objects. A later push/AllocPacket simply re-acquires.
-	if cap(e.pq) > 0 {
-		buf := e.pq[:0]
-		e.pq = nil
-		pqPool.Put(&buf)
-	}
-	if len(e.free) > 0 {
-		fl := e.free
-		e.free = nil
-		freelistPool.Put(&fl)
-	}
+	// packet freelist to the cross-engine pool. A freed packet is by
+	// contract unreferenced, so the buffer pins no live object. A later
+	// AllocPacket simply re-acquires.
+	e.recycleFreelist()
 	return processed
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
-// Release hands the engine's backing arrays to the cross-engine pools and
-// recycles the packets of still-pending deliveries. Trial runners stop at
-// a fixed horizon with events (churn, background, retransmission timers)
-// still queued, so Run's drained-queue recycling never fires for them;
-// calling Release when a trial's results have been read closes that gap.
-// The engine must not be used again afterwards.
-func (e *Engine) Release() {
-	for i := range e.pq {
-		if e.pq[i].kind == evDeliver && e.pq[i].pkt != nil {
-			e.FreePacket(e.pq[i].pkt)
+// Pending returns the number of events still to run: queue entries plus the
+// stream items that have not been queued yet, i.e. what the queue would hold
+// had every series been pushed item by item.
+func (e *Engine) Pending() int {
+	n := len(e.keys)
+	for i := range e.streams {
+		// An exhausted stream is zeroed; a live one has item next queued.
+		if st := &e.streams[i]; st.next < len(st.times) {
+			n += len(st.times) - st.next - 1
 		}
-		e.pq[i] = event{}
 	}
-	if cap(e.pq) > 0 {
-		buf := e.pq[:0]
-		e.pq = nil
-		pqPool.Put(&buf)
+	return n
+}
+
+// Release recycles the packets of still-pending deliveries, hands the
+// packet freelist to the cross-engine pool and drops the queue. Trial
+// runners stop at a fixed horizon with events (churn, background,
+// retransmission timers) still queued, so Run's drained-queue recycling
+// never fires for them; calling Release when a trial's results have been
+// read closes that gap. The engine must not be used again afterwards.
+func (e *Engine) Release() {
+	for _, k := range e.keys {
+		if p := &e.slab[k.slot]; p.kind == evDeliver && p.pkt != nil {
+			e.FreePacket(p.pkt)
+		}
 	}
+	e.keys, e.slab, e.freeSlots, e.streams = nil, nil, nil, nil
+	e.recycleFreelist()
+}
+
+// recycleFreelist hands the packet freelist to the cross-engine pool.
+func (e *Engine) recycleFreelist() {
 	if len(e.free) > 0 {
 		fl := e.free
 		e.free = nil

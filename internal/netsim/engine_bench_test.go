@@ -1,0 +1,77 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"github.com/nal-epfl/wehey/internal/trace"
+)
+
+// holdSource is the classic hold-model workload for a priority queue: every
+// dispatched event schedules exactly one successor a pseudo-random interval
+// ahead, so the queue stays at its initial depth and each benchmark
+// operation is one pop plus one push.
+type holdSource struct {
+	eng  *Engine
+	left int
+	rnd  uint64
+}
+
+func (h *holdSource) handle(kind eventKind, _ uint64) {
+	if h.left <= 0 {
+		return
+	}
+	h.left--
+	// xorshift64: cheap enough that the queue, not the generator, is timed.
+	h.rnd ^= h.rnd << 13
+	h.rnd ^= h.rnd >> 7
+	h.rnd ^= h.rnd << 17
+	h.eng.afterCall(time.Duration(h.rnd%uint64(time.Millisecond))+1, h, kind, 0)
+}
+
+// BenchmarkEngineHold measures one pop + one push at a steady queue depth.
+// Depth 64 is what a trial holds now that replays are stream-backed, 32768
+// what the eager per-packet preload used to build (DESIGN.md §8).
+func BenchmarkEngineHold(b *testing.B) {
+	for _, depth := range []int{64, 4096, 32768} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var eng Engine
+			h := &holdSource{eng: &eng, rnd: 88172645463325252}
+			for i := 0; i < depth; i++ {
+				eng.scheduleCall(time.Duration(i), h, evTBFDrain, 0)
+			}
+			h.left = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run(1 << 62)
+		})
+	}
+}
+
+// BenchmarkUDPReplayTrial is one 45 s netflix-trace replay through a policer
+// and a link: the shape of a paper_cold UDP cell without background traffic,
+// so the replay's own scheduling cost is what moves it.
+func BenchmarkUDPReplayTrial(b *testing.B) {
+	tr, err := trace.Generate("netflix", rand.New(rand.NewSource(1)), 45*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rate := tr.AvgRate(trace.ServerToClient) / 2
+	events := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var eng Engine
+		var flow *UDPFlow
+		end := HopFunc(func(pkt *Packet) { flow.Receiver().Send(pkt) })
+		link := NewLink(&eng, "l", 20e6, 10*time.Millisecond, end)
+		rl := NewRateLimiter(&eng, "tbf", rate, BurstForRTT(rate, 20*time.Millisecond), 30000, link)
+		flow = NewUDPFlow(&eng, 1, ClassDifferentiated, rl)
+		flow.Start(tr, 0)
+		events += eng.Run(47 * time.Second)
+		eng.Release()
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}

@@ -42,34 +42,41 @@ func (f *UDPFlow) Receiver() Hop {
 }
 
 // Start schedules the replay of tr beginning at time at. Only
-// ServerToClient packets are transmitted. Each transmission is a typed
-// event carrying (seq, size) packed into its argument — no closure and no
-// packet allocation until the moment of send.
+// ServerToClient packets are transmitted. The send times go to the engine
+// as one series (one queue entry for the whole replay, no closure and no
+// packet allocation until the moment of send); the sizes stay here, indexed
+// by the flow sequence number the engine hands back.
 func (f *UDPFlow) Start(tr *trace.Trace, at time.Duration) {
-	seq := int64(0)
+	n := tr.Count(trace.ServerToClient)
+	r := &udpReplay{f: f, sizes: make([]int32, 0, n)}
+	times := make([]time.Duration, 0, n)
 	for i := range tr.Packets {
 		p := &tr.Packets[i]
 		if p.Dir != trace.ServerToClient {
 			continue
 		}
-		// seq in the high 32 bits, size in the low 32 (trace packets are
-		// bounded by the MTU, far below 2^32).
-		f.eng.scheduleCall(at+p.Offset, f, evUDPSend, uint64(seq)<<32|uint64(uint32(p.Size)))
-		seq++
+		times = append(times, at+p.Offset)
+		r.sizes = append(r.sizes, int32(p.Size)) // bounded by the MTU
 	}
-	f.totalScheduled = seq
+	f.eng.scheduleSeries(times, r, evUDPSend)
+	f.totalScheduled = int64(n)
 	// The delivery log's final size is bounded by the send count, so size
 	// it once instead of letting append double its way up.
-	if f.Delivered == nil && seq > 0 {
-		f.Delivered = make([]DeliveryEvent, 0, seq)
+	if f.Delivered == nil && n > 0 {
+		f.Delivered = make([]DeliveryEvent, 0, n)
 	}
 }
 
-// handle dispatches the flow's interned engine callbacks.
-func (f *UDPFlow) handle(kind eventKind, arg uint64) {
-	if kind == evUDPSend {
-		f.transmit(int64(arg>>32), int(uint32(arg)))
-	}
+// udpReplay is the schedule of one Start: packet i of the replay has flow
+// sequence number i and size sizes[i].
+type udpReplay struct {
+	f     *UDPFlow
+	sizes []int32
+}
+
+// handle dispatches the replay's interned engine callback.
+func (r *udpReplay) handle(_ eventKind, i uint64) {
+	r.f.transmit(int64(i), int(r.sizes[i]))
 }
 
 func (f *UDPFlow) transmit(seq int64, size int) {

@@ -101,7 +101,7 @@ func RunHybridPoint(pt HybridPoint, fluid bool) HybridMeasurement {
 	var eng netsim.Engine
 
 	var fgDelays []time.Duration
-	var fgSent, fgDropped int64
+	var fgDropped int64
 	var bgOffered, bgDropped int64
 	sink := netsim.HopFunc(func(pkt *netsim.Packet) {
 		if pkt.Flow == 1 {
@@ -139,6 +139,7 @@ func RunHybridPoint(pt HybridPoint, fluid bool) HybridMeasurement {
 		// the emission is deterministic in the point spec.
 		rng := rand.New(rand.NewSource(pt.Seed + 1))
 		bits := float64(pt.BgPacket) * 8
+		var times []time.Duration
 		for t := 0.0; ; {
 			at := time.Duration(t * float64(time.Second))
 			if at >= pt.Horizon {
@@ -148,48 +149,29 @@ func RunHybridPoint(pt HybridPoint, fluid bool) HybridMeasurement {
 			if idx >= len(rates) {
 				idx = len(rates) - 1
 			}
-			bgOffered += int64(pt.BgPacket)
-			eng.Schedule(at, func() {
-				pkt := eng.AllocPacket()
-				pkt.Flow = -1
-				pkt.Size = pt.BgPacket
-				pkt.Class = netsim.ClassDifferentiated
-				rl.Send(pkt)
-			})
+			times = append(times, at)
 			t += rng.ExpFloat64() * bits / rates[idx]
 		}
+		bgOffered = int64(len(times)) * int64(pt.BgPacket)
+		eng.ScheduleSeries(times, func(int) {
+			pkt := eng.AllocPacket()
+			pkt.Flow = -1
+			pkt.Size = pt.BgPacket
+			pkt.Class = netsim.ClassDifferentiated
+			rl.Send(pkt)
+		})
 	}
 
 	// Foreground probe, identical in both modes.
-	sendFg := func() {
-		fgSent++
+	fgTimes := arrivalTimes(pt.FgProc, pt.FgPacket, pt.FgRate, pt.Horizon, pt.Seed+2)
+	fgSent := int64(len(fgTimes))
+	eng.ScheduleSeries(fgTimes, func(int) {
 		pkt := eng.AllocPacket()
 		pkt.Flow = 1
 		pkt.Size = pt.FgPacket
 		pkt.Class = netsim.ClassDifferentiated
 		rl.Send(pkt)
-	}
-	switch pt.FgProc {
-	case Poisson:
-		rng := rand.New(rand.NewSource(pt.Seed + 2))
-		mean := float64(pt.FgPacket) * 8 / pt.FgRate
-		for t := 0.0; ; {
-			at := time.Duration(t * float64(time.Second))
-			if at >= pt.Horizon {
-				break
-			}
-			eng.Schedule(at, sendFg)
-			t += rng.ExpFloat64() * mean
-		}
-	default: // CBR
-		gap := time.Duration(float64(pt.FgPacket) * 8 / pt.FgRate * float64(time.Second))
-		if gap <= 0 {
-			gap = 1
-		}
-		for at := time.Duration(0); at < pt.Horizon; at += gap {
-			eng.Schedule(at, sendFg)
-		}
-	}
+	})
 
 	drain := time.Second
 	if pt.Rate > 0 {

@@ -48,7 +48,7 @@ type TBFMeasurement struct {
 func RunTBFPoint(params twin.TBFParams, proc Arrivals, seed int64) TBFMeasurement {
 	var eng netsim.Engine
 
-	var fwdPkts, offeredBytes, droppedBytes int64
+	var fwdPkts, droppedBytes int64
 	var queuedSum time.Duration
 	firstDrop := time.Duration(-1)
 
@@ -65,38 +65,15 @@ func RunTBFPoint(params twin.TBFParams, proc Arrivals, seed int64) TBFMeasuremen
 		}
 	}
 
-	send := func() {
+	times := arrivalTimes(proc, params.PacketSize, params.Offered, params.Horizon, seed)
+	offeredBytes := int64(len(times)) * int64(params.PacketSize)
+	eng.ScheduleSeries(times, func(int) {
 		pkt := eng.AllocPacket()
 		pkt.Size = params.PacketSize
 		pkt.Class = netsim.ClassDifferentiated
 		pkt.SentAt = eng.Now()
 		rl.Send(pkt)
-	}
-
-	// Arrival schedule over [0, Horizon).
-	switch proc {
-	case Poisson:
-		rng := rand.New(rand.NewSource(seed))
-		mean := float64(params.PacketSize) * 8 / params.Offered // seconds
-		for t := 0.0; ; {
-			at := time.Duration(t * float64(time.Second))
-			if at >= params.Horizon {
-				break
-			}
-			offeredBytes += int64(params.PacketSize)
-			eng.Schedule(at, send)
-			t += rng.ExpFloat64() * mean
-		}
-	default: // CBR
-		gap := time.Duration(float64(params.PacketSize) * 8 / params.Offered * float64(time.Second))
-		if gap <= 0 {
-			gap = 1
-		}
-		for at := time.Duration(0); at < params.Horizon; at += gap {
-			offeredBytes += int64(params.PacketSize)
-			eng.Schedule(at, send)
-		}
-	}
+	})
 
 	// Let the queue drain after arrivals stop: QueueLimit bytes at the
 	// token rate, plus slack for rounding.
@@ -122,4 +99,33 @@ func RunTBFPoint(params twin.TBFParams, proc Arrivals, seed int64) TBFMeasuremen
 		m.LossRate = 0
 	}
 	return m
+}
+
+// arrivalTimes is the arrival schedule over [0, horizon) of size-byte
+// packets offered at rate bit/s: evenly spaced for CBR, exponential gaps
+// drawn from a generator seeded with seed for Poisson.
+func arrivalTimes(proc Arrivals, size int, rate float64, horizon time.Duration, seed int64) []time.Duration {
+	var times []time.Duration
+	mean := float64(size) * 8 / rate // seconds
+	switch proc {
+	case Poisson:
+		rng := rand.New(rand.NewSource(seed))
+		for t := 0.0; ; {
+			at := time.Duration(t * float64(time.Second))
+			if at >= horizon {
+				break
+			}
+			times = append(times, at)
+			t += rng.ExpFloat64() * mean
+		}
+	default: // CBR
+		gap := time.Duration(mean * float64(time.Second))
+		if gap <= 0 {
+			gap = 1
+		}
+		for at := time.Duration(0); at < horizon; at += gap {
+			times = append(times, at)
+		}
+	}
+	return times
 }
