@@ -102,10 +102,11 @@ func LossTrendCorrelation(m1, m2 *measure.Path, cfg LossTrendConfig) (LossTrendR
 	}
 	rtt := measure.MaxRTT(m1, m2)
 	sweep := measure.IntervalSweep(rtt, cfg.LoRTTs, cfg.HiRTTs, cfg.StepRTTs)
-	var res LossTrendResult
-	for _, sigma := range sweep {
+	series := measure.NewLossSweep(m1, m2, sweep, cfg.MinPackets)
+	res := LossTrendResult{PerSize: make([]IntervalVerdict, 0, len(sweep))}
+	for i, sigma := range sweep {
 		v := IntervalVerdict{Sigma: sigma, P: 1}
-		r1, r2 := measure.FilteredLossRates(m1, m2, sigma, cfg.MinPackets)
+		r1, r2 := series.Rates(i)
 		v.Intervals = len(r1)
 		v.Admissible = v.Intervals >= cfg.MinIntervals
 		switch cfg.Correlation {

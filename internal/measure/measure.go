@@ -51,40 +51,6 @@ func (p *Path) LossRate() float64 {
 	return float64(len(p.Loss)) / float64(len(p.Tx))
 }
 
-// Series is a pair of per-interval counters for one path.
-type Series struct {
-	Txed []int // packets transmitted per interval
-	Lost []int // loss events registered per interval
-}
-
-// Bin divides [0, dur) into intervals of size sigma and counts p's
-// transmissions and losses per interval. Events beyond dur fall into the
-// last interval.
-func (p *Path) Bin(sigma, dur time.Duration) Series {
-	n := int(dur / sigma)
-	if n < 1 {
-		n = 1
-	}
-	s := Series{Txed: make([]int, n), Lost: make([]int, n)}
-	idx := func(t time.Duration) int {
-		i := int(t / sigma)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return i
-	}
-	for _, t := range p.Tx {
-		s.Txed[idx(t)]++
-	}
-	for _, t := range p.Loss {
-		s.Lost[idx(t)]++
-	}
-	return s
-}
-
 // Throughput holds per-interval throughput samples (bits/s) for one replay.
 type Throughput struct {
 	Interval time.Duration

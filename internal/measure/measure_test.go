@@ -32,27 +32,6 @@ func TestPathValidateAndLossRate(t *testing.T) {
 	}
 }
 
-func TestPathBin(t *testing.T) {
-	p := &Path{RTT: ms(10), Duration: time.Second,
-		Tx:   []time.Duration{ms(50), ms(150), ms(250), ms(950), ms(2000)},
-		Loss: []time.Duration{ms(150), ms(999)},
-	}
-	s := p.Bin(ms(100), time.Second)
-	if len(s.Txed) != 10 {
-		t.Fatalf("bins = %d", len(s.Txed))
-	}
-	if s.Txed[0] != 1 || s.Txed[1] != 1 || s.Txed[2] != 1 {
-		t.Errorf("Txed head = %v", s.Txed[:3])
-	}
-	// The 2000 ms event clamps into the last bin alongside 950 ms.
-	if s.Txed[9] != 2 {
-		t.Errorf("Txed[9] = %d, want 2 (clamped)", s.Txed[9])
-	}
-	if s.Lost[1] != 1 || s.Lost[9] != 1 {
-		t.Errorf("Lost = %v", s.Lost)
-	}
-}
-
 func TestBinThroughput(t *testing.T) {
 	events := []Delivery{
 		{At: ms(10), Bytes: 1000},

@@ -150,12 +150,15 @@ func BinLossTomoNoParams(m1, m2 *measure.Path, cfg NoParamsConfig) NoParamsResul
 	rtt := measure.MaxRTT(m1, m2)
 	var sum1, sum2 float64
 	combos := 0
-	for _, sigma := range measure.IntervalSweep(rtt, cfg.LoRTTs, cfg.HiRTTs, cfg.StepRTTs) {
-		r1, r2 := measure.FilteredLossRates(m1, m2, sigma, measure.MinPacketsPerInterval)
+	sweep := measure.IntervalSweep(rtt, cfg.LoRTTs, cfg.HiRTTs, cfg.StepRTTs)
+	series := measure.NewLossSweep(m1, m2, sweep, measure.MinPacketsPerInterval)
+	var pooled []float64
+	for i := range sweep {
+		r1, r2 := series.Rates(i)
 		if len(r1) == 0 {
 			continue
 		}
-		pooled := append(append([]float64(nil), r1...), r2...)
+		pooled = append(append(pooled[:0], r1...), r2...)
 		sort.Float64s(pooled)
 		for _, q := range cfg.ThresholdQuantiles {
 			tau := quantileSorted(pooled, q)
@@ -211,8 +214,10 @@ func TrendTomo(m1, m2 *measure.Path, cfg NoParamsConfig) TrendResult {
 	rtt := measure.MaxRTT(m1, m2)
 	var sum1, sum2 float64
 	combos := 0
-	for _, sigma := range measure.IntervalSweep(rtt, cfg.LoRTTs, cfg.HiRTTs, cfg.StepRTTs) {
-		r1, r2 := measure.FilteredLossRates(m1, m2, sigma, measure.MinPacketsPerInterval)
+	sweep := measure.IntervalSweep(rtt, cfg.LoRTTs, cfg.HiRTTs, cfg.StepRTTs)
+	series := measure.NewLossSweep(m1, m2, sweep, measure.MinPacketsPerInterval)
+	for i := range sweep {
+		r1, r2 := series.Rates(i)
 		if len(r1) < 2 {
 			continue
 		}

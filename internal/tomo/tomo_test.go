@@ -186,3 +186,35 @@ func TestBinLossTomoRespectsIntervalSize(t *testing.T) {
 		t.Error("valid measurements failed to infer")
 	}
 }
+
+// A record with no usable RTT, or a non-positive σ, yields no interval size
+// to bin at: every baseline must answer "no inference", not divide by zero.
+func TestNoInferenceWithoutIntervalSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	good1, good2 := measure.SynthPair(rng, measure.SynthSpec{CommonWeight: 1})
+	if res := BinLossTomoNoParams(good1, good2, NoParamsConfig{}); res.Combos == 0 {
+		t.Fatal("control: the synthetic pair supports no inference at its own RTT")
+	}
+	for _, rtt := range []time.Duration{0, -35 * time.Millisecond} {
+		m1, m2 := *good1, *good2
+		m1.RTT, m2.RTT = rtt, rtt
+		if res := BinLossTomoNoParams(&m1, &m2, NoParamsConfig{}); res.Combos != 0 || res.CommonBottleneck {
+			t.Errorf("RTT %v: BinLossTomoNoParams = %+v, want no inference", rtt, res)
+		}
+		if res := TrendTomo(&m1, &m2, NoParamsConfig{}); res.Combos != 0 || res.CommonBottleneck {
+			t.Errorf("RTT %v: TrendTomo = %+v, want no inference", rtt, res)
+		}
+		// σ = 10·RTT, as the callers size it.
+		if perf, ok := BinLossTomo(&m1, &m2, 10*rtt, 0.02); ok {
+			t.Errorf("σ %v: BinLossTomo inferred %+v", 10*rtt, perf)
+		}
+		if BinLossTomoPlus(&m1, &m2, 10*rtt, 0.02) {
+			t.Errorf("σ %v: BinLossTomo++ declared a common bottleneck", 10*rtt)
+		}
+	}
+	// A bare record: only a duration and a log.
+	bare := &measure.Path{Duration: time.Second, Tx: []time.Duration{0, time.Millisecond}}
+	if res := BinLossTomoNoParams(bare, bare, NoParamsConfig{}); res.Combos != 0 {
+		t.Errorf("bare record: %+v, want no inference", res)
+	}
+}
