@@ -173,35 +173,19 @@ func OpenJournalOptions(path string, opts JournalOptions) (*Journal, Recovery, e
 		return nil, rec, fmt.Errorf("service: read journal: %w", err)
 	}
 
-	if len(raw) > 0 {
-		if len(raw) < len(journalMagic) || string(raw[:len(journalMagic)]) != journalMagic {
-			// Unrecognized head: preserve the evidence, start fresh.
-			rec.Rewritten = true
-			rec.DroppedBytes = len(raw)
-			if err := os.Rename(path, path+".corrupt"); err != nil {
-				return nil, rec, fmt.Errorf("service: quarantine corrupt journal: %w", err)
-			}
-			raw = nil
+	if len(raw) > 0 && !hasJournalMagic(raw) {
+		// Unrecognized head: preserve the evidence, start fresh.
+		rec.Rewritten = true
+		rec.DroppedBytes = len(raw)
+		if err := os.Rename(path, path+".corrupt"); err != nil {
+			return nil, rec, fmt.Errorf("service: quarantine corrupt journal: %w", err)
 		}
+		raw = nil
 	}
 
-	var good int // bytes of raw known to be well-formed
 	if len(raw) > 0 {
-		good = len(journalMagic)
-		body := raw[good:]
-		for len(body) > 0 {
-			payload, rest, ok := nextRecord(body)
-			if !ok {
-				break
-			}
-			var r record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				break
-			}
-			rec.Records = append(rec.Records, r)
-			good += len(body) - len(rest)
-			body = rest
-		}
+		var good int // bytes of raw known to be well-formed
+		rec.Records, good = readRecords(raw)
 		rec.DroppedBytes = len(raw) - good
 	}
 
@@ -229,24 +213,6 @@ func OpenJournalOptions(path string, opts JournalOptions) (*Journal, Recovery, e
 	}
 	go j.committer()
 	return j, rec, nil
-}
-
-// nextRecord parses one framed record, returning its payload and the rest.
-func nextRecord(b []byte) (payload, rest []byte, ok bool) {
-	if len(b) < recordHeaderSize {
-		return nil, nil, false
-	}
-	n := binary.LittleEndian.Uint64(b)
-	if n > uint64(len(b)-recordHeaderSize) {
-		return nil, nil, false
-	}
-	payload = b[recordHeaderSize : recordHeaderSize+int(n)]
-	var want [sha256.Size]byte
-	copy(want[:], b[8:])
-	if sha256.Sum256(payload) != want {
-		return nil, nil, false
-	}
-	return payload, b[recordHeaderSize+int(n):], true
 }
 
 // frameRecord appends the binary framing of payload to buf.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,4 +144,102 @@ func TestMetricsExposeShardAndJournalCounters(t *testing.T) {
 	if m.Done != 2 {
 		t.Errorf("Done = %d, want 2", m.Done)
 	}
+}
+
+// TestListPageNeverSkipsConcurrentSubmits: sequence numbers are taken
+// before the journal commit and jobs become visible after it, so with
+// concurrent single submitters a higher number can be visible before a
+// lower one. A follower that pages with a cursor must still see every job
+// exactly once — a page may not run past a number that is not visible yet.
+func TestListPageNeverSkipsConcurrentSubmits(t *testing.T) {
+	const submitters, each = 8, 40
+	s, err := NewScheduler(Options{
+		Workers:     2,
+		QueueLimit:  submitters * each,
+		JournalPath: filepath.Join(t.TempDir(), "journal.wj"),
+		Clock:       clock.NewManual(time.Unix(1700000000, 0)),
+		Backends:    map[string]Backend{"stub": newStubBackend()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	s.Start()
+
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := s.Submit(stubSpec(int64(w*each + i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	submitted := make(chan struct{})
+	go func() { wg.Wait(); close(submitted) }()
+
+	seen := make(map[uint64]int)
+	var cursor uint64
+	for pages, done := 0, false; ; pages++ {
+		select {
+		case <-submitted:
+			done = true // every job is visible: one more sweep sees the rest
+		default:
+		}
+		page := s.ListPage(cursor, 1+pages%3)
+		for _, j := range page {
+			if j.Seq <= cursor {
+				t.Fatalf("page after seq %d holds seq %d", cursor, j.Seq)
+			}
+			seen[j.Seq]++
+			cursor = j.Seq
+		}
+		if done && len(page) == 0 {
+			break
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	for seq := uint64(1); seq <= submitters*each; seq++ {
+		if seen[seq] != 1 {
+			t.Errorf("job seq %d seen %d times, want once", seq, seen[seq])
+		}
+	}
+	if len(seen) != submitters*each {
+		t.Errorf("follower saw %d jobs, %d were submitted", len(seen), submitters*each)
+	}
+}
+
+// BenchmarkListPage times one full page from the middle of a 20 000-job
+// listing — what a follower pays per GET /jobs.
+func BenchmarkListPage(b *testing.B) {
+	const jobs = 20000
+	s, err := NewScheduler(Options{
+		QueueLimit: jobs,
+		Clock:      clock.NewManual(time.Unix(1700000000, 0)),
+		Backends:   map[string]Backend{"stub": newStubBackend()},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close) // never started: the jobs stay queued
+	specs := make([]Spec, jobs)
+	for i := range specs {
+		specs[i] = stubSpec(int64(i))
+	}
+	if _, err := s.SubmitBatch(specs); err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if page := s.ListPage(jobs/2, listLimitMax); len(page) != listLimitMax {
+				b.Fatalf("page of %d jobs, want %d", len(page), listLimitMax)
+			}
+		}
+	})
 }

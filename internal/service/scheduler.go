@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,9 +123,16 @@ type Scheduler struct {
 	shards []shard
 	jobs   sync.Map // job ID -> *job (read-mostly index; state under shard locks)
 
-	nextSeq atomic.Uint64 // last assigned submission sequence number
-	queued  atomic.Int64  // jobs sitting in pending heaps (admission gauge)
-	rr      atomic.Uint32 // rotates the claim scan's starting shard
+	queued atomic.Int64  // jobs sitting in pending heaps (admission gauge)
+	rr     atomic.Uint32 // rotates the claim scan's starting shard
+
+	// A batch takes its sequence numbers before its journal commit and
+	// becomes visible after it, so batches can become visible out of
+	// sequence order. seqMu guards the assignment and the batches that
+	// hold numbers but are not visible yet; ListPage stays below them.
+	seqMu    sync.Mutex
+	nextSeq  uint64   // last assigned submission sequence number
+	inflight []uint64 // first number of each assigned, not yet visible batch
 
 	closed    atomic.Bool
 	stop      chan struct{}
@@ -162,6 +170,18 @@ type counters struct {
 	// the backend.
 	svcCount                   atomic.Int64
 	svcTotalSec, svcTotalSqSec atomicFloat64
+}
+
+// finished returns the counter of jobs that ended in terminal state st.
+func (c *counters) finished(st State) *atomic.Int64 {
+	switch st {
+	case StateDone:
+		return &c.done
+	case StateFailed:
+		return &c.failed
+	default:
+		return &c.canceled
+	}
 }
 
 // NewScheduler builds a scheduler, replaying the journal if one is
@@ -221,68 +241,30 @@ func (s *Scheduler) shardFor(pair, id string) *shard {
 }
 
 // replay rebuilds job state from journal records (no locking needed: the
-// scheduler is not yet published).
+// scheduler is not yet published): terminal jobs come back for listing,
+// the incomplete remainder is re-queued in submission order.
 func (s *Scheduler) replay(records []record) {
 	now := s.clk.Now()
-	byID := make(map[string]*job)
-	var maxSeq uint64
-	for _, r := range records {
-		switch r.Op {
-		case recSubmit:
-			if r.Spec == nil || r.ID == "" {
-				continue
-			}
-			j := s.newJob(r.ID, r.Seq, *r.Spec, now)
-			j.Resumed = true
-			byID[r.ID] = j
-			s.jobs.Store(r.ID, j)
-			if r.Seq > maxSeq {
-				maxSeq = r.Seq
-			}
-		case recDone, recFail, recCancel:
-			j, ok := byID[r.ID]
-			if !ok {
-				continue
-			}
-			if j.State.Terminal() {
-				// Duplicate completion (crash between the journal append
-				// and whatever followed): first record wins.
-				s.c.journalDupTerminals.Add(1)
-				continue
-			}
-			j.FinishedAt = now
-			switch r.Op {
-			case recDone:
-				j.State = StateDone
-				j.Result = r.Result
-				s.c.done.Add(1)
-			case recFail:
-				j.State = StateFailed
-				j.Error = r.Error
-				s.c.failed.Add(1)
-			case recCancel:
-				j.State = StateCanceled
-				s.c.canceled.Add(1)
-			}
-		}
-	}
-	s.nextSeq.Store(maxSeq)
-	// Re-queue the incomplete remainder in submission order.
-	ids := make([]string, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, k int) bool { return byID[ids[i]].Seq < byID[ids[k]].Seq })
-	for _, id := range ids {
-		j := byID[id]
+	jobs, dupTerminals := foldRecords(records)
+	s.c.journalDupTerminals.Add(int64(dupTerminals))
+	for _, jj := range jobs {
+		snap := jj.snapshot()
+		j := s.newJob(snap.ID, snap.Seq, snap.Spec, now)
+		j.Resumed = true
+		j.State, j.Result, j.Error = snap.State, snap.Result, snap.Error
+		s.jobs.Store(j.ID, j)
 		if j.State.Terminal() {
+			j.FinishedAt = now
+			s.c.finished(j.State).Add(1)
 			continue
 		}
-		j.State = StateQueued
 		heap.Push(&j.shard.pending, j)
 		s.queued.Add(1)
 		s.c.submitted.Add(1)
 		s.c.resumed.Add(1)
+	}
+	if n := len(jobs); n > 0 {
+		s.nextSeq = jobs[n-1].submit.Seq // jobs are in Seq order
 	}
 }
 
@@ -411,12 +393,18 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 		}
 	}
 
-	base := s.nextSeq.Add(uint64(n))
+	s.seqMu.Lock()
+	first := s.nextSeq + 1
+	s.nextSeq += uint64(n)
+	s.inflight = append(s.inflight, first)
+	s.seqMu.Unlock()
+	defer s.landed(first) // visible, or refused by the journal
+
 	now := s.clk.Now()
 	js := make([]*job, len(specs))
 	recs := make([]record, len(specs))
 	for i := range specs {
-		seq := base - uint64(n) + uint64(i) + 1
+		seq := first + uint64(i)
 		id := fmt.Sprintf("j%06d", seq)
 		js[i] = s.newJob(id, seq, specs[i], now)
 		recs[i] = record{Op: recSubmit, ID: id, Seq: seq, Spec: &specs[i]}
@@ -452,6 +440,27 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 		s.signalReady()
 	}
 	return out, nil
+}
+
+// landed takes the batch whose sequence numbers start at first out of
+// the in-flight set.
+func (s *Scheduler) landed(first uint64) {
+	s.seqMu.Lock()
+	if i := slices.Index(s.inflight, first); i >= 0 {
+		s.inflight = slices.Delete(s.inflight, i, i+1)
+	}
+	s.seqMu.Unlock()
+}
+
+// listFloor returns the lowest sequence number that may not be visible
+// yet: every job below it that will ever exist is already in s.jobs.
+func (s *Scheduler) listFloor() uint64 {
+	s.seqMu.Lock()
+	defer s.seqMu.Unlock()
+	if len(s.inflight) > 0 {
+		return s.inflight[0] // ascending: appended in assignment order
+	}
+	return s.nextSeq + 1
 }
 
 // batchErr labels a per-spec error with its batch index (single-spec
@@ -501,17 +510,21 @@ func (s *Scheduler) List() []Job {
 
 // ListPage returns up to limit jobs with Seq > afterSeq, in submission
 // order (limit <= 0 = no cap). The (afterSeq, limit) pair implements the
-// admin plane's `/jobs?after=` cursor: pages are stable under concurrent
-// submission because Seq is assigned monotonically.
+// admin plane's `/jobs?after=` cursor. A page never reaches a sequence
+// number that is assigned but not visible yet (a concurrent submission
+// waiting on its journal commit) nor goes past one: a cursor taken from
+// it therefore never skips a job that appears later, and the jobs held
+// back arrive with a later page.
 func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
 	type ent struct {
 		seq uint64
 		j   *job
 	}
+	floor := s.listFloor()
 	ents := make([]ent, 0, 64)
 	s.jobs.Range(func(_, v any) bool {
 		j := v.(*job)
-		if j.Seq > afterSeq { // Seq is immutable after creation
+		if j.Seq > afterSeq && j.Seq < floor { // Seq is immutable after creation
 			ents = append(ents, ent{j.Seq, j})
 		}
 		return true
@@ -853,15 +866,13 @@ func (s *Scheduler) finishLocked(j *job, st State, res *Result, errMsg string) r
 	j.State = st
 	j.FinishedAt = s.clk.Now()
 	j.RetryAt = time.Time{}
+	s.c.finished(st).Add(1)
 	switch st {
 	case StateDone:
-		s.c.done.Add(1)
 		return record{Op: recDone, ID: j.ID, Result: res}
 	case StateFailed:
-		s.c.failed.Add(1)
 		return record{Op: recFail, ID: j.ID, Error: errMsg}
 	default:
-		s.c.canceled.Add(1)
 		return record{Op: recCancel, ID: j.ID}
 	}
 }
