@@ -144,3 +144,47 @@ func TestFollowerIncrementalCursor(t *testing.T) {
 		t.Error("streamed and one-shot aggregates differ")
 	}
 }
+
+// BenchmarkFollowerCatchUp is the live read path of the job stream at
+// campaign_bulk's size: 20 000 finished fleet jobs behind the admin plane
+// on a loopback listener, and per iteration one fresh follower paging all
+// of them into a map — list page, JSON on both ends, HTTP, aggregation.
+func BenchmarkFollowerCatchUp(b *testing.B) {
+	const jobs = 20000
+	s, err := service.NewScheduler(service.Options{
+		QueueLimit: jobs,
+		Backends:   map[string]service.Backend{service.BackendSim: service.NullBackend{}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	s.Start()
+	specs := NewCampaign("bench", experiments.FleetCampaignSpec{Sessions: jobs, Seed: 1}).JobSpecs()
+	for len(specs) > 0 {
+		n := min(len(specs), 500)
+		if _, err := s.SubmitBatch(specs[:n]); err != nil {
+			b.Fatal(err)
+		}
+		specs = specs[n:]
+	}
+	for s.Metrics().Done < jobs {
+		time.Sleep(time.Millisecond)
+	}
+	srv := httptest.NewServer(service.Handler(s))
+	b.Cleanup(srv.Close)
+	client := &service.Client{BaseURL: srv.URL}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := &Follower{Client: client, Campaign: "bench"}
+		if err := f.Follow(context.Background(), jobs); err != nil {
+			b.Fatal(err)
+		}
+		if st := f.Stats(); st.Credited != jobs {
+			b.Fatalf("credited %d jobs, want %d", st.Credited, jobs)
+		}
+	}
+	b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+}

@@ -73,7 +73,20 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// The body is read once and then decoded: by the wire codec when it is
+	// a Job-bearing response in the form the server writes, by
+	// encoding/json otherwise. Neither keeps a reference into the bytes,
+	// so the buffer goes back to the pool.
+	buf := wireBufs.Get().(*bytes.Buffer)
+	defer wireBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("service client: read response: %w", err)
+	}
+	if unmarshalWire(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), out) {
+		return nil
+	}
+	if err := json.NewDecoder(buf).Decode(out); err != nil {
 		return fmt.Errorf("service client: decode response: %w", err)
 	}
 	return nil

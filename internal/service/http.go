@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"github.com/nal-epfl/wehey/internal/twin"
 )
@@ -288,10 +290,28 @@ func statusFor(err error) int {
 	}
 }
 
+// wireBufs recycles the buffers a Job-bearing response is encoded into on
+// the server and read into on the client: a full page is half a megabyte,
+// and allocating it anew for every page is most of what the garbage
+// collector would have to do during a catch-up.
+var wireBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers with v as JSON and a newline, as json.Encoder writes
+// it; the Job-bearing responses take the wire codec's path to the same
+// bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) // a failed response write leaves nothing to report to
+	// A failed response write leaves nothing to report to.
+	buf := wireBufs.Get().(*bytes.Buffer)
+	defer wireBufs.Put(buf)
+	buf.Reset()
+	if b, ok := appendWire(buf.AvailableBuffer(), v); ok {
+		buf.Write(append(b, '\n'))
+		w.Write(buf.Bytes())
+		return
+	}
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -115,11 +114,12 @@ func (o JournalOptions) fill() JournalOptions {
 }
 
 // jWaiter is one Append/AppendBatch call parked in the commit queue: its
-// records, and a buffered channel the committer resolves after the fsync
-// covering them returns.
+// records, already framed, and a buffered channel the committer resolves
+// after the fsync covering them returns.
 type jWaiter struct {
-	recs []record
-	done chan error
+	frames []byte
+	nrec   int
+	done   chan error
 }
 
 // JournalStats snapshots the commit pipeline counters (monotonic).
@@ -224,15 +224,24 @@ func frameRecord(buf, payload []byte) []byte {
 	return append(append(buf, hdr[:]...), payload...)
 }
 
-// writeCompacted atomically replaces the journal with magic + records.
-func writeCompacted(path string, records []record) error {
-	buf := []byte(journalMagic)
+// frameRecords appends every record, encoded and framed, to buf.
+func frameRecords(buf []byte, records []record) ([]byte, error) {
+	var payload []byte
 	for i := range records {
-		payload, err := json.Marshal(&records[i])
-		if err != nil {
-			return fmt.Errorf("service: encode journal record: %w", err)
+		var err error
+		if payload, err = appendRecord(payload[:0], &records[i]); err != nil {
+			return nil, fmt.Errorf("service: encode journal record %s %s: %w", records[i].Op, records[i].ID, err)
 		}
 		buf = frameRecord(buf, payload)
+	}
+	return buf, nil
+}
+
+// writeCompacted atomically replaces the journal with magic + records.
+func writeCompacted(path string, records []record) error {
+	buf, err := frameRecords([]byte(journalMagic), records)
+	if err != nil {
+		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
 	if err != nil {
@@ -272,11 +281,20 @@ func (j *Journal) Append(r record) error {
 // MaxBatch), and the call blocks until that commit returns. The batch is
 // a durability unit — on a nil return every record is on disk; on an
 // error none of them was acknowledged.
+//
+// The records are encoded here, on the caller's goroutine, before
+// anything is queued: a record that cannot be encoded (a NaN in a result)
+// is refused to this caller alone and the journal carries on, and the
+// committer is left with nothing to do but write and fsync.
 func (j *Journal) AppendBatch(recs []record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	w := jWaiter{recs: recs, done: make(chan error, 1)}
+	frames, err := frameRecords(make([]byte, 0, len(recs)*(recordHeaderSize+256)), recs)
+	if err != nil {
+		return err
+	}
+	w := jWaiter{frames: frames, nrec: len(recs), done: make(chan error, 1)}
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -365,7 +383,7 @@ func (j *Journal) dwell() {
 func (j *Journal) queuedRecordsLocked() int {
 	n := 0
 	for _, w := range j.queue {
-		n += len(w.recs)
+		n += w.nrec
 	}
 	return n
 }
@@ -378,7 +396,7 @@ func (j *Journal) takeBatch() (batch []jWaiter, nrec int) {
 	defer j.mu.Unlock()
 	i := 0
 	for ; i < len(j.queue); i++ {
-		n := len(j.queue[i].recs)
+		n := j.queue[i].nrec
 		if i > 0 && nrec+n > j.opts.MaxBatch {
 			break
 		}
@@ -389,19 +407,13 @@ func (j *Journal) takeBatch() (batch []jWaiter, nrec int) {
 	return batch, nrec
 }
 
-// commit writes one framed batch and fsyncs it. An error is sticky: a
-// failed write can leave a torn record mid-file, after which further
-// appends would be unrecoverable, so the journal refuses them.
+// commit writes one batch of framed records and fsyncs it. An error is
+// sticky: a failed write can leave a torn record mid-file, after which
+// further appends would be unrecoverable, so the journal refuses them.
 func (j *Journal) commit(batch []jWaiter, nrec int) error {
-	buf := make([]byte, 0, nrec*(recordHeaderSize+128))
-	for _, w := range batch {
-		for i := range w.recs {
-			payload, err := json.Marshal(&w.recs[i])
-			if err != nil {
-				return j.fail(fmt.Errorf("service: encode journal record: %w", err))
-			}
-			buf = frameRecord(buf, payload)
-		}
+	buf := batch[0].frames // one waiter, the common case, is written as it came
+	for _, w := range batch[1:] {
+		buf = append(buf, w.frames...)
 	}
 	if _, err := j.f.Write(buf); err != nil {
 		return j.fail(fmt.Errorf("service: append journal: %w", err))

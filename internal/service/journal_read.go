@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -66,7 +65,7 @@ func readRecords(raw []byte) (recs []record, good int) {
 			if sha256.Sum256(payload) != [sha256.Size]byte(frame[8:recordHeaderSize]) {
 				return i
 			}
-			if json.Unmarshal(payload, &recs[i]) != nil {
+			if unmarshalRecord(payload, &recs[i]) != nil {
 				return i
 			}
 		}

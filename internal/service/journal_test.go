@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,5 +290,85 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 	if out.ID != in.ID || out.Seq != in.Seq || out.Spec.Sim.App != "tcpbulk" {
 		t.Errorf("round trip = %+v, want %+v", out, in)
+	}
+}
+
+// TestUnencodableRecordRefusedToItsCallerOnly: a record that cannot be
+// encoded is an error for the Append that brought it and nothing more —
+// the journal keeps accepting records and holds no trace of the bad one.
+func TestUnencodableRecordRefusedToItsCallerOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wj")
+	jr, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := record{Op: recDone, ID: "j000001", Result: &Result{LossRates: [2]float64{math.Inf(1), 0}}}
+	if err := jr.AppendBatch([]record{submitRecord("j000001", 1, 1), bad}); err == nil || !strings.Contains(err.Error(), "j000001") {
+		t.Fatalf("AppendBatch with an Inf loss rate = %v, want an error naming the record", err)
+	}
+	if err := jr.Append(submitRecord("j000002", 2, 2)); err != nil {
+		t.Fatalf("Append after a refused record: %v", err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jr, rec, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	if len(rec.Records) != 1 || rec.Records[0].ID != "j000002" || rec.DroppedBytes != 0 || rec.Rewritten {
+		t.Errorf("reopened journal = %d records (%+v), %d dropped bytes, rewritten=%v; want the one good record, untouched",
+			len(rec.Records), rec.Records, rec.DroppedBytes, rec.Rewritten)
+	}
+}
+
+// TestUnencodableResultFailsItsJobOnly: a backend handing back a NaN loss
+// rate used to lose its own done record and poison the journal for every
+// later Submit. Now that job ends failed with an error naming the result,
+// the scheduler carries on, and a restart finds a clean journal telling
+// the same story.
+func TestUnencodableResultFailsItsJobOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wj")
+	nanForSeed1 := backendFunc(func(ctx context.Context, spec Spec) (*Result, error) {
+		res := &Result{Backend: "stub"}
+		if spec.Seed == 1 {
+			res.LossRates[1] = math.NaN()
+		}
+		return res, nil
+	})
+	s := journalScheduler(t, path, nanForSeed1)
+	s.Start()
+	spec := stubSpec(1)
+	spec.MaxAttempts = 1 // no retries: the attempt's failure is terminal at once
+	bad, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, s, bad.ID, StateFailed)
+	if failed.Result != nil || !strings.Contains(failed.Error, "result") || !strings.Contains(failed.Error, "NaN") {
+		t.Errorf("NaN job = %+v; want no result and an error naming the result and the NaN", failed)
+	}
+	good, err := s.Submit(stubSpec(2))
+	if err != nil {
+		t.Fatalf("Submit after the NaN job: %v", err)
+	}
+	waitState(t, s, good.ID, StateDone)
+	if _, ok := appendWire(nil, s.List()); !ok {
+		t.Error("the listing holding the failed job does not encode")
+	}
+	s.Close()
+
+	jr, rec, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	if len(rec.Records) != 4 || rec.DroppedBytes != 0 || rec.Rewritten {
+		t.Errorf("reopened journal: %d records, %d dropped bytes, rewritten=%v; want 4, 0, false", len(rec.Records), rec.DroppedBytes, rec.Rewritten)
+	}
+	recovered := journalScheduler(t, path, nanForSeed1).List() // not started: nothing re-runs
+	if len(recovered) != 2 || recovered[0].State != StateFailed || recovered[0].Error != failed.Error || recovered[1].State != StateDone {
+		t.Errorf("recovery = %+v; want the failed job with its error, then the done one", recovered)
 	}
 }

@@ -215,8 +215,10 @@ func TestListPageNeverSkipsConcurrentSubmits(t *testing.T) {
 	}
 }
 
-// BenchmarkListPage times one full page from the middle of a 20 000-job
-// listing — what a follower pays per GET /jobs.
+// BenchmarkListPage times one full page of a 20 000-job listing — what a
+// follower pays per GET /jobs — from the start, the middle and the end:
+// the page is a walk along the sequence index, so where it starts must
+// not matter.
 func BenchmarkListPage(b *testing.B) {
 	const jobs = 20000
 	s, err := NewScheduler(Options{
@@ -235,11 +237,13 @@ func BenchmarkListPage(b *testing.B) {
 	if _, err := s.SubmitBatch(specs); err != nil {
 		b.Fatal(err)
 	}
-	b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if page := s.ListPage(jobs/2, listLimitMax); len(page) != listLimitMax {
-				b.Fatalf("page of %d jobs, want %d", len(page), listLimitMax)
+	for _, after := range []uint64{0, jobs / 2, jobs - listLimitMax} {
+		b.Run(fmt.Sprintf("jobs=%d/after=%d", jobs, after), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if page := s.ListPage(after, listLimitMax); len(page) != listLimitMax {
+					b.Fatalf("page of %d jobs, want %d", len(page), listLimitMax)
+				}
 			}
-		}
-	})
+		})
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,9 +129,16 @@ type Scheduler struct {
 	// becomes visible after it, so batches can become visible out of
 	// sequence order. seqMu guards the assignment and the batches that
 	// hold numbers but are not visible yet; ListPage stays below them.
+	//
+	// bySeq is the listing index: the job numbered seq is in slot seq-1.
+	// A slot is made (nil) with its number and filled when its batch
+	// lands; it stays nil if the journal refused the batch. Numbers are
+	// assigned densely, so the index has as many slots as there are jobs,
+	// and a slot below the list floor is never written again.
 	seqMu    sync.Mutex
 	nextSeq  uint64   // last assigned submission sequence number
 	inflight []uint64 // first number of each assigned, not yet visible batch
+	bySeq    []*job   // len == nextSeq
 
 	closed    atomic.Bool
 	stop      chan struct{}
@@ -247,12 +253,19 @@ func (s *Scheduler) replay(records []record) {
 	now := s.clk.Now()
 	jobs, dupTerminals := foldRecords(records)
 	s.c.journalDupTerminals.Add(int64(dupTerminals))
+	if n := len(jobs); n > 0 {
+		s.nextSeq = jobs[n-1].submit.Seq // jobs are in Seq order
+		s.bySeq = make([]*job, s.nextSeq)
+	}
 	for _, jj := range jobs {
 		snap := jj.snapshot()
 		j := s.newJob(snap.ID, snap.Seq, snap.Spec, now)
 		j.Resumed = true
 		j.State, j.Result, j.Error = snap.State, snap.Result, snap.Error
 		s.jobs.Store(j.ID, j)
+		if j.Seq > 0 { // a listing starts after 0: a job numbered 0 was never on a page
+			s.bySeq[j.Seq-1] = j
+		}
 		if j.State.Terminal() {
 			j.FinishedAt = now
 			s.c.finished(j.State).Add(1)
@@ -262,9 +275,6 @@ func (s *Scheduler) replay(records []record) {
 		s.queued.Add(1)
 		s.c.submitted.Add(1)
 		s.c.resumed.Add(1)
-	}
-	if n := len(jobs); n > 0 {
-		s.nextSeq = jobs[n-1].submit.Seq // jobs are in Seq order
 	}
 }
 
@@ -397,8 +407,8 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	first := s.nextSeq + 1
 	s.nextSeq += uint64(n)
 	s.inflight = append(s.inflight, first)
+	s.bySeq = append(s.bySeq, make([]*job, n)...)
 	s.seqMu.Unlock()
-	defer s.landed(first) // visible, or refused by the journal
 
 	now := s.clk.Now()
 	js := make([]*job, len(specs))
@@ -413,6 +423,7 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 		// Durability gate: nothing is published, and nothing is
 		// acknowledged to the caller, until the batch's fsync returns.
 		if err := s.journal.AppendBatch(recs); err != nil {
+			s.landed(first, nil) // refused: its numbers stay holes in the listing
 			s.queued.Add(-n)
 			if errors.Is(err, ErrJournalClosed) {
 				err = ErrClosed
@@ -431,6 +442,7 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 		heap.Push(&sh.pending, j)
 		sh.mu.Unlock()
 	}
+	s.landed(first, js)
 	s.c.submitted.Add(n)
 	if len(specs) > 1 {
 		s.c.batchSubmits.Add(1)
@@ -443,24 +455,17 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 }
 
 // landed takes the batch whose sequence numbers start at first out of
-// the in-flight set.
-func (s *Scheduler) landed(first uint64) {
+// the in-flight set and puts its jobs — none, if the journal refused the
+// batch — into the listing index, so a page sees all of a batch or none.
+func (s *Scheduler) landed(first uint64, js []*job) {
 	s.seqMu.Lock()
+	for _, j := range js {
+		s.bySeq[j.Seq-1] = j
+	}
 	if i := slices.Index(s.inflight, first); i >= 0 {
 		s.inflight = slices.Delete(s.inflight, i, i+1)
 	}
 	s.seqMu.Unlock()
-}
-
-// listFloor returns the lowest sequence number that may not be visible
-// yet: every job below it that will ever exist is already in s.jobs.
-func (s *Scheduler) listFloor() uint64 {
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
-	if len(s.inflight) > 0 {
-		return s.inflight[0] // ascending: appended in assignment order
-	}
-	return s.nextSeq + 1
 }
 
 // batchErr labels a per-spec error with its batch index (single-spec
@@ -514,30 +519,34 @@ func (s *Scheduler) List() []Job {
 // number that is assigned but not visible yet (a concurrent submission
 // waiting on its journal commit) nor goes past one: a cursor taken from
 // it therefore never skips a job that appears later, and the jobs held
-// back arrive with a later page.
+// back arrive with a later page. A page costs what it returns, not what
+// the scheduler holds: it is a walk along the sequence index.
 func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
-	type ent struct {
-		seq uint64
-		j   *job
+	s.seqMu.Lock()
+	// The lowest number that may not be visible yet: every job below it
+	// that will ever exist is in its slot.
+	floor := s.nextSeq + 1
+	if len(s.inflight) > 0 {
+		floor = s.inflight[0] // ascending: appended in assignment order
 	}
-	floor := s.listFloor()
-	ents := make([]ent, 0, 64)
-	s.jobs.Range(func(_, v any) bool {
-		j := v.(*job)
-		if j.Seq > afterSeq && j.Seq < floor { // Seq is immutable after creation
-			ents = append(ents, ent{j.Seq, j})
+	// Slots below the floor are final, so they are read without the lock.
+	window := s.bySeq[min(afterSeq, floor-1) : floor-1]
+	s.seqMu.Unlock()
+
+	if limit <= 0 || limit > len(window) {
+		limit = len(window)
+	}
+	out := make([]Job, 0, limit)
+	for _, j := range window {
+		if j == nil { // the journal refused this number's batch
+			continue
 		}
-		return true
-	})
-	sort.Slice(ents, func(i, k int) bool { return ents[i].seq < ents[k].seq })
-	if limit > 0 && len(ents) > limit {
-		ents = ents[:limit]
-	}
-	out := make([]Job, len(ents))
-	for i, e := range ents {
-		sh := e.j.shard
+		if len(out) == limit {
+			break
+		}
+		sh := j.shard
 		sh.mu.Lock()
-		out[i] = e.j.Job
+		out = append(out, j.Job)
 		sh.mu.Unlock()
 	}
 	return out
@@ -793,6 +802,13 @@ func runBackend(ctx context.Context, b Backend, spec Spec) (res *Result, err err
 // shard lock covers only the state transition; the terminal journal
 // append happens after it is released.
 func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
+	if err == nil {
+		// A result that cannot be encoded (a NaN loss rate) can be neither
+		// journaled nor served: the attempt failed.
+		if _, encErr := appendRecord(nil, &record{Op: recDone, ID: j.ID, Result: res}); encErr != nil {
+			res, err = nil, fmt.Errorf("service: backend result cannot be recorded: %w", encErr)
+		}
+	}
 	sh := j.shard
 	var rec record
 	var terminal, pairFreed bool
