@@ -27,7 +27,9 @@ import (
 // TestSimCacheSchemaGuards pins the struct shapes this stamp covers.
 // v2: SimSpec gained BackgroundMode + BgFlowRate, SimResult gained
 // Events/BgEvents/BgFlows (PR 8's hybrid fluid background).
-const simCacheSchema = "wehey/simcache/v2"
+// v3: the wire encoding changed — measure's duration slices (Path.Tx,
+// Path.Loss) are delta-coded (PR 16).
+const simCacheSchema = "wehey/simcache/v3"
 
 // SimCache memoizes RunSim results. Results handed out are shared:
 // callers must not mutate them (the experiment generators only read).

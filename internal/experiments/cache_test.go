@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/measure"
+	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
 // TestSimCacheSchemaGuards pins the shapes simCacheSchema covers: if
@@ -25,7 +26,7 @@ func TestSimCacheSchemaGuards(t *testing.T) {
 	if n := reflect.TypeOf(SimResult{}).NumField(); n != 10 {
 		t.Errorf("SimResult has %d fields, the codec handles 10: extend encodeResult/decodeResult and bump simCacheSchema", n)
 	}
-	if simCacheSchema != "wehey/simcache/v2" {
+	if simCacheSchema != "wehey/simcache/v3" {
 		// Not an error — just force the author of a bump to also refresh
 		// the two counts above deliberately.
 		t.Log("simCacheSchema bumped; confirm the field counts in this test were revisited")
@@ -143,20 +144,35 @@ func TestSimResultCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestSimResultCodecTruncation: no prefix of a valid encoding may panic
-// or decode into a different result.
+// escapeResult is a randomResult whose first path is a packet trace with
+// the two things the delta-coded timestamps escape: an out-of-order pair
+// and a gap beyond 2³²−2 ns (≈4.29 s).
+func escapeResult(rng *rand.Rand) SimResult {
+	r := randomResult(rng)
+	r.M1.Tx = []time.Duration{time.Millisecond, 2 * time.Millisecond, 2*time.Millisecond - 1,
+		3 * time.Millisecond, 3*time.Millisecond + 4300*time.Millisecond, 8 * time.Second}
+	r.M1.Loss = []time.Duration{2 * time.Millisecond, 7 * time.Second}
+	return r
+}
+
+// TestSimResultCodecTruncation: every strict prefix of a valid encoding,
+// cuts inside an escaped timestamp included, is an error — never a panic,
+// never a result.
 func TestSimResultCodecTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	r := randomResult(rng)
-	full := encodeResult(r)
-	for cut := 0; cut < len(full); cut++ {
-		got, err := decodeResult(full[:cut])
-		if err == nil && !reflect.DeepEqual(got, r) {
-			t.Fatalf("cut=%d: truncated encoding decoded into a different result", cut)
+	for _, r := range []SimResult{randomResult(rng), escapeResult(rng)} {
+		full := encodeResult(r)
+		if got, err := decodeResult(full); err != nil || !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip: %v", err)
 		}
-	}
-	if _, err := decodeResult(append(encodeResult(r), 0)); err == nil {
-		t.Error("trailing byte accepted")
+		for cut := 0; cut < len(full); cut++ {
+			if _, err := decodeResult(full[:cut]); err == nil {
+				t.Fatalf("cut=%d of %d: truncated encoding decoded without error", cut, len(full))
+			}
+		}
+		if _, err := decodeResult(append(full, 0)); err == nil {
+			t.Error("trailing byte accepted")
+		}
 	}
 }
 
@@ -197,6 +213,25 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 	}
 	if st := warm.Stats(); st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("warm stats = %+v, want one disk hit", st)
+	}
+
+	// The same through a separate directory for a result no simulation
+	// produces: timestamps out of order and more than 4.3 s apart, which
+	// the delta-coded entry carries as escapes.
+	odd := escapeResult(rand.New(rand.NewSource(41)))
+	oddDir := t.TempDir()
+	oddKey := simcache.KeyOf(simCacheSchema, []byte("escape-bearing result"))
+	for pass, want := range []simcache.Stats{{Misses: 1}, {DiskHits: 1}} {
+		sc, err := NewDiskSimCache(oddDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.inner.Get(oddKey, func() SimResult { return odd }); !reflect.DeepEqual(got, odd) {
+			t.Fatalf("pass %d: escape-bearing result changed on its way through the cache", pass)
+		}
+		if st := sc.Stats(); st.Misses != want.Misses || st.DiskHits != want.DiskHits || st.Corrupt != 0 {
+			t.Fatalf("pass %d: stats = %+v", pass, st)
+		}
 	}
 
 	// Corrupt every byte-flipped entry under dir: the next cache must

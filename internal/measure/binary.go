@@ -9,16 +9,24 @@ package measure
 // under reflect.DeepEqual. internal/simcache consumers rely on that
 // exactness for their determinism guarantee.
 //
-// Layout conventions: all integers are little-endian fixed-width;
-// float64s travel as math.Float64bits; slices are a presence byte
-// (0 = nil, 1 = present) followed by a uint64 length and the elements.
-// Decoders consume from the front of the buffer and return the rest, so
-// encoders compose by concatenation.
+// Layout conventions: all integers are little-endian; scalars are
+// fixed-width 8 bytes, float64s travel as math.Float64bits; slices are a
+// presence byte (0 = nil, 1 = present) followed by a uint64 length and the
+// elements. Float64 elements are 8 bytes each. Duration elements — sorted
+// nanosecond timestamps in practice — are delta-coded: each travels as a
+// uint32 difference from its predecessor (the first from 0), and one that
+// is below its predecessor or 2³²−1 ns or more ahead of it travels as the
+// escape word 0xFFFFFFFF followed by its full 8 bytes. Every int64 still
+// round-trips exactly; a packet trace just costs 4 bytes per timestamp
+// instead of 8, and a decoder may have to read 12. Decoders consume from
+// the front of the buffer and return the rest, so encoders compose by
+// concatenation.
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -41,11 +49,26 @@ func AppendFloat64(b []byte, v float64) []byte {
 	return AppendUint64(b, math.Float64bits(v))
 }
 
-// AppendDurations appends ds with the presence+length prefix.
+// deltaEscape is the delta word announcing a full 8-byte element. The
+// largest delta that travels in 4 bytes is therefore 2³²−2 ns (≈4.29 s).
+const deltaEscape = math.MaxUint32
+
+// AppendDurations appends ds with the presence+length prefix, delta-coded
+// (see the layout conventions above).
 func AppendDurations(b []byte, ds []time.Duration) []byte {
 	b = appendSliceHeader(b, ds == nil, len(ds))
+	b = slices.Grow(b, 4*len(ds))
+	var prev time.Duration
 	for _, d := range ds {
-		b = AppendInt64(b, int64(d))
+		// The unsigned difference is exact whenever d >= prev, even across
+		// the whole int64 range.
+		if delta := uint64(d) - uint64(prev); d >= prev && delta < deltaEscape {
+			b = binary.LittleEndian.AppendUint32(b, uint32(delta))
+		} else {
+			b = binary.LittleEndian.AppendUint32(b, deltaEscape)
+			b = AppendInt64(b, int64(d))
+		}
+		prev = d
 	}
 	return b
 }
@@ -53,6 +76,7 @@ func AppendDurations(b []byte, ds []time.Duration) []byte {
 // AppendFloat64s appends xs with the presence+length prefix.
 func AppendFloat64s(b []byte, xs []float64) []byte {
 	b = appendSliceHeader(b, xs == nil, len(xs))
+	b = slices.Grow(b, 8*len(xs))
 	for _, v := range xs {
 		b = AppendFloat64(b, v)
 	}
@@ -93,9 +117,10 @@ func DecodeFloat64(b []byte) (float64, []byte, error) {
 	return math.Float64frombits(v), rest, err
 }
 
-// decodeSliceHeader consumes the presence byte and length. elemSize
-// bounds the length claim against the remaining bytes so a corrupt
-// length can't trigger a huge allocation.
+// decodeSliceHeader consumes the presence byte and length. elemSize, the
+// fewest bytes an element can occupy, bounds the length claim against the
+// remaining bytes so a corrupt length can't trigger a huge allocation: on
+// success len(rest) >= n*elemSize.
 func decodeSliceHeader(b []byte, elemSize int) (n int, present bool, rest []byte, err error) {
 	if len(b) < 1 {
 		return 0, false, nil, ErrTruncated
@@ -117,19 +142,30 @@ func decodeSliceHeader(b []byte, elemSize int) (n int, present bool, rest []byte
 	return int(v), true, rest, nil
 }
 
-// DecodeDurations consumes a duration slice.
+// DecodeDurations consumes a delta-coded duration slice.
 func DecodeDurations(b []byte) ([]time.Duration, []byte, error) {
-	n, present, rest, err := decodeSliceHeader(b, 8)
+	n, present, rest, err := decodeSliceHeader(b, 4)
 	if err != nil || !present {
 		return nil, rest, err
 	}
 	out := make([]time.Duration, n)
+	var prev int64
 	for i := range out {
-		var v int64
-		if v, rest, err = DecodeInt64(rest); err != nil {
-			return nil, nil, err
+		if len(rest) < 4 { // the header bound covers 4 bytes each, escapes take 12
+			return nil, nil, ErrTruncated
 		}
-		out[i] = time.Duration(v)
+		w := binary.LittleEndian.Uint32(rest)
+		rest = rest[4:]
+		if w != deltaEscape {
+			prev += int64(w)
+		} else {
+			if len(rest) < 8 {
+				return nil, nil, ErrTruncated
+			}
+			prev = int64(binary.LittleEndian.Uint64(rest))
+			rest = rest[8:]
+		}
+		out[i] = time.Duration(prev)
 	}
 	return out, rest, nil
 }
@@ -141,12 +177,11 @@ func DecodeFloat64s(b []byte) ([]float64, []byte, error) {
 		return nil, rest, err
 	}
 	out := make([]float64, n)
+	src := rest[:8*n]
 	for i := range out {
-		if out[i], rest, err = DecodeFloat64(rest); err != nil {
-			return nil, nil, err
-		}
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, rest, nil
+	return out, rest[8*n:], nil
 }
 
 // DecodeString consumes a length-prefixed string.

@@ -109,27 +109,27 @@ func TestFloat64BinaryExactBits(t *testing.T) {
 
 // TestBinaryDecodeTruncation: every strict prefix of a valid encoding
 // must fail with an error — never panic, never succeed with wrong data.
+// The second path carries escapes, so cuts land inside them too.
 func TestBinaryDecodeTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomPath(rng)
 	for len(p.Tx) == 0 { // make sure there is a payload to truncate
 		p = randomPath(rng)
 	}
-	full := AppendPathBinary(nil, &p)
-	for cut := 0; cut < len(full); cut++ {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("cut=%d: decode panicked: %v", cut, r)
+	for _, p := range []Path{p, escapePath()} {
+		full := AppendPathBinary(nil, &p)
+		for cut := 0; cut < len(full); cut++ {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("cut=%d: decode panicked: %v", cut, r)
+					}
+				}()
+				if _, _, err := DecodePathBinary(full[:cut]); err == nil {
+					t.Fatalf("cut=%d of %d: truncated encoding decoded without error", cut, len(full))
 				}
 			}()
-			got, rest, err := DecodePathBinary(full[:cut])
-			if err == nil && len(rest) == 0 {
-				if !reflect.DeepEqual(got, p) {
-					t.Fatalf("cut=%d: truncated decode silently succeeded with wrong data", cut)
-				}
-			}
-		}()
+		}
 	}
 	// A huge length claim must error out instead of allocating.
 	evil := AppendInt64(nil, 1)

@@ -16,14 +16,20 @@
 // every existing entry — a version mismatch is indistinguishable from a
 // miss. Corrupt or truncated disk entries are detected by checksum and
 // likewise degrade to a miss (and are deleted), never to a panic or a
-// wrong result.
+// wrong result. An entry that cannot be opened or read right now (EMFILE,
+// EACCES, EIO) is a miss too, but it is left alone: only bytes that were
+// read and found bad are deleted.
 package simcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,7 +60,9 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Codec round-trips values through the disk layer. Encode must be
 // deterministic and Decode(Encode(v)) must reproduce v exactly — a cached
-// result has to be indistinguishable from a recomputed one.
+// result has to be indistinguishable from a recomputed one. Decode must
+// not retain its argument or return anything that aliases it: the bytes
+// live in a buffer that the next disk read reuses.
 type Codec[V any] struct {
 	Encode func(V) []byte
 	Decode func([]byte) (V, error)
@@ -69,8 +77,8 @@ type Stats struct {
 	DiskHits int64
 	// Misses counts computations actually executed.
 	Misses int64
-	// Corrupt counts disk entries that were unreadable, truncated,
-	// checksum-mismatched, or undecodable; each was treated as a miss.
+	// Corrupt counts disk entries that were truncated, checksum-mismatched,
+	// or undecodable; each was deleted and treated as a miss.
 	Corrupt int64
 	// BytesRead and BytesWritten count disk-layer payload traffic.
 	BytesRead    int64
@@ -78,6 +86,10 @@ type Stats struct {
 	// WriteErrors counts failed disk writes (non-fatal: the result is
 	// still returned, it just isn't persisted).
 	WriteErrors int64
+	// ReadErrors counts entries that exist but could not be opened or read
+	// (non-fatal: the result is computed instead, and the entry is neither
+	// deleted nor overwritten).
+	ReadErrors int64
 }
 
 // Requests returns the total number of Get calls accounted for.
@@ -94,8 +106,8 @@ func (s Stats) HitRate() float64 {
 // String renders the counters in the stable `k=v` form the CI gate and
 // the cmds grep for.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d disk-hits=%d misses=%d corrupt=%d read=%dB written=%dB write-errors=%d hit-rate=%.1f%%",
-		s.Hits, s.DiskHits, s.Misses, s.Corrupt, s.BytesRead, s.BytesWritten, s.WriteErrors, 100*s.HitRate())
+	return fmt.Sprintf("hits=%d disk-hits=%d misses=%d corrupt=%d read=%dB written=%dB write-errors=%d read-errors=%d hit-rate=%.1f%%",
+		s.Hits, s.DiskHits, s.Misses, s.Corrupt, s.BytesRead, s.BytesWritten, s.WriteErrors, s.ReadErrors, 100*s.HitRate())
 }
 
 // Cache is a content-addressed memoization table for one value type.
@@ -107,8 +119,8 @@ type Cache[V any] struct {
 	mu      sync.Mutex
 	flights map[Key]*flight[V]
 
-	hits, diskHits, misses, corrupt  atomic.Int64
-	bytesRead, bytesWritten, wErrors atomic.Int64
+	hits, diskHits, misses, corrupt           atomic.Int64
+	bytesRead, bytesWritten, wErrors, rErrors atomic.Int64
 }
 
 // flight is one key's computation: the first requester (the leader)
@@ -153,6 +165,7 @@ func (c *Cache[V]) Stats() Stats {
 		BytesRead:    c.bytesRead.Load(),
 		BytesWritten: c.bytesWritten.Load(),
 		WriteErrors:  c.wErrors.Load(),
+		ReadErrors:   c.rErrors.Load(),
 	}
 }
 
@@ -195,18 +208,21 @@ func (c *Cache[V]) lead(key Key, f *flight[V], compute func() V) V {
 		f.failed = true
 		close(f.done)
 	}()
-	if v, ok := c.loadDisk(key); ok {
+	v, probe := c.loadDisk(key)
+	if probe == diskHit {
 		c.diskHits.Add(1)
 		f.val = v
 		completed = true
 		close(f.done)
 		return v
 	}
-	v := compute()
+	v = compute()
 	c.misses.Add(1)
 	f.val = v
 	completed = true
-	c.storeDisk(key, v)
+	if probe != diskUnreadable {
+		c.storeDisk(key, v)
+	}
 	close(f.done)
 	return v
 }
@@ -225,33 +241,68 @@ func (c *Cache[V]) entryPath(key Key) string {
 	return filepath.Join(c.dir, hx[:2], hx[2:]+".sim")
 }
 
-// loadDisk probes the disk layer. Any malformed entry counts as corrupt,
-// is deleted best-effort, and reads as a miss.
-func (c *Cache[V]) loadDisk(key Key) (V, bool) {
+// diskProbe is what loadDisk found at a key's entry path.
+type diskProbe int
+
+const (
+	diskMiss       diskProbe = iota // no entry, or a bad one that was deleted
+	diskHit                         // a verified, decoded entry
+	diskUnreadable                  // an entry that could not be opened or read
+)
+
+// readBufs recycles the buffers entries are read into: a design-sized
+// entry is ≈78 KB, and allocating and zeroing that per hit cost as much as
+// reading it. Nothing loadDisk returns may point into the buffer.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// loadDisk probes the disk layer. An entry whose bytes fail the magic,
+// length, checksum or decode check counts as corrupt, is deleted
+// best-effort, and reads as a miss; one that cannot be opened or read
+// counts as a read error and is left in place.
+func (c *Cache[V]) loadDisk(key Key) (V, diskProbe) {
 	var zero V
 	if c.dir == "" {
-		return zero, false
+		return zero, diskMiss
 	}
 	path := c.entryPath(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.dropCorrupt(path)
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	if err := readEntry(path, buf); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return zero, diskMiss
 		}
-		return zero, false
+		c.rErrors.Add(1)
+		return zero, diskUnreadable
 	}
-	payload, ok := checkEntry(raw)
+	payload, ok := checkEntry(buf.Bytes())
 	if !ok {
 		c.dropCorrupt(path)
-		return zero, false
+		return zero, diskMiss
 	}
+	// Decode must copy what it keeps (Codec): buf goes back to the pool.
 	v, err := c.codec.Decode(payload)
 	if err != nil {
 		c.dropCorrupt(path)
-		return zero, false
+		return zero, diskMiss
 	}
 	c.bytesRead.Add(int64(len(payload)))
-	return v, true
+	return v, diskHit
+}
+
+// readEntry reads the file at path to EOF into buf. Sizing buf from Stat
+// makes the common case one read of the data and one that reports EOF.
+func readEntry(path string, buf *bytes.Buffer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if info, err := f.Stat(); err == nil && info.Size() < math.MaxInt32 {
+		buf.Grow(int(info.Size()) + bytes.MinRead) // room for the read that finds EOF
+	}
+	_, err = buf.ReadFrom(f)
+	return err
 }
 
 // checkEntry validates the framing and checksum, returning the payload.

@@ -128,6 +128,7 @@ var corruptions = map[string]func([]byte) []byte{
 	"bad magic":         func(b []byte) []byte { b[0] ^= 0xff; return b },
 	"flipped payload":   func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
 	"flipped checksum":  func(b []byte) []byte { b[len(entryMagic)+9] ^= 0xff; return b },
+	"flipped length":    func(b []byte) []byte { b[len(entryMagic)] ^= 0x01; return b }, // payload and checksum intact
 	"extra bytes":       func(b []byte) []byte { return append(b, 0xaa) },
 }
 
