@@ -138,8 +138,8 @@ func reportJobsPerSec(b *testing.B, perOp int) {
 }
 
 // BenchmarkServiceStatusBatch measures the read side at depth: a 10k-job
-// campaign snapshotted through GetBatch in pages of 256 (the lock-free
-// metrics path and per-shard snapshot locks are what's under test).
+// campaign snapshotted through GetBatch in pages of 256 (one ID-index
+// lookup and one Job copy per ID, all under a single lock acquisition).
 func BenchmarkServiceStatusBatch(b *testing.B) {
 	s := benchScheduler(b, false)
 	jobs, err := s.SubmitBatch(nullSpecs(10000, 0))

@@ -32,15 +32,12 @@ import (
 
 func main() {
 	var (
-		addr            = flag.String("addr", "127.0.0.1:9400", "admin-plane listen address (use :0 for an ephemeral port)")
-		workers         = flag.Int("workers", 4, "worker pool size")
-		queueLimit      = flag.Int("queue-limit", 256, "admission control: max queued jobs")
-		shards          = flag.Int("shards", 0, "scheduler shard count (0 = default)")
-		journal         = flag.String("journal", "", "journal file path (empty = volatile, no crash safety)")
-		journalMaxBatch = flag.Int("journal-max-batch", 0, "max records per journal group commit (0 = default)")
-		journalMaxDelay = flag.Duration("journal-max-delay", 0, "how long an under-full journal batch waits before fsyncing anyway")
-		cacheDir        = flag.String("cache-dir", "", "sim-result disk cache directory (empty = in-memory cache)")
-		deadline        = flag.Duration("deadline", 5*time.Minute, "default per-attempt deadline")
+		addr       = flag.String("addr", "127.0.0.1:9400", "admin-plane listen address (use :0 for an ephemeral port)")
+		workers    = flag.Int("workers", 4, "worker pool size")
+		queueLimit = flag.Int("queue-limit", 256, "admission control: max queued jobs")
+		journal    = flag.String("journal", "", "journal file path (empty = volatile, no crash safety)")
+		cacheDir   = flag.String("cache-dir", "", "sim-result disk cache directory (empty = in-memory cache)")
+		deadline   = flag.Duration("deadline", 5*time.Minute, "default per-attempt deadline")
 	)
 	flag.Parse()
 
@@ -54,11 +51,8 @@ func main() {
 	sched, err := service.NewScheduler(service.Options{
 		Workers:         *workers,
 		QueueLimit:      *queueLimit,
-		Shards:          *shards,
 		DefaultDeadline: *deadline,
 		JournalPath:     *journal,
-		JournalMaxBatch: *journalMaxBatch,
-		JournalMaxDelay: *journalMaxDelay,
 		Backends: map[string]service.Backend{
 			service.BackendSim:     service.NewSimBackend(simCache),
 			service.BackendTestbed: &service.TestbedBackend{},

@@ -490,10 +490,10 @@ func TestLockHeldFixture(t *testing.T) {
 	runFixture(t, AnalyzerLockHeld, "internal/service", "lockheld.go")
 }
 
-// The sharded-scheduler idiom: blocking journal appends or wakeup sends
-// inside a shard critical section are flagged; append-after-unlock,
-// non-blocking wakeup hints, and the two-phase cross-shard claim stay
-// quiet.
+// A mutex reached through a local alias (sh := &s.shards[i]): blocking
+// journal appends or wakeup sends inside its critical section are
+// flagged; append-after-unlock, non-blocking wakeup hints, and a
+// comparison made between two critical sections stay quiet.
 func TestLockHeldShardFixture(t *testing.T) {
 	runFixture(t, AnalyzerLockHeld, "internal/service", "lockheld_shard.go")
 }

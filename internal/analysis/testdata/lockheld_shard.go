@@ -1,11 +1,10 @@
-// Fixture for the lockheld analyzer over the sharded-scheduler idiom
-// (run under internal/service). The scheduler splits its state into
-// per-shard mutexes with a group-commit journal outside them; the
-// patterns here pin down what the analyzer must flag (blocking journal
-// appends or wakeup sends inside a shard critical section — the shape
-// the pre-pipeline scheduler needed six suppressions for) and what must
-// stay quiet (append-after-unlock, non-blocking wakeup hints, token
-// bookkeeping).
+// Fixture for the lockheld analyzer over a mutex reached through a local
+// alias (sh := &s.shards[i]; run under internal/service). It tests the
+// analyzer, not the scheduler, which holds one lock and no shards: the
+// patterns pin down what must be flagged through the alias (a blocking
+// journal append or wakeup send inside the critical section) and what
+// must stay quiet (append-after-unlock, non-blocking wakeup hints, token
+// bookkeeping, a comparison made between two critical sections).
 package service
 
 import "sync"

@@ -79,8 +79,7 @@ func TestBatchKillResumeExactlyOnce(t *testing.T) {
 		Workers:    2,
 		QueueLimit: 4096,
 		Clock:      clock.NewManual(time.Unix(1700000000, 0)),
-		// MaxDelay stays 0 (a manual clock would park a dwell forever):
-		// concurrent batches still share group commits through fsync
+		// Concurrent batches share group commits through fsync
 		// backpressure on the single committer.
 		JournalPath: path,
 		Backends:    map[string]Backend{"stub": newStubBackend()},
@@ -201,32 +200,30 @@ func TestJournalTornTailAcrossBatchBoundary(t *testing.T) {
 // TestJournalCloseDrainsInFlightAppends is the Close-contract regression
 // test: appends racing Close are either fsynced-and-acknowledged or
 // rejected with ErrJournalClosed — an append must never return nil
-// without its record surviving on disk. The manual clock keeps the
-// MaxDelay dwell from ever firing on its own, so the appends are genuinely
-// parked in the pipeline when Close arrives.
+// without its record surviving on disk. Close arrives once every appender
+// is running, so it lands among queued, in-commit and not-yet-queued
+// appends.
 func TestJournalCloseDrainsInFlightAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wj")
-	mc := clock.NewManual(time.Unix(1700000000, 0))
-	jr, _, err := OpenJournalOptions(path, JournalOptions{
-		MaxBatch: 1024,
-		MaxDelay: time.Hour, // only Close can flush the dwell
-		Clock:    mc,
-	})
+	jr, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const appends = 32
 	ackErr := make([]error, appends)
-	var wg sync.WaitGroup
+	var wg, running sync.WaitGroup
 	for i := 0; i < appends; i++ {
 		i := i
 		wg.Add(1)
+		running.Add(1)
 		go func() {
 			defer wg.Done()
+			running.Done()
 			ackErr[i] = jr.Append(submitRecord(fmt.Sprintf("j%06d", i+1), uint64(i+1), int64(i)))
 		}()
 	}
+	running.Wait()
 	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,13 +270,14 @@ func TestJournalCloseDrainsInFlightAppends(t *testing.T) {
 	}
 }
 
-// TestShardedSchedulerContention exercises the sharded hot path under
-// -race: batched and single submissions across many distinct pairs
-// (cross-shard traffic), a contended hot pair (same-shard
-// serialization), concurrent cancels, and metrics/list/get readers.
-func TestShardedSchedulerContention(t *testing.T) {
+// TestSchedulerContentionDrainsToTerminal puts every caller of the
+// scheduler lock on it at once under -race — batched and single
+// submissions across many distinct pairs, a contended hot pair, concurrent
+// cancels, and metrics/list/get readers — and checks that every job ends
+// terminal and the gauges return to zero.
+func TestSchedulerContentionDrainsToTerminal(t *testing.T) {
 	b := newStubBackend()
-	s, _ := newTestScheduler(t, Options{Workers: 8, QueueLimit: 4096, Shards: 8}, b)
+	s, _ := newTestScheduler(t, Options{Workers: 8, QueueLimit: 4096}, b)
 
 	const submitters, perBatch = 6, 20
 	var wg sync.WaitGroup
@@ -366,16 +364,16 @@ func TestShardedSchedulerContention(t *testing.T) {
 	}
 }
 
-// TestPairExclusiveUnderBatch checks that pair exclusivity survives the
-// sharded claim path: jobs sharing a pair never overlap even when they
-// arrive in one batch and many workers race to claim them.
+// TestPairExclusiveUnderBatch checks pair exclusivity on the claim path:
+// jobs sharing a pair never overlap even when they arrive in one batch
+// and many workers race to claim them.
 func TestPairExclusiveUnderBatch(t *testing.T) {
 	b := newStubBackend()
 	var mu sync.Mutex
 	inFlight := map[string]int{}
 	maxInFlight := map[string]int{}
 	b.fail = func(seed int64, _ int) error { return nil }
-	base, _ := newTestScheduler(t, Options{Workers: 8, Shards: 4}, b)
+	base, _ := newTestScheduler(t, Options{Workers: 8}, b)
 
 	// Wrap the stub so each run marks its pair busy for its duration.
 	pairBackend := backendFunc(func(ctx context.Context, spec Spec) (*Result, error) {

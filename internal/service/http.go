@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"strconv"
 	"sync"
@@ -276,8 +277,11 @@ func parseAfter(v string) (uint64, error) {
 	return seq, nil
 }
 
-// statusFor maps scheduler errors onto HTTP statuses.
+// statusFor maps scheduler errors onto HTTP statuses: a failed journal
+// write or fsync (an *fs.PathError from the file) is the server's fault,
+// anything unrecognized is a bad spec.
 func statusFor(err error) int {
+	var journalIO *fs.PathError
 	switch {
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
@@ -285,6 +289,8 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
+	case errors.As(err, &journalIO):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

@@ -9,9 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"github.com/nal-epfl/wehey/internal/clock"
 )
 
 // The journal is the scheduler's crash-safety layer: an append-only file
@@ -29,11 +26,9 @@ import (
 // committer goroutine has written *and fsynced* the batch they are part
 // of. N concurrent appends therefore cost one write+fsync instead of N,
 // while the exactly-once contract is unchanged — no caller is ever
-// acknowledged before its record is durable. The batch policy is
-// MaxBatch (cap on records per commit) and MaxDelay (how long the
-// committer dwells waiting for a batch to fill; 0 = commit immediately,
-// batching then emerges purely from fsync backpressure). All waiting
-// flows through an injected clock.Clock so tests run instantly.
+// acknowledged before its record is durable. The committer takes
+// everything queued, so a batch is whatever arrived while the previous
+// fsync was in flight.
 //
 // Recovery tolerates a torn tail (the process died mid-append): framing
 // stops at the first malformed record, the tail is dropped and counted,
@@ -86,33 +81,6 @@ type Recovery struct {
 // sees it knows its record is NOT durable.
 var ErrJournalClosed = errors.New("service: journal closed")
 
-// JournalOptions shapes the group-commit pipeline. The zero value of
-// every field means "use the default".
-type JournalOptions struct {
-	// MaxBatch caps the records fsynced per commit (default 256). Excess
-	// queued records wait for the next commit.
-	MaxBatch int
-	// MaxDelay is how long the committer dwells after the first record of
-	// an under-full batch arrives, waiting for the batch to fill, before
-	// committing anyway (default 0: commit immediately — lowest latency;
-	// batching still emerges because appends arriving during an fsync
-	// coalesce into the next one).
-	MaxDelay time.Duration
-	// Clock paces the MaxDelay dwell (default clock.System; tests inject
-	// clock.Manual so dwell policy tests are instant).
-	Clock clock.Clock
-}
-
-func (o JournalOptions) fill() JournalOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
-	if o.Clock == nil {
-		o.Clock = clock.System
-	}
-	return o
-}
-
 // jWaiter is one Append/AppendBatch call parked in the commit queue: its
 // records, already framed, and a buffered channel the committer resolves
 // after the fsync covering them returns.
@@ -135,7 +103,6 @@ type JournalStats struct {
 // running group-commit pipeline.
 type Journal struct {
 	path string
-	opts JournalOptions
 
 	mu     sync.Mutex
 	f      *os.File
@@ -151,16 +118,10 @@ type Journal struct {
 	records atomic.Int64
 }
 
-// OpenJournal opens the journal at path with default group-commit
-// options. See OpenJournalOptions.
+// OpenJournal opens (creating if missing) the journal at path, validates
+// every record, repairs a torn tail, starts the commit pipeline, and
+// returns the surviving records.
 func OpenJournal(path string) (*Journal, Recovery, error) {
-	return OpenJournalOptions(path, JournalOptions{})
-}
-
-// OpenJournalOptions opens (creating if missing) the journal at path,
-// validates every record, repairs a torn tail, starts the commit
-// pipeline, and returns the surviving records.
-func OpenJournalOptions(path string, opts JournalOptions) (*Journal, Recovery, error) {
 	var rec Recovery
 	raw, err := os.ReadFile(path)
 	switch {
@@ -205,7 +166,6 @@ func OpenJournalOptions(path string, opts JournalOptions) (*Journal, Recovery, e
 	}
 	j := &Journal{
 		path:    path,
-		opts:    opts.fill(),
 		f:       f,
 		kick:    make(chan struct{}, 1),
 		closing: make(chan struct{}),
@@ -277,10 +237,10 @@ func (j *Journal) Append(r record) error {
 }
 
 // AppendBatch journals a group of records durably under a single waiter:
-// all of them are covered by one commit (one fsync when they fit in
-// MaxBatch), and the call blocks until that commit returns. The batch is
-// a durability unit — on a nil return every record is on disk; on an
-// error none of them was acknowledged.
+// all of them are covered by one commit (one fsync), and the call blocks
+// until that commit returns. The batch is a durability unit — on a nil
+// return every record is on disk; on an error none of them was
+// acknowledged.
 //
 // The records are encoded here, on the caller's goroutine, before
 // anything is queued: a record that cannot be encoded (a NaN in a result)
@@ -316,13 +276,11 @@ func (j *Journal) AppendBatch(recs []record) error {
 	return <-w.done
 }
 
-// committer is the commit pipeline: it collects queued waiters into
-// batches of at most MaxBatch records, optionally dwells MaxDelay for an
-// under-full batch to fill, performs one write+fsync per batch, and then
-// releases every waiter the batch covered. On Close it drains the queue
-// — every record enqueued before Close is either committed-and-acked or
-// was rejected with ErrJournalClosed before enqueueing; an unsynced
-// record is never acknowledged.
+// committer is the commit pipeline: it takes every queued waiter,
+// performs one write+fsync for the lot, and then releases them. On Close
+// it drains the queue — every record enqueued before Close is either
+// committed-and-acked or was rejected with ErrJournalClosed before
+// enqueueing; an unsynced record is never acknowledged.
 func (j *Journal) committer() {
 	defer close(j.done)
 	for {
@@ -339,81 +297,25 @@ func (j *Journal) committer() {
 			}
 			j.mu.Lock()
 		}
+		batch := j.queue
+		j.queue = nil
 		j.mu.Unlock()
 
-		j.dwell()
-		batch, nrec := j.takeBatch()
-		if len(batch) == 0 {
-			continue
-		}
-		err := j.commit(batch, nrec)
+		err := j.commit(batch)
 		for _, w := range batch {
 			w.done <- err
 		}
 	}
 }
 
-// dwell waits up to MaxDelay for the pending batch to reach MaxBatch
-// records, returning early on close or when the batch fills. With
-// MaxDelay == 0 it returns immediately.
-func (j *Journal) dwell() {
-	if j.opts.MaxDelay <= 0 {
-		return
-	}
-	t := j.opts.Clock.NewTimer(j.opts.MaxDelay)
-	defer t.Stop()
-	for {
-		j.mu.Lock()
-		full := j.queuedRecordsLocked() >= j.opts.MaxBatch || j.closed
-		j.mu.Unlock()
-		if full {
-			return
-		}
-		select {
-		case <-t.C():
-			return
-		case <-j.closing:
-			return
-		case <-j.kick:
-			// More records arrived; re-check fullness.
-		}
-	}
-}
-
-func (j *Journal) queuedRecordsLocked() int {
-	n := 0
-	for _, w := range j.queue {
-		n += w.nrec
-	}
-	return n
-}
-
-// takeBatch removes up to MaxBatch records' worth of waiters from the
-// queue. A single oversized waiter (AppendBatch larger than MaxBatch) is
-// taken alone rather than split: its durability unit is preserved.
-func (j *Journal) takeBatch() (batch []jWaiter, nrec int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	i := 0
-	for ; i < len(j.queue); i++ {
-		n := j.queue[i].nrec
-		if i > 0 && nrec+n > j.opts.MaxBatch {
-			break
-		}
-		nrec += n
-	}
-	batch = j.queue[:i:i]
-	j.queue = j.queue[i:]
-	return batch, nrec
-}
-
 // commit writes one batch of framed records and fsyncs it. An error is
 // sticky: a failed write can leave a torn record mid-file, after which
 // further appends would be unrecoverable, so the journal refuses them.
-func (j *Journal) commit(batch []jWaiter, nrec int) error {
-	buf := batch[0].frames // one waiter, the common case, is written as it came
+func (j *Journal) commit(batch []jWaiter) error {
+	buf, nrec := batch[0].frames, batch[0].nrec // one waiter, the common case, is written as it came
 	for _, w := range batch[1:] {
 		buf = append(buf, w.frames...)
+		nrec += w.nrec
 	}
 	if _, err := j.f.Write(buf); err != nil {
 		return j.fail(fmt.Errorf("service: append journal: %w", err))

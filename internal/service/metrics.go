@@ -53,13 +53,11 @@ type Metrics struct {
 	BatchSubmits int64 `json:"batch_submits"`
 	BatchJobs    int64 `json:"batch_jobs"`
 
-	// Shard-scheduler visibility: the configured shard count, the number
-	// of claim sweeps workers ran, and how many jobs a sweep passed over
-	// because their server pair's token was held (pair-serialization
-	// contention).
-	SchedulerShards int   `json:"scheduler_shards"`
-	ClaimScans      int64 `json:"claim_scans"`
-	ClaimPairSkips  int64 `json:"claim_pair_skips"`
+	// Claim visibility: how many times a worker went to the queue for a
+	// job, and how many jobs those claims passed over because their server
+	// pair's token was held (pair-serialization contention).
+	ClaimScans     int64 `json:"claim_scans"`
+	ClaimPairSkips int64 `json:"claim_pair_skips"`
 
 	// QueueLatencyMean is the mean queued→running wait over every attempt
 	// started so far (scheduler-clock time).
@@ -124,7 +122,6 @@ func (s *Scheduler) Metrics() Metrics {
 		Resumed:             s.c.resumed.Load(),
 		BatchSubmits:        s.c.batchSubmits.Load(),
 		BatchJobs:           s.c.batchJobs.Load(),
-		SchedulerShards:     len(s.shards),
 		ClaimScans:          s.c.claimScans.Load(),
 		ClaimPairSkips:      s.c.claimPairSkips.Load(),
 		JournalAppends:      s.c.journalAppends.Load(),

@@ -91,13 +91,12 @@ func TestJobsPagingEdges(t *testing.T) {
 
 // TestMetricsExposeShardAndJournalCounters asserts the client-visible
 // Metrics snapshot — what `wehey-submit metrics` prints — carries the
-// shard-scheduler and journal group-commit counters, not just the raw
-// /metrics endpoint.
+// claim and journal group-commit counters, not just the raw /metrics
+// endpoint.
 func TestMetricsExposeShardAndJournalCounters(t *testing.T) {
 	b := newStubBackend()
 	s, err := NewScheduler(Options{
 		Workers:     2,
-		Shards:      8,
 		JournalPath: filepath.Join(t.TempDir(), "journal.wj"),
 		Clock:       clock.NewManual(time.Unix(1700000000, 0)),
 		Backends:    map[string]Backend{"stub": b},
@@ -130,9 +129,6 @@ func TestMetricsExposeShardAndJournalCounters(t *testing.T) {
 	m, err := (&Client{BaseURL: srv.URL}).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.SchedulerShards != 8 {
-		t.Errorf("SchedulerShards = %d, want 8", m.SchedulerShards)
 	}
 	if m.ClaimScans == 0 {
 		t.Error("ClaimScans = 0 after jobs ran")

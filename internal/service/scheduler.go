@@ -23,31 +23,18 @@ type Options struct {
 	// jobs; submissions beyond it are rejected with ErrQueueFull
 	// (default 256). A batch is admitted all-or-nothing.
 	QueueLimit int
-	// Shards sizes the scheduler's shard map (default 16). Jobs hash to a
-	// shard by server pair (jobs without a pair hash by ID), so all state
-	// for one pair — its exclusivity token and its queued jobs — lives
-	// under one shard mutex, and Submit/Complete on different pairs never
-	// contend.
-	Shards int
 	// DefaultDeadline bounds one attempt when the spec does not
 	// (default 5 minutes).
 	DefaultDeadline time.Duration
 	// Retry shapes the backoff schedule (zero value = defaults).
 	Retry RetryPolicy
 	// Clock supplies all time: timestamps, queue-latency accounting,
-	// deadlines, backoff timers, and the journal commit pipeline's dwell
-	// (default clock.System; tests inject clock.Manual).
+	// deadlines and backoff timers (default clock.System; tests inject
+	// clock.Manual).
 	Clock clock.Clock
 	// JournalPath persists the campaign journal ("" = volatile: a
 	// restart forgets everything).
 	JournalPath string
-	// JournalMaxBatch caps the records per journal group commit
-	// (default 256).
-	JournalMaxBatch int
-	// JournalMaxDelay is how long the journal committer dwells for an
-	// under-full batch to fill before fsyncing anyway (default 0: commit
-	// immediately; batching emerges from fsync backpressure).
-	JournalMaxDelay time.Duration
 	// Backends maps spec backend names to executors. Nil installs the
 	// stock registry (sim with an in-memory cache, testbed, null).
 	Backends map[string]Backend
@@ -59,9 +46,6 @@ func (o Options) fill() Options {
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 256
-	}
-	if o.Shards <= 0 {
-		o.Shards = 16
 	}
 	if o.DefaultDeadline <= 0 {
 		o.DefaultDeadline = 5 * time.Minute
@@ -81,64 +65,49 @@ func (o Options) fill() Options {
 }
 
 // job is the scheduler's mutable view of one Job. All fields are guarded
-// by the owning shard's mutex except those written only before
-// publication (rng, shard, and the identity fields of Job).
+// by the scheduler's mutex except the identity fields of Job, which are
+// written only before publication.
 type job struct {
 	Job
 
-	shard      *shard     // home shard: fixed at creation by pair (or ID)
 	rng        *rand.Rand // retry jitter; seeded lazily on first retry (jitterRNG)
 	enqueuedAt time.Time  // last transition into the queue (latency base)
-	heapIdx    int        // position in the shard's pending heap; -1 = not queued
-	claiming   bool       // popped by a worker's claim scan, not yet running
+	heapIdx    int        // position in the pending heap; -1 = not queued
 	cancel     context.CancelFunc
 	userCancel bool // operator asked; running attempt winds down
 	retryTimer clock.Timer
 	runs       int // completed executions (test observability)
 }
 
-// shard is one slice of the scheduler's hot state: the pending queue and
-// the pair-exclusivity tokens for every server pair hashing here. The
-// pair → shard mapping means two jobs that could ever exclude each other
-// always share a shard, so exclusivity needs no cross-shard locking —
-// the intra-process rehearsal of the ROADMAP's consistent-hash-by-pair
-// fleet design.
-type shard struct {
-	mu      sync.Mutex
-	pending jobHeap
-	tokens  map[string]string // server pair -> job ID holding or reserving it
-
-	_ [64]byte // pad shards apart: neighboring locks must not share a cache line
-}
-
-// Scheduler owns the campaign state machine: admission, the sharded
-// priority queues, server-pair tokens, the worker pool, retries, and the
+// Scheduler owns the campaign state machine: admission, the priority
+// queue, server-pair tokens, the worker pool, retries, and the
 // group-commit journal.
 type Scheduler struct {
 	opts    Options
 	clk     clock.Clock
 	journal *Journal
 
-	shards []shard
-	jobs   sync.Map // job ID -> *job (read-mostly index; state under shard locks)
-
-	queued atomic.Int64  // jobs sitting in pending heaps (admission gauge)
-	rr     atomic.Uint32 // rotates the claim scan's starting shard
+	// mu guards everything down to bySeq, and every job's mutable state.
+	// Journal appends and worker wakeups happen outside it.
+	mu      sync.Mutex
+	pending jobHeap           // queued jobs, best (priority desc, seq asc) first
+	tokens  map[string]string // server pair -> ID of the running job holding it
+	jobs    map[string]*job   // every published job by ID
 
 	// A batch takes its sequence numbers before its journal commit and
 	// becomes visible after it, so batches can become visible out of
-	// sequence order. seqMu guards the assignment and the batches that
-	// hold numbers but are not visible yet; ListPage stays below them.
+	// sequence order; ListPage stays below the batches that hold numbers
+	// but are not visible yet.
 	//
 	// bySeq is the listing index: the job numbered seq is in slot seq-1.
 	// A slot is made (nil) with its number and filled when its batch
 	// lands; it stays nil if the journal refused the batch. Numbers are
-	// assigned densely, so the index has as many slots as there are jobs,
-	// and a slot below the list floor is never written again.
-	seqMu    sync.Mutex
+	// assigned densely, so the index has as many slots as there are jobs.
 	nextSeq  uint64   // last assigned submission sequence number
 	inflight []uint64 // first number of each assigned, not yet visible batch
 	bySeq    []*job   // len == nextSeq
+
+	queued atomic.Int64 // jobs in the pending heap (admission gauge)
 
 	closed    atomic.Bool
 	stop      chan struct{}
@@ -161,10 +130,9 @@ type counters struct {
 	journalDroppedBytes                                  atomic.Int64
 	journalDupTerminals                                  atomic.Int64
 
-	// Shard-scheduler visibility: claimScans counts full claim() sweeps
-	// (one per worker wakeup that found the queue non-empty candidates),
-	// claimPairSkips counts jobs passed over because their server pair's
-	// token was held — the contention the pair-serialization rule costs.
+	// claimScans counts claim() calls, claimPairSkips the jobs they passed
+	// over because their server pair's token was held — the contention
+	// the pair-serialization rule costs.
 	claimScans     atomic.Int64
 	claimPairSkips atomic.Int64
 
@@ -198,7 +166,8 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 	s := &Scheduler{
 		opts:      opts,
 		clk:       opts.Clock,
-		shards:    make([]shard, opts.Shards),
+		tokens:    make(map[string]string),
+		jobs:      make(map[string]*job),
 		stop:      make(chan struct{}),
 		closeDone: make(chan struct{}),
 		// One wakeup slot per admissible job plus one per worker: sends
@@ -206,15 +175,8 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		// pending scans to find every runnable job.
 		ready: make(chan struct{}, opts.QueueLimit+opts.Workers),
 	}
-	for i := range s.shards {
-		s.shards[i].tokens = make(map[string]string)
-	}
 	if opts.JournalPath != "" {
-		jr, rec, err := OpenJournalOptions(opts.JournalPath, JournalOptions{
-			MaxBatch: opts.JournalMaxBatch,
-			MaxDelay: opts.JournalMaxDelay,
-			Clock:    opts.Clock,
-		})
+		jr, rec, err := OpenJournal(opts.JournalPath)
 		if err != nil {
 			return nil, err
 		}
@@ -223,27 +185,6 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		s.replay(rec.Records)
 	}
 	return s, nil
-}
-
-// shardFor maps a job to its home shard: by server pair when it has one
-// (all contenders for a pair must share a shard), by ID otherwise (no
-// exclusivity constraint — any stable spread works).
-func (s *Scheduler) shardFor(pair, id string) *shard {
-	key := pair
-	if key == "" {
-		key = id
-	}
-	// Inline FNV-1a: no allocation on the submit hot path.
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &s.shards[h%uint32(len(s.shards))]
 }
 
 // replay rebuilds job state from journal records (no locking needed: the
@@ -259,10 +200,10 @@ func (s *Scheduler) replay(records []record) {
 	}
 	for _, jj := range jobs {
 		snap := jj.snapshot()
-		j := s.newJob(snap.ID, snap.Seq, snap.Spec, now)
+		j := newJob(snap.ID, snap.Seq, snap.Spec, now)
 		j.Resumed = true
 		j.State, j.Result, j.Error = snap.State, snap.Result, snap.Error
-		s.jobs.Store(j.ID, j)
+		s.jobs[j.ID] = j
 		if j.Seq > 0 { // a listing starts after 0: a job numbered 0 was never on a page
 			s.bySeq[j.Seq-1] = j
 		}
@@ -271,7 +212,7 @@ func (s *Scheduler) replay(records []record) {
 			s.c.finished(j.State).Add(1)
 			continue
 		}
-		heap.Push(&j.shard.pending, j)
+		heap.Push(&s.pending, j)
 		s.queued.Add(1)
 		s.c.submitted.Add(1)
 		s.c.resumed.Add(1)
@@ -279,7 +220,7 @@ func (s *Scheduler) replay(records []record) {
 }
 
 // newJob constructs the in-memory record for a submission.
-func (s *Scheduler) newJob(id string, seq uint64, spec Spec, now time.Time) *job {
+func newJob(id string, seq uint64, spec Spec, now time.Time) *job {
 	return &job{
 		Job: Job{
 			ID:          id,
@@ -288,7 +229,6 @@ func (s *Scheduler) newJob(id string, seq uint64, spec Spec, now time.Time) *job
 			State:       StateQueued,
 			SubmittedAt: now,
 		},
-		shard:      s.shardFor(spec.ServerPair, id),
 		enqueuedAt: now,
 		heapIdx:    -1,
 	}
@@ -298,7 +238,7 @@ func (s *Scheduler) newJob(id string, seq uint64, spec Spec, now time.Time) *job
 // first use. Seeding a rand source is ~70% of an eager newJob's cost and
 // only retrying jobs ever draw from it, so the happy path skips it
 // entirely; laziness is invisible to determinism because the first draw
-// still comes from the same seeded stream. Callers hold the shard lock.
+// still comes from the same seeded stream. Callers hold s.mu.
 func (j *job) jitterRNG() *rand.Rand {
 	if j.rng == nil {
 		j.rng = rand.New(rand.NewSource(jobSeed(j.ID, j.Spec.Seed)))
@@ -341,19 +281,16 @@ func (s *Scheduler) Close() {
 		return
 	}
 	close(s.stop)
-	s.jobs.Range(func(_, v any) bool {
-		j := v.(*job)
-		sh := j.shard
-		sh.mu.Lock()
+	s.mu.Lock()
+	for _, j := range s.jobs {
 		if j.cancel != nil {
 			j.cancel()
 		}
 		if j.retryTimer != nil {
 			j.retryTimer.Stop()
 		}
-		sh.mu.Unlock()
-		return true
-	})
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	if s.journal != nil {
 		s.journal.Close()
@@ -373,7 +310,7 @@ func (s *Scheduler) Submit(spec Spec) (Job, error) {
 // SubmitBatch admits a group of jobs as one unit: every spec is
 // validated up front, queue capacity is reserved for all of them, their
 // submit records ride one journal group commit (one fsync for the whole
-// batch), and only then are they published to the shards. Admission is
+// batch), and only then are they published to the queue. Admission is
 // all-or-nothing — on any error no job of the batch was admitted.
 func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	if len(specs) == 0 {
@@ -403,12 +340,12 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 		}
 	}
 
-	s.seqMu.Lock()
+	s.mu.Lock()
 	first := s.nextSeq + 1
 	s.nextSeq += uint64(n)
 	s.inflight = append(s.inflight, first)
 	s.bySeq = append(s.bySeq, make([]*job, n)...)
-	s.seqMu.Unlock()
+	s.mu.Unlock()
 
 	now := s.clk.Now()
 	js := make([]*job, len(specs))
@@ -416,7 +353,7 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	for i := range specs {
 		seq := first + uint64(i)
 		id := fmt.Sprintf("j%06d", seq)
-		js[i] = s.newJob(id, seq, specs[i], now)
+		js[i] = newJob(id, seq, specs[i], now)
 		recs[i] = record{Op: recSubmit, ID: id, Seq: seq, Spec: &specs[i]}
 	}
 	if s.journal != nil {
@@ -436,11 +373,6 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	out := make([]Job, len(js))
 	for i, j := range js {
 		out[i] = j.Job // snapshot before publication: workers may claim immediately
-		s.jobs.Store(j.ID, j)
-		sh := j.shard
-		sh.mu.Lock()
-		heap.Push(&sh.pending, j)
-		sh.mu.Unlock()
 	}
 	s.landed(first, js)
 	s.c.submitted.Add(n)
@@ -455,17 +387,20 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 }
 
 // landed takes the batch whose sequence numbers start at first out of
-// the in-flight set and puts its jobs — none, if the journal refused the
-// batch — into the listing index, so a page sees all of a batch or none.
+// the in-flight set and publishes its jobs — none, if the journal refused
+// the batch — to the ID index, the queue and the listing index, so a page
+// sees all of a batch or none.
 func (s *Scheduler) landed(first uint64, js []*job) {
-	s.seqMu.Lock()
+	s.mu.Lock()
 	for _, j := range js {
+		s.jobs[j.ID] = j
+		heap.Push(&s.pending, j)
 		s.bySeq[j.Seq-1] = j
 	}
 	if i := slices.Index(s.inflight, first); i >= 0 {
 		s.inflight = slices.Delete(s.inflight, i, i+1)
 	}
-	s.seqMu.Unlock()
+	s.mu.Unlock()
 }
 
 // batchErr labels a per-spec error with its batch index (single-spec
@@ -479,29 +414,27 @@ func batchErr(i, n int, err error) error {
 
 // Get returns a snapshot of one job.
 func (s *Scheduler) Get(id string) (Job, error) {
-	v, ok := s.jobs.Load(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
 	if !ok {
 		return Job{}, ErrNotFound
 	}
-	j := v.(*job)
-	sh := j.shard
-	sh.mu.Lock()
-	snap := j.Job
-	sh.mu.Unlock()
-	return snap, nil
+	return j.Job, nil
 }
 
 // GetBatch returns snapshots for the requested IDs (in input order,
 // minus unknowns) plus the list of IDs that do not exist.
 func (s *Scheduler) GetBatch(ids []string) (jobs []Job, missing []string) {
 	jobs = make([]Job, 0, len(ids))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, id := range ids {
-		j, err := s.Get(id)
-		if err != nil {
+		if j, ok := s.jobs[id]; ok {
+			jobs = append(jobs, j.Job)
+		} else {
 			missing = append(missing, id)
-			continue
 		}
-		jobs = append(jobs, j)
 	}
 	return jobs, missing
 }
@@ -522,17 +455,15 @@ func (s *Scheduler) List() []Job {
 // back arrive with a later page. A page costs what it returns, not what
 // the scheduler holds: it is a walk along the sequence index.
 func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
-	s.seqMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	// The lowest number that may not be visible yet: every job below it
 	// that will ever exist is in its slot.
 	floor := s.nextSeq + 1
 	if len(s.inflight) > 0 {
 		floor = s.inflight[0] // ascending: appended in assignment order
 	}
-	// Slots below the floor are final, so they are read without the lock.
 	window := s.bySeq[min(afterSeq, floor-1) : floor-1]
-	s.seqMu.Unlock()
-
 	if limit <= 0 || limit > len(window) {
 		limit = len(window)
 	}
@@ -544,10 +475,7 @@ func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
 		if len(out) == limit {
 			break
 		}
-		sh := j.shard
-		sh.mu.Lock()
 		out = append(out, j.Job)
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -556,26 +484,18 @@ func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
 // canceling the attempt's context when running. Canceling a terminal job
 // is a no-op.
 func (s *Scheduler) Cancel(id string) (Job, error) {
-	v, ok := s.jobs.Load(id)
-	if !ok {
-		return Job{}, ErrNotFound
-	}
-	j := v.(*job)
-	sh := j.shard
 	var rec record
 	var terminal bool
-	sh.mu.Lock()
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	if !ok {
+		s.mu.Unlock()
+		return Job{}, ErrNotFound
+	}
 	switch j.State {
 	case StateQueued:
-		if j.claiming {
-			// A worker holds this job between its claim scan and the
-			// running transition; flag it and let the worker's next
-			// lock acquisition turn it into a cancel.
-			j.userCancel = true
-			break
-		}
-		if j.heapIdx >= 0 {
-			heap.Remove(&sh.pending, j.heapIdx)
+		if j.heapIdx >= 0 { // -1: an attempt Close interrupted, left for the next process
+			heap.Remove(&s.pending, j.heapIdx)
 			s.queued.Add(-1)
 		}
 		rec = s.finishLocked(j, StateCanceled, nil, "")
@@ -595,7 +515,7 @@ func (s *Scheduler) Cancel(id string) (Job, error) {
 		}
 	}
 	snap := j.Job
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if terminal {
 		s.journalTerminal(rec)
 	}
@@ -603,7 +523,7 @@ func (s *Scheduler) Cancel(id string) (Job, error) {
 }
 
 // worker is one pool goroutine: wait for a wakeup, then greedily claim
-// and execute runnable jobs until a full scan comes up empty.
+// and execute runnable jobs until a claim comes up empty.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -613,153 +533,63 @@ func (s *Scheduler) worker() {
 		case <-s.ready:
 		}
 		for !s.closed.Load() {
-			j := s.claim()
+			j, ctx, cancel := s.claim()
 			if j == nil {
 				break
 			}
-			s.run(j)
+			s.execute(j, ctx, cancel)
 		}
 	}
 }
 
-// claim selects the globally best-priority runnable job. It scans every
-// shard (rotating the start to spread contention), takes each shard's
-// best runnable candidate with its pair token reserved, and keeps the
-// global winner; losers go back with their reservation released. The
-// reservation is what keeps pair exclusivity airtight across concurrent
-// scans: a candidate's pair is held from the moment it leaves its heap.
-func (s *Scheduler) claim() *job {
+// claim takes the best (priority desc, seq asc) queued job whose server
+// pair is free and starts its attempt: pair token, running state and
+// attempt context are all set in the one critical section, so a job is
+// never anywhere between queued and running and two jobs never hold one
+// pair. It returns nil when nothing queued can run.
+func (s *Scheduler) claim() (*job, context.Context, context.CancelFunc) {
 	s.c.claimScans.Add(1)
-	n := len(s.shards)
-	start := int(s.rr.Add(1)) % n
-	var best *job
-	for i := 0; i < n; i++ {
-		c := s.takeRunnable(&s.shards[(start+i)%n])
-		if c == nil {
-			continue
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var j *job
+	var blocked []*job
+	for s.pending.Len() > 0 {
+		c := heap.Pop(&s.pending).(*job)
+		if _, busy := s.tokens[c.Spec.ServerPair]; !busy { // "" never holds a token
+			j = c
+			break
 		}
-		if best == nil {
-			best = c
-			continue
-		}
-		if jobLess(c, best) {
-			s.unreserve(best)
-			best = c
-		} else {
-			s.unreserve(c)
-		}
+		blocked = append(blocked, c)
 	}
-	return best
-}
-
-// jobLess orders jobs like the pending heap: higher priority first,
-// submission order within a priority.
-func jobLess(a, b *job) bool {
-	if a.Spec.Priority != b.Spec.Priority {
-		return a.Spec.Priority > b.Spec.Priority
+	for _, b := range blocked {
+		heap.Push(&s.pending, b)
 	}
-	return a.Seq < b.Seq
-}
-
-// takeRunnable pops the best-priority runnable job of one shard —
-// skipping over pair-blocked ones — and reserves its pair token.
-func (s *Scheduler) takeRunnable(sh *shard) *job {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var skipped []*job
-	var picked *job
-	for sh.pending.Len() > 0 {
-		j := heap.Pop(&sh.pending).(*job)
-		if pair := j.Spec.ServerPair; pair != "" {
-			if _, busy := sh.tokens[pair]; busy {
-				s.c.claimPairSkips.Add(1)
-				skipped = append(skipped, j)
-				continue
-			}
-		}
-		picked = j
-		break
+	s.c.claimPairSkips.Add(int64(len(blocked)))
+	if j == nil {
+		return nil, nil, nil
 	}
-	for _, j := range skipped {
-		heap.Push(&sh.pending, j)
-	}
-	if picked != nil {
-		if pair := picked.Spec.ServerPair; pair != "" {
-			sh.tokens[pair] = picked.ID
-		}
-		picked.claiming = true
-	}
-	return picked
-}
-
-// unreserve returns a losing claim candidate to its shard's queue,
-// releasing the pair reservation — unless an operator canceled it while
-// it was in flight, in which case the cancel lands now.
-func (s *Scheduler) unreserve(j *job) {
-	sh := j.shard
-	var rec record
-	var canceled bool
-	sh.mu.Lock()
 	if pair := j.Spec.ServerPair; pair != "" {
-		delete(sh.tokens, pair)
-	}
-	j.claiming = false
-	if j.userCancel {
-		s.queued.Add(-1)
-		rec = s.finishLocked(j, StateCanceled, nil, "")
-		canceled = true
-	} else {
-		heap.Push(&sh.pending, j)
-	}
-	sh.mu.Unlock()
-	if canceled {
-		s.journalTerminal(rec)
-		return
-	}
-	s.signalReady()
-}
-
-// run finalizes a claim — state, accounting, attempt context — and
-// executes one attempt.
-func (s *Scheduler) run(j *job) {
-	sh := j.shard
-	sh.mu.Lock()
-	j.claiming = false
-	if j.userCancel {
-		// Canceled during the claim scan: release the reservation and
-		// finish without running.
-		if pair := j.Spec.ServerPair; pair != "" {
-			delete(sh.tokens, pair)
-		}
-		s.queued.Add(-1)
-		rec := s.finishLocked(j, StateCanceled, nil, "")
-		sh.mu.Unlock()
-		s.journalTerminal(rec)
-		return
+		s.tokens[pair] = j.ID
 	}
 	j.State = StateRunning
 	j.Attempts++
 	j.StartedAt = s.clk.Now()
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
-	enqueuedAt := j.enqueuedAt
-	sh.mu.Unlock()
-
 	s.queued.Add(-1)
-	s.c.latencyTotalNs.Add(int64(j.StartedAt.Sub(enqueuedAt)))
+	s.c.latencyTotalNs.Add(int64(j.StartedAt.Sub(j.enqueuedAt)))
 	s.c.latencyCount.Add(1)
 	s.c.running.Add(1)
-	backend := s.opts.Backends[j.Spec.Backend]
+	return j, ctx, cancel
+}
+
+// execute runs one claimed attempt under a clock-driven deadline and
+// routes the outcome through complete.
+func (s *Scheduler) execute(j *job, ctx context.Context, cancel context.CancelFunc) {
 	deadline := j.Spec.Deadline
 	if deadline <= 0 {
 		deadline = s.opts.DefaultDeadline
 	}
-	s.execute(j, ctx, cancel, backend, deadline)
-}
-
-// execute runs one attempt under a clock-driven deadline and routes the
-// outcome through complete.
-func (s *Scheduler) execute(j *job, ctx context.Context, cancel context.CancelFunc, backend Backend, deadline time.Duration) {
 	timer := s.clk.NewTimer(deadline)
 	watchDone := make(chan struct{})
 	timedOut := make(chan struct{}, 1)
@@ -772,7 +602,7 @@ func (s *Scheduler) execute(j *job, ctx context.Context, cancel context.CancelFu
 		}
 	}()
 
-	res, err := runBackend(ctx, backend, j.Spec)
+	res, err := runBackend(ctx, s.opts.Backends[j.Spec.Backend], j.Spec)
 
 	timer.Stop()
 	close(watchDone)
@@ -798,9 +628,9 @@ func runBackend(ctx context.Context, b Backend, spec Spec) (res *Result, err err
 }
 
 // complete applies one attempt's outcome: success, operator cancel,
-// shutdown interruption, retry scheduling, or terminal failure. The
-// shard lock covers only the state transition; the terminal journal
-// append happens after it is released.
+// shutdown interruption, retry scheduling, or terminal failure. The lock
+// covers only the state transition; the terminal journal append happens
+// after it is released.
 func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 	if err == nil {
 		// A result that cannot be encoded (a NaN loss rate) can be neither
@@ -809,13 +639,12 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 			res, err = nil, fmt.Errorf("service: backend result cannot be recorded: %w", encErr)
 		}
 	}
-	sh := j.shard
 	var rec record
 	var terminal, pairFreed bool
-	sh.mu.Lock()
+	s.mu.Lock()
 	if pair := j.Spec.ServerPair; pair != "" {
-		delete(sh.tokens, pair)
-		pairFreed = sh.pending.Len() > 0
+		delete(s.tokens, pair)
+		pairFreed = s.pending.Len() > 0
 	}
 	j.cancel = nil
 	j.runs++
@@ -862,22 +691,22 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 		s.wg.Add(1)
 		go s.awaitRetry(j, t)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	s.c.running.Add(-1)
 	if terminal {
 		s.journalTerminal(rec)
 	}
 	if pairFreed {
-		// The freed pair may unblock a same-pair sibling (same shard by
-		// construction): post a wakeup.
+		// The freed pair may unblock a queued same-pair sibling: post a
+		// wakeup.
 		s.signalReady()
 	}
 }
 
 // finishLocked moves a job into a terminal state and returns the journal
-// record describing it. Callers hold the job's shard lock and append the
-// record after releasing it.
+// record describing it. Callers hold s.mu and append the record after
+// releasing it.
 func (s *Scheduler) finishLocked(j *job, st State, res *Result, errMsg string) record {
 	j.State = st
 	j.FinishedAt = s.clk.Now()
@@ -917,18 +746,17 @@ func (s *Scheduler) awaitRetry(j *job, t clock.Timer) {
 	case <-s.stop:
 		return
 	}
-	sh := j.shard
-	sh.mu.Lock()
+	s.mu.Lock()
 	if s.closed.Load() || j.State != StateWaitRetry {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	j.State = StateQueued
 	j.RetryAt = time.Time{}
 	j.retryTimer = nil
 	j.enqueuedAt = s.clk.Now()
-	heap.Push(&sh.pending, j)
-	sh.mu.Unlock()
+	heap.Push(&s.pending, j)
+	s.mu.Unlock()
 	s.c.waitRetry.Add(-1)
 	s.queued.Add(1)
 	s.signalReady()
