@@ -102,7 +102,7 @@ func campaignFlags(fs *flag.FlagSet) func() fleet.Campaign {
 func plant(ctx context.Context, c *service.Client, args []string) {
 	fs := flag.NewFlagSet("plant", flag.ExitOnError)
 	campaign := campaignFlags(fs)
-	batch := fs.Int("batch", 256, "specs per submit round-trip (one journal group commit each)")
+	batch := fs.Int("batch", 256, "specs per submit round-trip (one journal group commit each; at most the server's -queue-limit)")
 	retry := fs.Duration("retry", 200*time.Millisecond, "backoff while the admission queue is full")
 	dryRun := fs.Bool("dry-run", false, "print the job specs instead of submitting them")
 	fs.Parse(args) // ExitOnError: Parse never returns an error

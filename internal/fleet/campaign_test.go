@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/nal-epfl/wehey/internal/experiments"
+	"github.com/nal-epfl/wehey/internal/tomo"
 )
 
 // groundTruthSpec is the acceptance-criteria campaign: 12 candidate
@@ -153,6 +154,59 @@ func TestIdentifiabilityStructure(t *testing.T) {
 	if topo.TransitASes != 4 || topo.Servers != 8 {
 		t.Fatalf("unexpected topology defaults: %+v", topo)
 	}
+}
+
+// TestBuildPathMatrixEqualsAddingEverySession: skipping the sessions of a
+// route already added changes nothing in the report — it equals the one
+// built by adding every session's path, in any order, and the starved
+// ISPs are declared in both.
+func TestBuildPathMatrixEqualsAddingEverySession(t *testing.T) {
+	spec := groundTruthSpec()
+	spec.StarvedISPs = []int{0, 7}
+	c := NewCampaign("gt", spec)
+	topo, plan := c.Topology(), c.Plan()
+	got := BuildPathMatrix(topo, plan).Identify()
+
+	shuffled := append([]experiments.FleetSession(nil), plan...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	every := tomo.NewPathMatrix()
+	for _, sess := range shuffled {
+		every.AddPath(SessionPath(topo, sess.ISP, sess.Server))
+	}
+	for i := 0; i < topo.ISPs; i++ {
+		every.AddSegment(ISPSegment(i))
+	}
+	if want := every.Identify(); !reflect.DeepEqual(got, want) {
+		t.Errorf("report over distinct routes differs from the one over every session:\n got %+v\nwant %+v", got, want)
+	}
+	if again := BuildPathMatrix(topo, shuffled).Identify(); !reflect.DeepEqual(got, again) {
+		t.Error("report depends on the order of the plan")
+	}
+	for _, e := range got {
+		if starved := e.ID == ISPSegment(0) || e.ID == ISPSegment(7); starved && e.Observed {
+			t.Errorf("starved %s = %+v; want declared and unobserved", e.ID, e)
+		}
+	}
+	if n := len(got); n != 12+4+8 {
+		t.Errorf("report has %d segments, want 12 ISPs (2 starved) + 4 transit + 8 servers", n)
+	}
+}
+
+// BenchmarkBuildPathMatrix is the identifiability pass at campaign_bulk's
+// size: 20 000 sessions over 88 distinct (ISP, server) routes.
+func BenchmarkBuildPathMatrix(b *testing.B) {
+	c := NewCampaign("bench", experiments.FleetCampaignSpec{StarvedISPs: []int{5}, Sessions: 20000, Seed: 1})
+	topo, plan := c.Topology(), c.Plan()
+	b.Run("sessions=20000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if m := BuildPathMatrix(topo, plan); m.Paths() != 88 {
+				b.Fatalf("%d distinct routes, want 88", m.Paths())
+			}
+		}
+	})
 }
 
 // TestJobSpecsValidAndFaithful: rendered job specs pass service

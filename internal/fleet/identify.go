@@ -49,8 +49,15 @@ func BuildPathMatrix(topo topology.SynthSpec, plan []experiments.FleetSession) *
 	for i := 0; i < topo.ISPs; i++ {
 		m.AddSegment(ISPSegment(i))
 	}
+	// A session's path is a function of its (ISP, server) route alone, so
+	// only a route's first session has anything to add.
+	type route struct{ isp, server int }
+	added := make(map[route]bool)
 	for _, sess := range plan {
-		m.AddPath(SessionPath(topo, sess.ISP, sess.Server))
+		if r := (route{sess.ISP, sess.Server}); !added[r] {
+			added[r] = true
+			m.AddPath(SessionPath(topo, sess.ISP, sess.Server))
+		}
 	}
 	return m
 }

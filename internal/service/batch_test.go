@@ -57,13 +57,28 @@ func TestSubmitBatchAllOrNothing(t *testing.T) {
 		t.Errorf("submitted = %d after rejected batch, want 0", m.Submitted)
 	}
 
-	// A batch larger than the remaining queue capacity is rejected whole.
-	big := []Spec{stubSpec(1), stubSpec(2), stubSpec(3), stubSpec(4), stubSpec(5)}
-	if _, err := s.SubmitBatch(big); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("oversized batch error = %v, want ErrQueueFull", err)
+	// A batch that fits the limit but not the remaining capacity is
+	// rejected whole, to be sent again: the queue holds a job behind the
+	// one the worker is blocked in.
+	b.block = make(chan struct{})
+	defer close(b.block)
+	if _, err := s.SubmitBatch(stubSpecs(1, 2)); err != nil {
+		t.Fatal(err)
 	}
-	if m := s.Metrics(); m.Queued != 0 {
-		t.Errorf("queued = %d after rejected batch, want 0", m.Queued)
+	if _, err := s.SubmitBatch(stubSpecs(3, 4)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("batch into a busy queue: error = %v, want ErrQueueFull", err)
+	}
+	// One larger than the limit can never be admitted: a different error,
+	// naming both numbers, and not a rejection a retry would cure.
+	_, err := s.SubmitBatch(stubSpecs(3, 5))
+	if !errors.Is(err, ErrBatchTooLarge) || errors.Is(err, ErrQueueFull) {
+		t.Fatalf("oversized batch error = %v, want ErrBatchTooLarge", err)
+	}
+	if !contains(err.Error(), "5 jobs") || !contains(err.Error(), "limit 4") {
+		t.Errorf("oversized batch error %q does not name the batch size and the limit", err)
+	}
+	if m := s.Metrics(); m.Submitted != 2 || m.Rejected != 4 {
+		t.Errorf("submitted/rejected = %d/%d after the refused batches, want 2/4", m.Submitted, m.Rejected)
 	}
 }
 
@@ -531,5 +546,35 @@ func TestBatchHTTPEndpoints(t *testing.T) {
 	}
 	if m.BatchSubmits != 1 || m.BatchJobs != 3 {
 		t.Errorf("batch counters = %d/%d, want 1/3", m.BatchSubmits, m.BatchJobs)
+	}
+}
+
+// TestBatchAdmissionStatuses: over the admin plane a batch that fits the
+// queue limit but finds the queue busy is a 429 — come back later — and
+// one over the limit is a 413 naming both numbers, which no retry cures
+// and `wehey-map plant` therefore must not answer with one.
+func TestBatchAdmissionStatuses(t *testing.T) {
+	b := newStubBackend()
+	b.block = make(chan struct{})
+	defer close(b.block)
+	s, _ := newTestScheduler(t, Options{Workers: 1, QueueLimit: 4}, b)
+	srv := httptest.NewServer(Handler(s))
+	t.Cleanup(srv.Close)
+	c := &Client{BaseURL: srv.URL}
+	ctx := context.Background()
+
+	specs := stubSpecs(0, 5)
+	if _, err := c.SubmitBatch(ctx, specs[:2]); err != nil { // one runs at most, one stays queued
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitBatch(ctx, specs[:4]); err == nil || !contains(err.Error(), "429") {
+		t.Errorf("batch of 4 into a busy queue of 4 = %v, want 429", err)
+	}
+	_, err := c.SubmitBatch(ctx, specs)
+	if err == nil || !contains(err.Error(), "413") || !contains(err.Error(), "5 jobs, queue limit 4") {
+		t.Errorf("batch of 5 into a queue of 4 = %v, want 413 with both numbers", err)
+	}
+	if m := s.Metrics(); m.Submitted != 2 || m.Rejected != 4 {
+		t.Errorf("submitted/rejected = %d/%d, want 2/4 (the 413 is not a rejection)", m.Submitted, m.Rejected)
 	}
 }

@@ -287,6 +287,8 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrBatchTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.As(err, &journalIO):

@@ -28,7 +28,8 @@ import (
 // while the exactly-once contract is unchanged — no caller is ever
 // acknowledged before its record is durable. The committer takes
 // everything queued, so a batch is whatever arrived while the previous
-// fsync was in flight.
+// fsync was in flight. A worker's terminal record is posted instead: same
+// queue, same commit, nobody waiting for it (post).
 //
 // Recovery tolerates a torn tail (the process died mid-append): framing
 // stops at the first malformed record, the tail is dropped and counted,
@@ -81,14 +82,22 @@ type Recovery struct {
 // sees it knows its record is NOT durable.
 var ErrJournalClosed = errors.New("service: journal closed")
 
-// jWaiter is one Append/AppendBatch call parked in the commit queue: its
-// records, already framed, and a buffered channel the committer resolves
-// after the fsync covering them returns.
+// jWaiter is one entry of the commit queue: records, already framed, and
+// for an Append/AppendBatch call parked on them a buffered channel the
+// committer resolves after the fsync covering them returns. A posted
+// entry has no channel.
 type jWaiter struct {
 	frames []byte
 	nrec   int
 	done   chan error
 }
+
+// defaultPostLimit is how many records may already be waiting for a
+// commit when a post still returns at once; from there on a post waits
+// for its commit as an Append does, so a slow disk stalls the workers
+// instead of growing the heap. It also bounds what a SIGKILL re-runs
+// (DESIGN.md §10).
+const defaultPostLimit = 1024
 
 // JournalStats snapshots the commit pipeline counters (monotonic).
 type JournalStats struct {
@@ -107,8 +116,11 @@ type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
 	queue  []jWaiter
+	queued int // records in queue
 	closed bool
 	ioErr  error // sticky: a failed write may leave a torn tail mid-file
+
+	postLimit int // defaultPostLimit; the ablation benchmark sets 0: every post waits
 
 	kick    chan struct{} // capacity 1: work arrived
 	closing chan struct{} // Close begun: drain and exit
@@ -165,11 +177,12 @@ func OpenJournal(path string) (*Journal, Recovery, error) {
 		return nil, rec, fmt.Errorf("service: open journal for append: %w", err)
 	}
 	j := &Journal{
-		path:    path,
-		f:       f,
-		kick:    make(chan struct{}, 1),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
+		path:      path,
+		f:         f,
+		postLimit: defaultPostLimit,
+		kick:      make(chan struct{}, 1),
+		closing:   make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	go j.committer()
 	return j, rec, nil
@@ -254,7 +267,22 @@ func (j *Journal) AppendBatch(recs []record) error {
 	if err != nil {
 		return err
 	}
-	w := jWaiter{frames: frames, nrec: len(recs), done: make(chan error, 1)}
+	return j.enqueue(frames, len(recs), true)
+}
+
+// post queues one framed record for the next commit and returns without
+// waiting for it: the caller learns only whether the journal took the
+// record (it refuses as Append does once closed or failed), not whether
+// the record became durable. Close drains posted records like any other.
+func (j *Journal) post(frame []byte) error {
+	return j.enqueue(frame, 1, false)
+}
+
+// enqueue puts framed records on the commit queue and wakes the
+// committer. It blocks until their fsync returns when the caller asked to
+// wait, or when postLimit records are queued ahead of it.
+func (j *Journal) enqueue(frames []byte, nrec int, wait bool) error {
+	w := jWaiter{frames: frames, nrec: nrec}
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -267,20 +295,27 @@ func (j *Journal) AppendBatch(recs []record) error {
 		j.mu.Unlock()
 		return err
 	}
+	if wait || j.queued >= j.postLimit {
+		w.done = make(chan error, 1)
+	}
 	j.queue = append(j.queue, w)
+	j.queued += nrec
 	j.mu.Unlock()
 	select {
 	case j.kick <- struct{}{}:
 	default: // committer already signaled
 	}
+	if w.done == nil {
+		return nil
+	}
 	return <-w.done
 }
 
-// committer is the commit pipeline: it takes every queued waiter,
-// performs one write+fsync for the lot, and then releases them. On Close
-// it drains the queue — every record enqueued before Close is either
-// committed-and-acked or was rejected with ErrJournalClosed before
-// enqueueing; an unsynced record is never acknowledged.
+// committer is the commit pipeline: it takes every queued entry,
+// performs one write+fsync for the lot, and then releases those that
+// wait. On Close it drains the queue — every record enqueued before Close
+// is either committed-and-acked or was rejected with ErrJournalClosed
+// before enqueueing; an unsynced record is never acknowledged.
 func (j *Journal) committer() {
 	defer close(j.done)
 	for {
@@ -298,12 +333,14 @@ func (j *Journal) committer() {
 			j.mu.Lock()
 		}
 		batch := j.queue
-		j.queue = nil
+		j.queue, j.queued = nil, 0
 		j.mu.Unlock()
 
 		err := j.commit(batch)
 		for _, w := range batch {
-			w.done <- err
+			if w.done != nil {
+				w.done <- err
+			}
 		}
 	}
 }

@@ -70,9 +70,11 @@ type Metrics struct {
 	ServiceTimeMeanS float64 `json:"service_time_mean_s,omitempty"`
 	ServiceTimeEx2S2 float64 `json:"service_time_ex2_s2,omitempty"`
 
-	// Journal health. JournalAppends counts records durably acknowledged;
-	// JournalBatchCommits counts fsyncs. Their ratio is the group-commit
-	// amortization factor (1.0 = no batching benefit).
+	// Journal health. JournalAppends and JournalBatchRecords both count
+	// records made durable (two keys, one counter: a finished job's record
+	// trails its visible state by up to one commit); JournalBatchCommits
+	// counts fsyncs. Their ratio is the group-commit amortization factor
+	// (1.0 = no batching benefit).
 	JournalAppends      int64 `json:"journal_appends"`
 	JournalBatchCommits int64 `json:"journal_batch_commits"`
 	JournalBatchRecords int64 `json:"journal_batch_records"`
@@ -124,7 +126,6 @@ func (s *Scheduler) Metrics() Metrics {
 		BatchJobs:           s.c.batchJobs.Load(),
 		ClaimScans:          s.c.claimScans.Load(),
 		ClaimPairSkips:      s.c.claimPairSkips.Load(),
-		JournalAppends:      s.c.journalAppends.Load(),
 		JournalDroppedBytes: int(s.c.journalDroppedBytes.Load()),
 		JournalDupTerminals: s.c.journalDupTerminals.Load(),
 	}
@@ -138,6 +139,7 @@ func (s *Scheduler) Metrics() Metrics {
 	}
 	if s.journal != nil {
 		js := s.journal.Stats()
+		m.JournalAppends = js.Records
 		m.JournalBatchCommits = js.Commits
 		m.JournalBatchRecords = js.Records
 	}

@@ -21,7 +21,8 @@ type Options struct {
 	Workers int
 	// QueueLimit is the admission-control bound on queued (not running)
 	// jobs; submissions beyond it are rejected with ErrQueueFull
-	// (default 256). A batch is admitted all-or-nothing.
+	// (default 256). A batch is admitted all-or-nothing, and one larger
+	// than the limit never: ErrBatchTooLarge.
 	QueueLimit int
 	// DefaultDeadline bounds one attempt when the spec does not
 	// (default 5 minutes).
@@ -126,7 +127,6 @@ type counters struct {
 	batchSubmits, batchJobs                              atomic.Int64
 	running, waitRetry                                   atomic.Int64
 	latencyTotalNs, latencyCount                         atomic.Int64
-	journalAppends                                       atomic.Int64
 	journalDroppedBytes                                  atomic.Int64
 	journalDupTerminals                                  atomic.Int64
 
@@ -271,8 +271,9 @@ func (s *Scheduler) signalReady() {
 // Close stops admission, cancels running attempts, waits for the pool to
 // drain, and closes the journal — which drains the commit pipeline, so
 // every in-flight append is either fsynced-and-acknowledged or rejected
-// with ErrClosed, never acknowledged unsynced. Interrupted jobs stay
-// non-terminal in the journal, so the next process resumes them.
+// with ErrClosed, never acknowledged unsynced, and every terminal record
+// the workers posted is on disk. Interrupted jobs stay non-terminal in
+// the journal, so the next process resumes them.
 func (s *Scheduler) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		// Another Close owns the drain; wait for it so every caller's
@@ -327,8 +328,11 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Reserve queue slots for the whole batch atomically.
 	n := int64(len(specs))
+	if n > int64(s.opts.QueueLimit) {
+		return nil, fmt.Errorf("%w: %d jobs, queue limit %d", ErrBatchTooLarge, n, s.opts.QueueLimit)
+	}
+	// Reserve queue slots for the whole batch atomically.
 	for {
 		cur := s.queued.Load()
 		if cur+n > int64(s.opts.QueueLimit) {
@@ -367,7 +371,6 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 			}
 			return nil, err
 		}
-		s.c.journalAppends.Add(n)
 	}
 
 	out := make([]Job, len(js))
@@ -516,8 +519,10 @@ func (s *Scheduler) Cancel(id string) (Job, error) {
 	}
 	snap := j.Job
 	s.mu.Unlock()
-	if terminal {
-		s.journalTerminal(rec)
+	if terminal && s.journal != nil {
+		// An operator's cancel is acknowledged after its fsync, like a
+		// submit. A failure is not fatal, for the reasons postTerminal gives.
+		s.journal.Append(rec)
 	}
 	return snap, nil
 }
@@ -629,14 +634,18 @@ func runBackend(ctx context.Context, b Backend, spec Spec) (res *Result, err err
 
 // complete applies one attempt's outcome: success, operator cancel,
 // shutdown interruption, retry scheduling, or terminal failure. The lock
-// covers only the state transition; the terminal journal append happens
-// after it is released.
+// covers only the state transition; the terminal record is posted to the
+// journal after it is released.
 func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
+	var frame []byte // the done record as the journal will hold it
 	if err == nil {
 		// A result that cannot be encoded (a NaN loss rate) can be neither
 		// journaled nor served: the attempt failed.
-		if _, encErr := appendRecord(nil, &record{Op: recDone, ID: j.ID, Result: res}); encErr != nil {
+		payload, encErr := appendRecord(nil, &record{Op: recDone, ID: j.ID, Result: res})
+		if encErr != nil {
 			res, err = nil, fmt.Errorf("service: backend result cannot be recorded: %w", encErr)
+		} else if s.journal != nil {
+			frame = frameRecord(nil, payload)
 		}
 	}
 	var rec record
@@ -695,7 +704,7 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 
 	s.c.running.Add(-1)
 	if terminal {
-		s.journalTerminal(rec)
+		s.postTerminal(rec, frame)
 	}
 	if pairFreed {
 		// The freed pair may unblock a queued same-pair sibling: post a
@@ -722,19 +731,26 @@ func (s *Scheduler) finishLocked(j *job, st State, res *Result, errMsg string) r
 	}
 }
 
-// journalTerminal appends a terminal record through the group-commit
-// pipeline. The append is duplicate-safe (recovery keeps the first
-// terminal record per job) and its failure is not fatal: the in-memory
-// state is authoritative for this process, and the next process re-runs
-// the job — which exactly-once semantics tolerate in the
-// crash-before-append case anyway.
-func (s *Scheduler) journalTerminal(rec record) {
+// postTerminal hands a worker's terminal record (frame, when complete
+// has framed it already) to the journal's commit queue and returns
+// without waiting for the fsync, so the worker claims its next job and
+// the commit carries every record posted meanwhile. The state is already
+// visible, nobody reads this acknowledgement, and the record is
+// duplicate-safe (recovery keeps the first terminal record per job), so
+// a refusal is not fatal either: the in-memory state is authoritative for
+// this process, and the next process re-runs the job — which exactly-once
+// semantics tolerate in the crash-before-append case anyway.
+func (s *Scheduler) postTerminal(rec record, frame []byte) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(rec); err == nil {
-		s.c.journalAppends.Add(1)
+	if frame == nil {
+		var err error
+		if frame, err = frameRecords(nil, []record{rec}); err != nil {
+			return
+		}
 	}
+	s.journal.post(frame)
 }
 
 // awaitRetry re-queues a job when its backoff timer fires (or gives up on

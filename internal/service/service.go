@@ -209,6 +209,9 @@ type Job struct {
 var (
 	// ErrQueueFull: admission control rejected the submission.
 	ErrQueueFull = errors.New("service: queue full")
+	// ErrBatchTooLarge: the batch holds more jobs than the queue admits
+	// even when empty, so unlike ErrQueueFull a retry cannot succeed.
+	ErrBatchTooLarge = errors.New("service: batch exceeds the queue limit")
 	// ErrClosed: the scheduler is shutting down.
 	ErrClosed = errors.New("service: scheduler closed")
 	// ErrNotFound: no job with that ID.
