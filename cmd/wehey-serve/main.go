@@ -66,7 +66,9 @@ func main() {
 	fatalIf(err)
 	fmt.Printf("wehey-serve listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: service.Handler(sched)}
+	// A client that never finishes its request header must not hold a
+	// connection for ever; bodies are bounded by the handler.
+	srv := &http.Server{Handler: service.Handler(sched), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

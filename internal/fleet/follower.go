@@ -12,10 +12,11 @@ import (
 // Follower streams a running wehey-serve's job stream into an
 // Aggregator: new jobs arrive through the seq-cursor paged GET /jobs
 // (each page advances the cursor, so a million-job campaign is never
-// re-listed), and jobs seen before they were terminal are re-polled in
-// bulk through POST /jobs/status:batch until they finish. All waiting
-// flows through the injected clock; a Manual clock drives tests
-// instantly.
+// re-listed; service.Client.StreamJobs fetches the next page while this
+// one is absorbed), and jobs seen before they were terminal are
+// re-polled in bulk through POST /jobs/status:batch until they finish.
+// All waiting flows through the injected clock; a Manual clock drives
+// tests instantly.
 type Follower struct {
 	// Client is the campaign-service client to follow.
 	Client *service.Client
@@ -98,21 +99,16 @@ func (f *Follower) absorb(j service.Job) {
 // still pending.
 func (f *Follower) Sync(ctx context.Context) (pending int, err error) {
 	f.init()
-	for {
-		page, err := f.Client.JobsPage(ctx, f.cursor, 0)
-		if err != nil {
-			return len(f.pending), err
-		}
+	// The cursor comes back past every absorbed page, on an error too.
+	f.cursor, err = f.Client.StreamJobs(ctx, f.cursor, func(page []service.Job) error {
 		f.stats.Pages++
 		for _, j := range page {
 			f.absorb(j)
 		}
-		if len(page) > 0 {
-			f.cursor = page[len(page)-1].ID
-		}
-		if len(page) < service.ListLimitMax {
-			break
-		}
+		return nil
+	})
+	if err != nil {
+		return len(f.pending), err
 	}
 
 	if len(f.pending) > 0 {

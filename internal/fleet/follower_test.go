@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -145,10 +146,30 @@ func TestFollowerIncrementalCursor(t *testing.T) {
 	}
 }
 
+// withoutLink serves h with the Link header taken off every response: a
+// wehey-serve from before the header, which a stream can only follow one
+// page at a time.
+func withoutLink(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(linkStripper{w}, r)
+	})
+}
+
+type linkStripper struct{ http.ResponseWriter }
+
+func (w linkStripper) WriteHeader(status int) {
+	w.Header().Del("Link")
+	w.ResponseWriter.WriteHeader(status)
+}
+
 // BenchmarkFollowerCatchUp is the live read path of the job stream at
 // campaign_bulk's size: 20 000 finished fleet jobs behind the admin plane
 // on a loopback listener, and per iteration one fresh follower paging all
 // of them into a map — list page, JSON on both ends, HTTP, aggregation.
+// The two arms are the ablation of the stream's one request ahead:
+// prefetch is the server as it is, sequential the same server without its
+// Link header, so each page is asked for after the one before is absorbed.
+// With one processor there is nothing to overlap and the arms are level.
 func BenchmarkFollowerCatchUp(b *testing.B) {
 	const jobs = 20000
 	s, err := service.NewScheduler(service.Options{
@@ -171,20 +192,29 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 	for s.Metrics().Done < jobs {
 		time.Sleep(time.Millisecond)
 	}
-	srv := httptest.NewServer(service.Handler(s))
-	b.Cleanup(srv.Close)
-	client := &service.Client{BaseURL: srv.URL}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := &Follower{Client: client, Campaign: "bench"}
-		if err := f.Follow(context.Background(), jobs); err != nil {
-			b.Fatal(err)
-		}
-		if st := f.Stats(); st.Credited != jobs {
-			b.Fatalf("credited %d jobs, want %d", st.Credited, jobs)
-		}
+	for _, arm := range []struct {
+		name    string
+		handler http.Handler
+	}{
+		{"prefetch", service.Handler(s)},
+		{"sequential", withoutLink(service.Handler(s))},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			srv := httptest.NewServer(arm.handler)
+			defer srv.Close()
+			client := &service.Client{BaseURL: srv.URL}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := &Follower{Client: client, Campaign: "bench"}
+				if err := f.Follow(context.Background(), jobs); err != nil {
+					b.Fatal(err)
+				}
+				if st := f.Stats(); st.Credited != jobs || st.Pages != jobs/service.ListLimitMax+1 {
+					b.Fatalf("credited %d jobs in %d pages, want %d in %d", st.Credited, st.Pages, jobs, jobs/service.ListLimitMax+1)
+				}
+			}
+			b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
 	}
-	b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -576,5 +580,59 @@ func TestBatchAdmissionStatuses(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Submitted != 2 || m.Rejected != 4 {
 		t.Errorf("submitted/rejected = %d/%d, want 2/4 (the 413 is not a rejection)", m.Submitted, m.Rejected)
+	}
+}
+
+// TestPostBodyBounded: a POST body is read up to maxBodyBytes and no
+// further. Nine MiB of well-formed specs answer 413 for their size — not
+// for their count, which nobody got to read — and the scheduler sees none
+// of them; the other two POST routes hold the same line; a 500-spec batch
+// is far inside it, and a malformed one is still encoding/json's 400.
+func TestPostBodyBounded(t *testing.T) {
+	s, _ := newTestScheduler(t, Options{Workers: 1, QueueLimit: 1000}, newStubBackend())
+	h := Handler(s)
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+
+	spec := []byte(`{"backend":"stub","seed":1},`)
+	big := append([]byte(`{"specs":[`), bytes.Repeat(spec, 9<<20/len(spec))...)
+	big = append(big[:len(big)-1], "]}"...)
+	for _, path := range []string{"/jobs:batch", "/jobs", "/jobs/status:batch"} {
+		if code, body := post(path, big); code != http.StatusRequestEntityTooLarge || !contains(body, "request body too large") {
+			t.Errorf("POST %s with %d bytes = %d %s, want 413 for the body's size", path, len(big), code, body)
+		}
+	}
+	if m := s.Metrics(); m.Submitted != 0 || m.Rejected != 0 || m.BatchSubmits != 0 {
+		t.Errorf("after three oversized bodies: submitted/rejected/batches = %d/%d/%d, want none", m.Submitted, m.Rejected, m.BatchSubmits)
+	}
+
+	batch, ok := appendWire(nil, &BatchRequest{Specs: stubSpecs(0, 500)})
+	if !ok {
+		t.Fatal("the codec declined a batch of stub specs")
+	}
+	if code, body := post("/jobs:batch", batch); code != http.StatusCreated {
+		t.Errorf("POST /jobs:batch with 500 specs (%d bytes) = %d %s, want 201", len(batch), code, body)
+	}
+	// What the codec declines, the decoder the handler always used decides.
+	for _, body := range []string{`{"specs":[{"seed":"x"}]}`, `{"specs":[{"seed":1}}`, `{"specs":`, ``, `[]`} {
+		err := json.NewDecoder(strings.NewReader(body)).Decode(new(BatchRequest))
+		if err == nil {
+			t.Fatalf("encoding/json accepts %q", body)
+		}
+		want, _ := json.Marshal(map[string]string{"error": err.Error()})
+		if code, got := post("/jobs:batch", []byte(body)); code != http.StatusBadRequest || got != string(want)+"\n" {
+			t.Errorf("POST /jobs:batch %q = %d %s, want 400 %s", body, code, got, want)
+		}
+	}
+	// As before, the first JSON value is the request, whatever follows it.
+	if code, body := post("/jobs:batch", []byte(`{"specs":[{"backend":"stub","seed":1}]} x`)); code != http.StatusCreated {
+		t.Errorf("POST /jobs:batch with bytes after the request = %d %s, want 201", code, body)
+	}
+	if m := s.Metrics(); m.Submitted != 501 {
+		t.Errorf("submitted %d jobs, want 501", m.Submitted)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/clock"
@@ -41,55 +42,80 @@ func (c *Client) clk() clock.Clock {
 
 // do performs one request and decodes the JSON response into out.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	buf, _, err := c.fetch(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
+	return decodeResponse(buf, out)
+}
+
+// decodeResponse decodes a fetched body into out (nil: there is nothing to
+// decode) and hands its buffer back to the pool.
+func decodeResponse(buf *bytes.Buffer, out any) error {
+	defer wireBufs.Put(buf)
+	if out == nil {
+		return nil
+	}
+	if err := decodeWire(buf, out); err != nil {
+		return fmt.Errorf("service client: decode response: %w", err)
+	}
+	return nil
+}
+
+// fetch performs one request and returns the 2xx response's bytes, in a
+// buffer the caller hands back to wireBufs, and its header.
+func (c *Client) fetch(ctx context.Context, method, path string, in any) (*bytes.Buffer, http.Header, error) {
 	var body io.Reader
 	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("service client: encode request: %w", err)
+		b, ok := appendWire(nil, in)
+		if !ok {
+			var err error
+			if b, err = json.Marshal(in); err != nil {
+				return nil, nil, fmt.Errorf("service client: encode request: %w", err)
+			}
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return fmt.Errorf("service client: %w", err)
+		return nil, nil, fmt.Errorf("service client: %w", err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("service client: %s %s: %w", method, path, err)
+		return nil, nil, fmt.Errorf("service client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("service client: %s %s: %s (%s)", method, path, resp.Status, e.Error)
+		// An error message is short; whatever else answers is not read for ever.
+		if json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&e) == nil && e.Error != "" {
+			return nil, nil, fmt.Errorf("service client: %s %s: %s (%s)", method, path, resp.Status, e.Error)
 		}
-		return fmt.Errorf("service client: %s %s: %s", method, path, resp.Status)
+		return nil, nil, fmt.Errorf("service client: %s %s: %s", method, path, resp.Status)
 	}
-	if out == nil {
-		return nil
-	}
-	// The body is read once and then decoded: by the wire codec when it is
-	// a Job-bearing response in the form the server writes, by
-	// encoding/json otherwise. Neither keeps a reference into the bytes,
-	// so the buffer goes back to the pool.
 	buf := wireBufs.Get().(*bytes.Buffer)
-	defer wireBufs.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return fmt.Errorf("service client: read response: %w", err)
+		wireBufs.Put(buf)
+		return nil, nil, fmt.Errorf("service client: read response: %w", err)
 	}
+	return buf, resp.Header, nil
+}
+
+// decodeWire decodes the JSON in buf into out: by the wire codec when it is
+// a Job-bearing body in the form this package writes, by encoding/json
+// otherwise. Neither keeps a reference into the bytes, so the buffer can go
+// back to the pool.
+func decodeWire(buf *bytes.Buffer, out any) error {
 	if unmarshalWire(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), out) {
 		return nil
 	}
-	if err := json.NewDecoder(buf).Decode(out); err != nil {
-		return fmt.Errorf("service client: decode response: %w", err)
-	}
-	return nil
+	return json.NewDecoder(buf).Decode(out)
 }
 
 // Health checks /healthz.
@@ -123,27 +149,102 @@ func (c *Client) StatusBatch(ctx context.Context, ids []string) ([]Job, []string
 
 // Jobs lists every job, paging through the server's /jobs cursor so a
 // 10k-job campaign arrives in bounded requests rather than one unbounded
-// buffer. The full set is still materialized client-side; use JobsPage
-// directly to stream.
+// buffer. The full set is still materialized client-side; use StreamJobs
+// to consume it page by page.
 func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
 	var all []Job
-	after := ""
-	for {
-		page, err := c.JobsPage(ctx, after, 0)
-		if err != nil {
-			return nil, err
-		}
+	_, err := c.StreamJobs(ctx, "", func(page []Job) error {
 		all = append(all, page...)
-		if len(page) < jobsPageSize {
-			return all, nil
-		}
-		after = page[len(page)-1].ID
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return all, nil
 }
 
 // jobsPageSize is the page the transparent lister asks for — the server's
 // maximum, to minimize round-trips.
 const jobsPageSize = listLimitMax
+
+// StreamJobs hands visit every page of jobs after the cursor, in order, up
+// to and including the first short one, and returns the cursor after the
+// last page visited — on an error too, so a later call resumes there with
+// no job lost or seen twice. When a response names its successor in a Link
+// header, that page is fetched while this one is decoded and visited:
+// exactly one request runs ahead. A full page without the header (an older
+// server) is followed once it is decoded.
+func (c *Client) StreamJobs(ctx context.Context, after string, visit func([]Job) error) (cursor string, err error) {
+	type fetched struct {
+		buf  *bytes.Buffer
+		next string // the Link header's cursor, "" without one
+		err  error
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	get := func(from string) fetched {
+		buf, h, err := c.fetch(ctx, http.MethodGet, jobsPath(from, jobsPageSize), nil)
+		return fetched{buf, nextCursor(h), err}
+	}
+	var ahead chan fetched // the request in flight, nil without one
+	defer func() {
+		cancel()
+		if ahead != nil {
+			if f := <-ahead; f.buf != nil {
+				wireBufs.Put(f.buf)
+			}
+		}
+	}()
+	cursor = after
+	cur := get(cursor)
+	for {
+		if cur.err != nil {
+			return cursor, cur.err
+		}
+		if cur.next != "" {
+			ahead = make(chan fetched, 1)
+			go func(from string) { ahead <- get(from) }(cur.next)
+		}
+		var page []Job
+		if err = decodeResponse(cur.buf, &page); err != nil {
+			return cursor, err
+		}
+		if err = visit(page); err != nil {
+			return cursor, err
+		}
+		if len(page) > 0 {
+			cursor = page[len(page)-1].ID
+		}
+		switch {
+		case ahead != nil:
+			cur, ahead = <-ahead, nil
+		case len(page) == jobsPageSize:
+			cur = get(cursor)
+		default:
+			return cursor, nil
+		}
+	}
+}
+
+// nextCursor returns the `after` of the page a response's Link header
+// names as rel="next" (RFC 8288), "" when it names none.
+func nextCursor(h http.Header) string {
+	for _, link := range h.Values("Link") {
+		target, params, _ := strings.Cut(strings.TrimPrefix(link, "<"), ">")
+		if u, err := url.Parse(target); err == nil && strings.Contains(params, `rel="next"`) {
+			return u.Query().Get("after")
+		}
+	}
+	return ""
+}
+
+func jobsPath(after string, limit int) string {
+	q := url.Values{}
+	q.Set("limit", strconv.Itoa(limit))
+	if after != "" {
+		q.Set("after", after)
+	}
+	return "/jobs?" + q.Encode()
+}
 
 // JobsPage fetches one page of jobs after the given cursor (a job ID or
 // sequence number; "" starts from the beginning). limit <= 0 asks for the
@@ -152,13 +253,8 @@ func (c *Client) JobsPage(ctx context.Context, after string, limit int) ([]Job, 
 	if limit <= 0 {
 		limit = jobsPageSize
 	}
-	q := url.Values{}
-	q.Set("limit", strconv.Itoa(limit))
-	if after != "" {
-		q.Set("after", after)
-	}
 	var jobs []Job
-	err := c.do(ctx, http.MethodGet, "/jobs?"+q.Encode(), nil, &jobs)
+	err := c.do(ctx, http.MethodGet, jobsPath(after, limit), nil, &jobs)
 	return jobs, err
 }
 

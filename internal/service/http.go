@@ -31,7 +31,10 @@ import (
 // A batch submission is all-or-nothing: every spec validates and the
 // whole batch rides one journal group commit, or nothing is admitted.
 // /jobs responses are plain arrays capped at the page limit; clients page
-// by passing the last seen job ID as `after` until a short page arrives.
+// by passing the last seen job ID as `after` until a short page arrives. A
+// full page says so ahead of its body: `Link: </jobs?after=<last
+// id>&limit=<n>>; rel="next"` (RFC 8288), which Client.StreamJobs follows
+// while it still decodes the page.
 
 // ListLimitMax caps one GET /jobs page. It doubles as the default, so a
 // bare GET /jobs on a huge campaign returns a bounded page instead of
@@ -69,8 +72,8 @@ func Handler(s *Scheduler) http.Handler {
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := readBody(w, r, &spec); err != nil {
+			writeError(w, statusFor(err), err)
 			return
 		}
 		job, err := s.Submit(spec)
@@ -82,8 +85,8 @@ func Handler(s *Scheduler) http.Handler {
 	})
 	mux.HandleFunc("POST /jobs:batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := readBody(w, r, &req); err != nil {
+			writeError(w, statusFor(err), err)
 			return
 		}
 		if len(req.Specs) == 0 {
@@ -99,8 +102,8 @@ func Handler(s *Scheduler) http.Handler {
 	})
 	mux.HandleFunc("POST /jobs/status:batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchStatusRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if err := readBody(w, r, &req); err != nil {
+			writeError(w, statusFor(err), err)
 			return
 		}
 		jobs, missing := s.GetBatch(req.IDs)
@@ -124,7 +127,11 @@ func Handler(s *Scheduler) http.Handler {
 				limit = listLimitMax
 			}
 		}
-		writeJSON(w, http.StatusOK, s.ListPage(afterSeq, limit))
+		page := s.ListPage(afterSeq, limit)
+		if len(page) == limit { // full: more may follow, and where is known before the page is read
+			w.Header().Set("Link", fmt.Sprintf(`</jobs?after=%s&limit=%d>; rel="next"`, page[limit-1].ID, limit))
+		}
+		writeJSON(w, http.StatusOK, page)
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, err := s.Get(r.PathValue("id"))
@@ -277,12 +284,31 @@ func parseAfter(v string) (uint64, error) {
 	return seq, nil
 }
 
-// statusFor maps scheduler errors onto HTTP statuses: a failed journal
-// write or fsync (an *fs.PathError from the file) is the server's fault,
-// anything unrecognized is a bad spec.
+// maxBodyBytes bounds a POST body: about 50 batches of 500 specs.
+const maxBodyBytes = 8 << 20
+
+// readBody reads a POST body of at most maxBodyBytes and decodes it into
+// v, a pointer to a zero value.
+func readBody(w http.ResponseWriter, r *http.Request, v any) error {
+	buf := wireBufs.Get().(*bytes.Buffer)
+	defer wireBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return err
+	}
+	return decodeWire(buf, v)
+}
+
+// statusFor maps request and scheduler errors onto HTTP statuses: a body
+// over maxBodyBytes is too large, a failed journal write or fsync (an
+// *fs.PathError from the file) is the server's fault, anything
+// unrecognized is a bad spec.
 func statusFor(err error) int {
 	var journalIO *fs.PathError
+	var tooLong *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLong):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):

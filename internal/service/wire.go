@@ -287,8 +287,9 @@ func appendRecord(b []byte, r *record) ([]byte, error) {
 	return append(b, p...), err
 }
 
-// appendWire appends the JSON of a Job-bearing admin-plane response; ok
-// is false for any other value, and for one json.Marshal must refuse.
+// appendWire appends the JSON of a Job-bearing admin-plane response or of
+// a batch request; ok is false for any other value, and for one
+// json.Marshal must refuse.
 func appendWire(b []byte, v any) (out []byte, ok bool) {
 	e := wireEnc{b: b}
 	switch v := v.(type) {
@@ -305,6 +306,19 @@ func appendWire(b []byte, v any) (out []byte, ok bool) {
 			e.open('[')
 			for _, id := range v.Missing {
 				e.quote(id)
+			}
+			e.close(']')
+		}
+		e.close('}')
+	case *BatchRequest:
+		e.open('{')
+		e.key("specs")
+		if v.Specs == nil {
+			e.b = append(e.b, "null,"...)
+		} else {
+			e.open('[')
+			for i := range v.Specs {
+				e.spec(&v.Specs[i])
 			}
 			e.close(']')
 		}
@@ -589,8 +603,12 @@ var recordFields = []field[record]{
 	{"error", func(d *wireDec, r *record) { r.Error = d.str() }},
 }
 
+var batchFields = []field[BatchRequest]{
+	{"specs", func(d *wireDec, b *BatchRequest) { b.Specs = array(d, specFields) }},
+}
+
 var statusFields = []field[BatchStatusResponse]{
-	{"jobs", func(d *wireDec, s *BatchStatusResponse) { s.Jobs = d.jobs() }},
+	{"jobs", func(d *wireDec, s *BatchStatusResponse) { s.Jobs = array(d, jobFields) }},
 	{"missing", func(d *wireDec, s *BatchStatusResponse) {
 		d.need('[')
 		s.Missing = []string{}
@@ -603,26 +621,27 @@ var statusFields = []field[BatchStatusResponse]{
 	}},
 }
 
-// jobs reads an array of jobs; like encoding/json it returns an empty
-// array as an empty, non-nil slice. The jobs of a page are about one size,
-// so the first one's tells how many follow, and the slice is sized once.
-func (d *wireDec) jobs() []Job {
+// array reads an array of objects; like encoding/json it returns an empty
+// array as an empty, non-nil slice. The jobs of a page and the specs of a
+// batch are about one size, so the first one's tells how many follow, and
+// the slice is sized once.
+func array[T any](d *wireDec, fields []field[T]) []T {
 	d.need('[')
-	js := []Job{}
+	vs := []T{}
 	for !d.eat(']') {
-		if len(js) > 0 {
+		if len(vs) > 0 {
 			d.need(',')
 		}
 		start := d.at
-		js = append(js, Job{})
-		if object(d, jobFields, &js[len(js)-1]); d.bad {
+		vs = append(vs, *new(T))
+		if object(d, fields, &vs[len(vs)-1]); d.bad {
 			return nil
 		}
-		if len(js) == 1 {
-			js = slices.Grow(js, (len(d.p)-d.at)/(d.at-start))
+		if len(vs) == 1 {
+			vs = slices.Grow(vs, (len(d.p)-d.at)/(d.at-start))
 		}
 	}
-	return js
+	return vs
 }
 
 // whole reports whether the value just read was inside the codec's
@@ -639,9 +658,9 @@ func unmarshalRecord(p []byte, r *record) error {
 	return json.Unmarshal(p, r) // not the codec's language: encoding/json decides
 }
 
-// unmarshalWire decodes a Job-bearing admin-plane response into out, a
-// pointer to a zero value. ok is false for any other type and for bytes
-// outside the codec's language, which leave *out zero.
+// unmarshalWire decodes a Job-bearing admin-plane response or a batch
+// request into out, a pointer to a zero value. ok is false for any other
+// type and for bytes outside the codec's language, which leave *out zero.
 func unmarshalWire(p []byte, out any) (ok bool) {
 	d := wireDec{p: p}
 	switch out := out.(type) {
@@ -650,12 +669,16 @@ func unmarshalWire(p []byte, out any) (ok bool) {
 			*out = Job{}
 		}
 	case *[]Job:
-		if *out = d.jobs(); !d.whole() {
+		if *out = array(&d, jobFields); !d.whole() {
 			*out = nil
 		}
 	case *BatchStatusResponse:
 		if object(&d, statusFields, out); !d.whole() {
 			*out = BatchStatusResponse{}
+		}
+	case *BatchRequest:
+		if object(&d, batchFields, out); !d.whole() {
+			*out = BatchRequest{}
 		}
 	default:
 		return false

@@ -159,7 +159,8 @@ func (g *wireGen) fill(v reflect.Value, full bool) {
 }
 
 // checkEncode requires the codec's bytes for v (a Job, []Job,
-// BatchStatusResponse or *record) to be json.Marshal's, or both to refuse.
+// BatchStatusResponse, *BatchRequest or *record) to be json.Marshal's, or
+// both to refuse.
 func checkEncode(t *testing.T, v any) []byte {
 	t.Helper()
 	want, wantErr := json.Marshal(v)
@@ -212,6 +213,8 @@ func checkDecode(t *testing.T, p []byte) (accepted int) {
 	check(&js, new([]Job), unmarshalWire(p, &js))
 	var st BatchStatusResponse
 	check(&st, new(BatchStatusResponse), unmarshalWire(p, &st))
+	var br BatchRequest
+	check(&br, new(BatchRequest), unmarshalWire(p, &br))
 
 	// A record has no declined outcome to observe: unmarshalRecord falls
 	// back itself, so it must simply agree with json.Unmarshal.
@@ -228,7 +231,8 @@ func checkDecode(t *testing.T, p []byte) (accepted int) {
 }
 
 // checkWire runs both directions on one input: data as the recipe for a
-// job, a record, a page and a status response, and data as raw bytes.
+// job, a record, a page, a status response and a batch request, and data
+// as raw bytes.
 func checkWire(t *testing.T, data []byte) {
 	t.Helper()
 	g := &wireGen{data: data}
@@ -244,7 +248,11 @@ func checkWire(t *testing.T, data []byte) {
 	for n := int(g.byte()) % 3; n > 0; n-- {
 		st.Missing = append(st.Missing, g.str())
 	}
-	for _, v := range []any{j, &r, page, []Job(nil), st, BatchStatusResponse{}} {
+	batch := &BatchRequest{Specs: make([]Spec, int(g.byte())%3, 3)}
+	for i := range batch.Specs {
+		g.fill(reflect.ValueOf(&batch.Specs[i]).Elem(), false)
+	}
+	for _, v := range []any{j, &r, page, []Job(nil), st, BatchStatusResponse{}, batch, &BatchRequest{}} {
 		if p := checkEncode(t, v); p != nil {
 			checkDecode(t, p)
 		}
@@ -311,6 +319,9 @@ func wireDecodeSeeds(t testing.TB) [][]byte {
 		[]byte(`{"jobs":[],"missing":["j9","j8"]}`), []byte(`{"jobs":null}`), []byte(`{"jobs":[{}],"missing":[]}`), []byte(`{"missing":null}`), []byte(`{"missing":[1]}`), []byte(`{"missing":["a",]}`),
 		[]byte(`{"op":"submit","id":"j000001","seq":1,"spec":{"backend":"sim","seed":0}}`), []byte(`{"op":"done","id":"j000001","result":{"backend":"sim","wehe_detected":true,"confirmed":true,"localized_to_isp":false,"evidence":"","loss_rates":[0,0]}}`),
 		[]byte(`{"op":"fail","id":"j1","error":"boom"}`), []byte(`{"op":"cancel","id":"j1","seq":0}`), []byte(`{"op":7}`),
+		[]byte(`{"specs":[{"backend":"sim","seed":3,"fleet":{"session":1,"isp":2,"server":0}},{"backend":"null","seed":0}]}`), []byte(`{"specs":[]}`), []byte(`{"specs":null}`),
+		[]byte(`{"specs":[{}]}`), []byte(`{"specs":[{},]}`), []byte(`{"specs":[{}],"specs":[]}`), []byte(`{"Specs":[{}]}`), []byte(`{"specs":[{"seed":1.5}]}`), []byte(`{"specs":[{"backend":"a\u0062"}]} x`),
+		[]byte(`{"specs":{}}`), []byte(`{"specs":[null]}`), []byte(`{"specs":[{"sim":{"app":"zoom","duration":12000000000}}]}` + "\n"),
 	}
 	for cut := 0; cut < len(job); cut++ { // truncated at every byte
 		seeds = append(seeds, job[:cut])
@@ -347,7 +358,8 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 		page[i] = wireSampleJob(i)
 	}
 	rec := record{Op: recDone, ID: "j000001", Result: page[0].Result}
-	for _, v := range []any{page[0], page, BatchStatusResponse{Jobs: page, Missing: []string{"j9"}}, &rec} {
+	batch := &BatchRequest{Specs: []Spec{page[0].Spec, page[1].Spec}}
+	for _, v := range []any{page[0], page, BatchStatusResponse{Jobs: page, Missing: []string{"j9"}}, &rec, batch} {
 		if n := checkDecode(t, checkEncode(t, v)); n != 1 {
 			t.Errorf("%T: %d of the codec's readers accepted its own encoding, want 1", v, n)
 		}
@@ -368,17 +380,21 @@ func FuzzWireMatchesEncodingJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkWire(t, data) })
 }
 
-// TestWireCoversEveryField fills every field of Job and record — and so
-// of Spec, SimJob, TestbedJob, FleetMeta and Result — and requires the
-// codec to write json.Marshal's bytes and to read them back, undeclined,
-// as the value they came from. A field added to service.go without the
-// codec fails here.
+// TestWireCoversEveryField fills every field of Job, record and a batch
+// request's spec — and so of Spec, SimJob, TestbedJob, FleetMeta and
+// Result — and requires the codec to write json.Marshal's bytes and to
+// read them back, undeclined, as the value they came from. A field added
+// to service.go without the codec fails here.
 func TestWireCoversEveryField(t *testing.T) {
 	g := new(wireGen)
 	var j Job
 	g.fill(reflect.ValueOf(&j).Elem(), true)
 	var r record
 	g.fill(reflect.ValueOf(&r).Elem(), true)
+	batch := BatchRequest{Specs: make([]Spec, 2)}
+	for i := range batch.Specs {
+		g.fill(reflect.ValueOf(&batch.Specs[i]).Elem(), true)
+	}
 
 	var nonZero func(path string, v reflect.Value)
 	nonZero = func(path string, v reflect.Value) {
@@ -396,12 +412,22 @@ func TestWireCoversEveryField(t *testing.T) {
 	}
 	nonZero("Job", reflect.ValueOf(j))
 	nonZero("record", reflect.ValueOf(r))
+	nonZero("BatchRequest.Specs[1]", reflect.ValueOf(batch.Specs[1]))
+	if n := reflect.TypeOf(batch).NumField(); n != 1 {
+		t.Errorf("BatchRequest has %d fields, the codec knows one", n)
+	}
 
 	var back Job
 	if p := checkEncode(t, j); !unmarshalWire(p, &back) {
 		t.Errorf("the codec declined its own encoding of a full Job:\n%s", p)
 	} else if !reflect.DeepEqual(back, j) {
 		t.Errorf("Job came back as %+v, want %+v", back, j)
+	}
+	var backBatch BatchRequest
+	if p := checkEncode(t, &batch); !unmarshalWire(p, &backBatch) {
+		t.Errorf("the codec declined its own encoding of a full BatchRequest:\n%s", p)
+	} else if !reflect.DeepEqual(backBatch, batch) {
+		t.Errorf("BatchRequest came back as %+v, want %+v", backBatch, batch)
 	}
 	p := checkEncode(t, &r)
 	d := wireDec{p: p}
@@ -473,5 +499,38 @@ func BenchmarkWireDecodePage(b *testing.B) {
 			b.Fatal(err)
 		}
 		return got
+	})
+}
+
+// BenchmarkWireDecodeBatchRequest: a POST /jobs:batch body of 500 fleet
+// specs — what campaign_bulk's plant sends — from JSON, by the codec and by
+// encoding/json; ns/spec is reported.
+func BenchmarkWireDecodeBatchRequest(b *testing.B) {
+	req := BatchRequest{Specs: make([]Spec, 500)}
+	for i := range req.Specs {
+		req.Specs[i] = wireSampleJob(i).Spec
+	}
+	raw, err := json.Marshal(&req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(name string, decode func(*BatchRequest)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(raw)))
+			for i := 0; i < b.N; i++ {
+				var got BatchRequest
+				if decode(&got); len(got.Specs) != len(req.Specs) {
+					b.Fatalf("decoded %d specs, want %d", len(got.Specs), len(req.Specs))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(req.Specs)), "ns/spec")
+		})
+	}
+	run("codec=wire", func(got *BatchRequest) { unmarshalWire(raw, got) })
+	run("codec=json", func(got *BatchRequest) {
+		if err := json.Unmarshal(raw, got); err != nil {
+			b.Fatal(err)
+		}
 	})
 }
