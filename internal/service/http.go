@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"strconv"
 	"sync"
@@ -300,11 +299,9 @@ func readBody(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // statusFor maps request and scheduler errors onto HTTP statuses: a body
-// over maxBodyBytes is too large, a failed journal write or fsync (an
-// *fs.PathError from the file) is the server's fault, anything
-// unrecognized is a bad spec.
+// over maxBodyBytes is too large, a failed journal write or fsync is the
+// server's fault, anything unrecognized is a bad spec.
 func statusFor(err error) int {
-	var journalIO *fs.PathError
 	var tooLong *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLong):
@@ -317,7 +314,7 @@ func statusFor(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.As(err, &journalIO):
+	case errors.As(err, new(journalError)):
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest

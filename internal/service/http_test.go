@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/nal-epfl/wehey/internal/framing/framingtest"
 )
 
 // newHTTPFixture starts a scheduler (stub + real sim backends) behind an
@@ -100,47 +101,51 @@ func TestHTTPMethodRouting(t *testing.T) {
 	}
 }
 
-// TestHTTPJournalFailureIs500 takes the journal's file away under a live
-// scheduler: the refused submission — and every later one, the error
-// being sticky — is the server's failure, not a malformed spec, while a
-// spec that really is malformed still answers 400.
+// TestHTTPJournalFailureIs500 fails the journal's commits under a live
+// scheduler — a short write, a full disk, an fsync error: the refused
+// submission — and every later one, the error being sticky — is the
+// server's failure, not a malformed spec, while a spec that really is
+// malformed still answers 400.
 func TestHTTPJournalFailureIs500(t *testing.T) {
-	s, err := NewScheduler(Options{
-		Workers:     1,
-		JournalPath: filepath.Join(t.TempDir(), "journal.wj"),
-		Backends:    map[string]Backend{"stub": newStubBackend()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	s.Start()
-	srv := httptest.NewServer(Handler(s))
-	t.Cleanup(srv.Close)
-	post := func(body string) (int, string) {
-		resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		return resp.StatusCode, e.Error
-	}
+	for name, fault := range commitFaults {
+		t.Run(name, func(t *testing.T) {
+			fsys := framingtest.New(nil)
+			s, err := newScheduler(Options{
+				Workers:     1,
+				JournalPath: recorderJournal,
+				Backends:    map[string]Backend{"stub": newStubBackend()},
+			}, fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			s.Start()
+			srv := httptest.NewServer(Handler(s))
+			t.Cleanup(srv.Close)
+			post := func(body string) (int, string) {
+				resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var e struct {
+					Error string `json:"error"`
+				}
+				json.NewDecoder(resp.Body).Decode(&e)
+				return resp.StatusCode, e.Error
+			}
 
-	if err := s.journal.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		status, msg := post(`{"backend":"stub","seed":1}`)
-		if status != http.StatusInternalServerError || !strings.Contains(msg, "journal") {
-			t.Errorf("submit %d over a failed journal = %d %q, want 500 with the journal error", i, status, msg)
-		}
-	}
-	if status, _ := post(`{"seed":1}`); status != http.StatusBadRequest {
-		t.Errorf("spec without a backend = %d, want 400", status)
+			fsys.Hook = fault
+			for i := 0; i < 2; i++ {
+				status, msg := post(`{"backend":"stub","seed":1}`)
+				if status != http.StatusInternalServerError || !strings.Contains(msg, "journal") {
+					t.Errorf("submit %d over a failed journal = %d %q, want 500 with the journal error", i, status, msg)
+				}
+			}
+			if status, _ := post(`{"seed":1}`); status != http.StatusBadRequest {
+				t.Errorf("spec without a backend = %d, want 400", status)
+			}
+		})
 	}
 }
 

@@ -1,21 +1,20 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"github.com/nal-epfl/wehey/internal/framing"
 )
 
 // The journal is the scheduler's crash-safety layer: an append-only file
-// of checksummed, length-prefixed records (the internal/simcache on-disk
-// conventions — an 8-byte magic doubling as the format version, 8-byte LE
-// payload length, the payload's SHA-256, then the payload). Submissions
-// and terminal transitions are the only journaled events; running state
+// of checksummed, length-prefixed records (journalMagic, then one
+// internal/framing frame per record). Submissions and terminal
+// transitions are the only journaled events; running state
 // is reconstructed by re-queuing every non-terminal job on recovery,
 // which is exactly the resume-once semantics a restart needs: a job with
 // a terminal record never runs again, a job without one runs again
@@ -33,18 +32,15 @@ import (
 //
 // Recovery tolerates a torn tail (the process died mid-append): framing
 // stops at the first malformed record, the tail is dropped and counted,
-// and the file is compacted — rewritten through a temp file and an atomic
-// rename — so the next append lands on a clean end of file. A batch is a
-// durability unit, not a recovery-atomicity unit: records are framed
-// individually, so a tear inside a batch keeps the batch's earlier
-// records — safe, because no record of a torn batch was ever
-// acknowledged (the fsync never returned).
+// and the file is compacted — its valid prefix replaces it durably
+// (framing.Replace) — so the next append lands on a clean end of file. A
+// batch is a durability unit, not a recovery-atomicity unit: records are
+// framed individually, so a tear inside a batch keeps the batch's earlier
+// records — safe, because no record of a torn batch was ever acknowledged
+// (the fsync never returned).
 
 // journalMagic identifies (and versions) the journal file format.
 const journalMagic = "WHYJRNL1"
-
-// recordHeaderSize frames each record: length + checksum.
-const recordHeaderSize = 8 + sha256.Size
 
 // recOp enumerates journaled events.
 type recOp string
@@ -70,11 +66,9 @@ type record struct {
 type Recovery struct {
 	// Records are the valid records in append order.
 	Records []record
-	// DroppedBytes counts torn-tail bytes discarded (0 = clean file).
+	// DroppedBytes counts torn-tail bytes discarded (0 = clean file); the
+	// file was compacted exactly when it is not 0.
 	DroppedBytes int
-	// Rewritten reports that the file was compacted (torn tail or
-	// unreadable head) via temp-file + atomic rename.
-	Rewritten bool
 }
 
 // ErrJournalClosed is returned by Append/AppendBatch once Close has begun
@@ -111,10 +105,8 @@ type JournalStats struct {
 // Journal is an open, append-position-clean campaign journal with a
 // running group-commit pipeline.
 type Journal struct {
-	path string
-
 	mu     sync.Mutex
-	f      *os.File
+	f      framing.File
 	queue  []jWaiter
 	queued int // records in queue
 	closed bool
@@ -134,50 +126,38 @@ type Journal struct {
 // every record, repairs a torn tail, starts the commit pipeline, and
 // returns the surviving records.
 func OpenJournal(path string) (*Journal, Recovery, error) {
-	var rec Recovery
-	raw, err := os.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return nil, rec, fmt.Errorf("service: journal dir: %w", err)
-		}
-		raw = nil
-	case err != nil:
-		return nil, rec, fmt.Errorf("service: read journal: %w", err)
-	}
+	return openJournal(framing.OS{}, path)
+}
 
-	if len(raw) > 0 && !hasJournalMagic(raw) {
+func openJournal(fsys framing.FS, path string) (*Journal, Recovery, error) {
+	raw, recs, good, err := readJournal(fsys, path)
+	rec := Recovery{Records: recs, DroppedBytes: len(raw) - good}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, rec, err
+	}
+	if len(raw) > 0 && good == 0 {
 		// Unrecognized head: preserve the evidence, start fresh.
-		rec.Rewritten = true
-		rec.DroppedBytes = len(raw)
-		if err := os.Rename(path, path+".corrupt"); err != nil {
+		if err := framing.Replace(fsys, path+".corrupt", raw, true); err != nil {
 			return nil, rec, fmt.Errorf("service: quarantine corrupt journal: %w", err)
 		}
-		raw = nil
 	}
-
-	if len(raw) > 0 {
-		var good int // bytes of raw known to be well-formed
-		rec.Records, good = readRecords(raw)
-		rec.DroppedBytes = len(raw) - good
-	}
-
 	if rec.DroppedBytes > 0 || len(raw) == 0 {
-		// Compact: rewrite the valid prefix (or a fresh header) through a
-		// temp file and rename it into place, so the appender never sits
-		// after torn bytes.
-		if err := writeCompacted(path, rec.Records); err != nil {
-			return nil, rec, err
+		// Compact: the valid prefix (or a fresh header) replaces the file,
+		// so the appender never sits after torn bytes.
+		valid := raw[:good]
+		if good == 0 {
+			valid = []byte(journalMagic)
 		}
-		rec.Rewritten = rec.Rewritten || rec.DroppedBytes > 0
+		if err := framing.Replace(fsys, path, valid, true); err != nil {
+			return nil, rec, fmt.Errorf("service: compact journal: %w", err)
+		}
 	}
 
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, rec, fmt.Errorf("service: open journal for append: %w", err)
 	}
 	j := &Journal{
-		path:      path,
 		f:         f,
 		postLimit: defaultPostLimit,
 		kick:      make(chan struct{}, 1),
@@ -188,15 +168,6 @@ func OpenJournal(path string) (*Journal, Recovery, error) {
 	return j, rec, nil
 }
 
-// frameRecord appends the binary framing of payload to buf.
-func frameRecord(buf, payload []byte) []byte {
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdr[8:], sum[:])
-	return append(append(buf, hdr[:]...), payload...)
-}
-
 // frameRecords appends every record, encoded and framed, to buf.
 func frameRecords(buf []byte, records []record) ([]byte, error) {
 	var payload []byte
@@ -205,40 +176,9 @@ func frameRecords(buf []byte, records []record) ([]byte, error) {
 		if payload, err = appendRecord(payload[:0], &records[i]); err != nil {
 			return nil, fmt.Errorf("service: encode journal record %s %s: %w", records[i].Op, records[i].ID, err)
 		}
-		buf = frameRecord(buf, payload)
+		buf = framing.Append(buf, payload)
 	}
 	return buf, nil
-}
-
-// writeCompacted atomically replaces the journal with magic + records.
-func writeCompacted(path string, records []record) error {
-	buf, err := frameRecords([]byte(journalMagic), records)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	return nil
 }
 
 // Append journals one record durably: it blocks until the group commit
@@ -263,7 +203,7 @@ func (j *Journal) AppendBatch(recs []record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	frames, err := frameRecords(make([]byte, 0, len(recs)*(recordHeaderSize+256)), recs)
+	frames, err := frameRecords(make([]byte, 0, len(recs)*(framing.HeaderSize+256)), recs)
 	if err != nil {
 		return err
 	}
@@ -365,8 +305,15 @@ func (j *Journal) commit(batch []jWaiter) error {
 	return nil
 }
 
+// journalError is a failed journal write or fsync: the server's fault,
+// whatever the file system said (statusFor answers 500).
+type journalError struct{ error }
+
+func (e journalError) Unwrap() error { return e.error }
+
 // fail records a sticky commit error.
 func (j *Journal) fail(err error) error {
+	err = journalError{err}
 	j.mu.Lock()
 	if j.ioErr == nil {
 		j.ioErr = err

@@ -2,13 +2,12 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
+
+	"github.com/nal-epfl/wehey/internal/framing"
 )
 
 // The journal has one reader (readRecords) and one fold (foldRecords).
@@ -20,9 +19,18 @@ import (
 // them already outweigh starting and joining a goroutine.
 const minFramesPerWorker = 16
 
-// hasJournalMagic reports whether raw starts with the journal header.
-func hasJournalMagic(raw []byte) bool {
-	return bytes.HasPrefix(raw, []byte(journalMagic))
+// readJournal reads the journal at path and the longest valid prefix of
+// its records (readRecords), which span raw[:good]; good is 0 when raw
+// does not start with journalMagic.
+func readJournal(fsys framing.FS, path string) (raw []byte, recs []record, good int, err error) {
+	var buf bytes.Buffer
+	if err := fsys.ReadFile(path, &buf); err != nil {
+		return nil, nil, 0, fmt.Errorf("service: read journal: %w", err)
+	}
+	if raw = buf.Bytes(); bytes.HasPrefix(raw, []byte(journalMagic)) {
+		recs, good = readRecords(raw)
+	}
+	return raw, recs, good, nil
 }
 
 // readRecords decodes a journal image (raw starts with journalMagic) and
@@ -31,28 +39,15 @@ func hasJournalMagic(raw []byte) bool {
 // of bytes of raw that prefix spans. The first record failing any check
 // ends the journal: everything from it on is a torn tail.
 //
-// Only finding the frame boundaries is inherently sequential (each
-// length prefix locates the next), and it touches 8 bytes per record.
-// Checksums and JSON decoding — nearly all of the cost — are independent
-// per record, so the frames are cut into one contiguous chunk per
-// GOMAXPROCS and every chunk is verified and decoded by its own
-// goroutine, each record into its own slot of one pre-sized slice. A
-// corrupt length prefix makes every boundary after it meaningless, but
-// that record then fails its checksum and nothing after it is kept, so
-// the result is what reading record by record would give.
+// Only finding the frame boundaries (framing.Scan) is sequential, and it
+// touches 8 bytes per record. Checksums and JSON decoding — nearly all of
+// the cost — are independent per record, so the frames are cut into one
+// contiguous chunk per GOMAXPROCS and every chunk is verified and decoded
+// by its own goroutine, each record into its own slot of one pre-sized
+// slice. The result is what reading record by record would give.
 func readRecords(raw []byte) (recs []record, good int) {
 	body := raw[len(journalMagic):]
-	// off[i] is where frame i starts in body; off[len(off)-1] ends the
-	// last frame whose header and payload lie inside the file.
-	off := []int{0}
-	for at := 0; len(body)-at >= recordHeaderSize; {
-		n := binary.LittleEndian.Uint64(body[at:])
-		if n > uint64(len(body)-at-recordHeaderSize) {
-			break
-		}
-		at += recordHeaderSize + int(n)
-		off = append(off, at)
-	}
+	off := framing.Scan(body)
 	frames := len(off) - 1
 	recs = make([]record, frames)
 
@@ -60,12 +55,8 @@ func readRecords(raw []byte) (recs []record, good int) {
 	// of the first one that fails, hi if none does.
 	decode := func(lo, hi int) int {
 		for i := lo; i < hi; i++ {
-			frame := body[off[i]:off[i+1]]
-			payload := frame[recordHeaderSize:]
-			if sha256.Sum256(payload) != [sha256.Size]byte(frame[8:recordHeaderSize]) {
-				return i
-			}
-			if unmarshalRecord(payload, &recs[i]) != nil {
+			payload, ok := framing.Payload(body[off[i]:off[i+1]])
+			if !ok || unmarshalRecord(payload, &recs[i]) != nil {
 				return i
 			}
 		}
@@ -170,14 +161,17 @@ func foldRecords(recs []record) (jobs []journalJob, dupTerminals int) {
 // tail or malformed record ends the scan, and jobs come back in
 // submission order, queued unless a terminal record closed them.
 func LoadJournalJobs(path string) ([]Job, error) {
-	raw, err := os.ReadFile(path)
+	return loadJournalJobs(framing.OS{}, path)
+}
+
+func loadJournalJobs(fsys framing.FS, path string) ([]Job, error) {
+	_, recs, good, err := readJournal(fsys, path)
+	if err == nil && good == 0 {
+		err = fmt.Errorf("service: %s is not a campaign journal", path)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("service: read journal: %w", err)
+		return nil, err
 	}
-	if !hasJournalMagic(raw) {
-		return nil, fmt.Errorf("service: %s is not a campaign journal", path)
-	}
-	recs, _ := readRecords(raw)
 	folded, _ := foldRecords(recs)
 	jobs := make([]Job, len(folded))
 	for i, jj := range folded {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/clock"
+	"github.com/nal-epfl/wehey/internal/framing"
 )
 
 // writeJournal hand-builds a journal file from records, simulating the
@@ -225,8 +226,8 @@ func TestJournalCorruptHeadQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jr.Close()
-	if !rec.Rewritten || rec.DroppedBytes == 0 || len(rec.Records) != 0 {
-		t.Errorf("recovery = %+v, want rewritten with all bytes dropped", rec)
+	if rec.DroppedBytes != len("not a journal at all") || len(rec.Records) != 0 {
+		t.Errorf("recovery = %+v, want every byte dropped", rec)
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt original not preserved: %v", err)
@@ -279,7 +280,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := frameRecord(nil, payload)
+	framed := framing.Append(nil, payload)
 	got, rest, ok := nextRecord(framed)
 	if !ok || len(rest) != 0 {
 		t.Fatalf("nextRecord ok=%v rest=%d", ok, len(rest))
@@ -317,9 +318,9 @@ func TestUnencodableRecordRefusedToItsCallerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	jr.Close()
-	if len(rec.Records) != 1 || rec.Records[0].ID != "j000002" || rec.DroppedBytes != 0 || rec.Rewritten {
-		t.Errorf("reopened journal = %d records (%+v), %d dropped bytes, rewritten=%v; want the one good record, untouched",
-			len(rec.Records), rec.Records, rec.DroppedBytes, rec.Rewritten)
+	if len(rec.Records) != 1 || rec.Records[0].ID != "j000002" || rec.DroppedBytes != 0 {
+		t.Errorf("reopened journal = %d records (%+v), %d dropped bytes; want the one good record, untouched",
+			len(rec.Records), rec.Records, rec.DroppedBytes)
 	}
 }
 
@@ -364,8 +365,8 @@ func TestUnencodableResultFailsItsJobOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	jr.Close()
-	if len(rec.Records) != 4 || rec.DroppedBytes != 0 || rec.Rewritten {
-		t.Errorf("reopened journal: %d records, %d dropped bytes, rewritten=%v; want 4, 0, false", len(rec.Records), rec.DroppedBytes, rec.Rewritten)
+	if len(rec.Records) != 4 || rec.DroppedBytes != 0 {
+		t.Errorf("reopened journal: %d records, %d dropped bytes; want 4, 0", len(rec.Records), rec.DroppedBytes)
 	}
 	recovered := journalScheduler(t, path, nanForSeed1).List() // not started: nothing re-runs
 	if len(recovered) != 2 || recovered[0].State != StateFailed || recovered[0].Error != failed.Error || recovered[1].State != StateDone {

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/nal-epfl/wehey/internal/framing/framingtest"
 )
 
 // The tests below cover the journal's post path (DESIGN.md §10, §15): a
@@ -46,6 +48,15 @@ func stubSpecs(first, n int) []Spec {
 	return specs
 }
 
+// nullSpecs are n null-backend jobs seeded first, first+1, ...
+func nullSpecs(first, n int) []Spec {
+	specs := make([]Spec, n)
+	for i := range specs {
+		specs[i] = Spec{Backend: BackendNull, Seed: int64(first + i)}
+	}
+	return specs
+}
+
 // waitDone polls until n jobs are done.
 func waitDone(tb testing.TB, s *Scheduler, n int64) {
 	tb.Helper()
@@ -61,10 +72,39 @@ func waitDone(tb testing.TB, s *Scheduler, n int64) {
 // TestPostedTerminalsShareCommits: one worker finishing 1 000 instant jobs
 // used to pay one fsync per job — a parked worker cannot finish a second
 // job while it waits. Posted, the records finished during one fsync ride
-// the next.
+// the next. The journal is on the recorder, whose fsync costs nothing, so
+// the test sets how long one takes: every fsync after the batch's own
+// waits until the worker has finished 100 more jobs (or all of them),
+// which a worker parked on its record's fsync never does.
 func TestPostedTerminalsShareCommits(t *testing.T) {
 	const jobs = 1000
-	s := instantScheduler(t, filepath.Join(t.TempDir(), "journal.wj"), 1)
+	fsys := framingtest.New(nil)
+	var s *Scheduler
+	syncs, released, gated := 0, int64(0), true
+	fsys.Hook = func(op *framingtest.Op) error {
+		if op.Kind != framingtest.Sync || op.Path != recorderJournal {
+			return nil
+		}
+		if syncs++; syncs == 1 || !gated {
+			return nil
+		}
+		want := min(released+100, jobs)
+		for deadline := time.Now().Add(5 * time.Second); s.Metrics().Done < want; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("the worker finished %d jobs, not %d, while a commit was in flight: it waits for its records' fsync", s.Metrics().Done, want)
+				gated = false
+				break
+			}
+		}
+		released = s.Metrics().Done
+		return nil
+	}
+	s, err := newScheduler(Options{Workers: 1, QueueLimit: 2048, JournalPath: recorderJournal, Backends: map[string]Backend{"stub": NullBackend{}}}, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	s.Start()
 	if _, err := s.SubmitBatch(stubSpecs(0, jobs)); err != nil {
 		t.Fatal(err)
 	}
@@ -356,5 +396,42 @@ func BenchmarkSchedulerDrain(b *testing.B) {
 				b.ReportMetric(float64(js.Records)/float64(js.Commits), "records/commit")
 			})
 		}
+	}
+}
+
+// BenchmarkServiceSubmit is the group commit's justification: 256 jobs an
+// iteration admitted against a real journal, by sequential Submit calls —
+// each its own commit and fsync — or by one SubmitBatch, whose records
+// share one. The scheduler is not started, so admission and the journal
+// are all that runs.
+func BenchmarkServiceSubmit(b *testing.B) {
+	const batch = 256
+	for _, mode := range []string{"fsync-per-record", "group-commit"} {
+		b.Run(mode, func(b *testing.B) {
+			s, err := NewScheduler(Options{
+				Workers:     8,
+				QueueLimit:  1 << 30, // admission control off: this measures throughput, not shedding
+				JournalPath: filepath.Join(b.TempDir(), "journal.wj"),
+				Backends:    map[string]Backend{BackendNull: NullBackend{}},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(s.Close)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				specs := nullSpecs(i*batch, batch)
+				if mode == "group-commit" {
+					_, err = s.SubmitBatch(specs)
+				}
+				for k := 0; k < len(specs) && mode == "fsync-per-record" && err == nil; k++ {
+					_, err = s.Submit(specs[k])
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
 	}
 }

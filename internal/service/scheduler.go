@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/clock"
+	"github.com/nal-epfl/wehey/internal/framing"
 )
 
 // Options configures a Scheduler. The zero value of every field means
@@ -162,6 +163,11 @@ func (c *counters) finished(st State) *atomic.Int64 {
 // configured: terminal jobs come back for listing, incomplete jobs are
 // re-queued to run exactly once more. Call Start to begin executing.
 func NewScheduler(opts Options) (*Scheduler, error) {
+	return newScheduler(opts, framing.OS{})
+}
+
+// newScheduler is NewScheduler with its journal on fsys.
+func newScheduler(opts Options, fsys framing.FS) (*Scheduler, error) {
 	opts = opts.fill()
 	s := &Scheduler{
 		opts:      opts,
@@ -176,7 +182,7 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		ready: make(chan struct{}, opts.QueueLimit+opts.Workers),
 	}
 	if opts.JournalPath != "" {
-		jr, rec, err := OpenJournal(opts.JournalPath)
+		jr, rec, err := openJournal(fsys, opts.JournalPath)
 		if err != nil {
 			return nil, err
 		}
@@ -641,11 +647,9 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 	if err == nil {
 		// A result that cannot be encoded (a NaN loss rate) can be neither
 		// journaled nor served: the attempt failed.
-		payload, encErr := appendRecord(nil, &record{Op: recDone, ID: j.ID, Result: res})
-		if encErr != nil {
+		var encErr error
+		if frame, encErr = frameRecords(nil, []record{{Op: recDone, ID: j.ID, Result: res}}); encErr != nil {
 			res, err = nil, fmt.Errorf("service: backend result cannot be recorded: %w", encErr)
-		} else if s.journal != nil {
-			frame = frameRecord(nil, payload)
 		}
 	}
 	var rec record

@@ -50,7 +50,7 @@ func tracePath(n int, gap time.Duration) measure.Path {
 }
 
 // frame is the test's own statement of the entry layout, independent of
-// storeDisk and checkEntry.
+// internal/framing.
 func frame(payload []byte) []byte {
 	b := append([]byte(nil), "WHYSIMC1"...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))

@@ -29,11 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"github.com/nal-epfl/wehey/internal/framing"
 )
 
 // Key addresses one cached result: the SHA-256 of the schema stamp and
@@ -114,6 +114,7 @@ func (s Stats) String() string {
 // The zero value is not usable; construct with New or NewDisk.
 type Cache[V any] struct {
 	dir   string // "" = memory only
+	fsys  framing.FS
 	codec Codec[V]
 
 	mu      sync.Mutex
@@ -140,18 +141,22 @@ func New[V any]() *Cache[V] {
 // NewDisk returns a cache persisting entries under dir (created if
 // missing) using codec for the round-trip.
 func NewDisk[V any](dir string, codec Codec[V]) (*Cache[V], error) {
+	return newDisk(framing.OS{}, dir, codec)
+}
+
+// newDisk is NewDisk with its entries on fsys.
+func newDisk[V any](fsys framing.FS, dir string, codec Codec[V]) (*Cache[V], error) {
 	if dir == "" {
 		return nil, fmt.Errorf("simcache: empty cache directory")
 	}
 	if codec.Encode == nil || codec.Decode == nil {
 		return nil, fmt.Errorf("simcache: disk cache needs a complete codec")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
 	c := New[V]()
-	c.dir = dir
-	c.codec = codec
+	c.dir, c.fsys, c.codec = dir, fsys, codec
 	return c, nil
 }
 
@@ -227,12 +232,9 @@ func (c *Cache[V]) lead(key Key, f *flight[V], compute func() V) V {
 	return v
 }
 
-// Disk entry layout: an 8-byte magic (doubling as the file-format
-// version), the payload length, the payload's SHA-256, then the payload.
-// The key never appears inside the file — it is the file name.
+// Disk entry layout: entryMagic and one frame (internal/framing). The key
+// never appears inside the file — it is the file name.
 const entryMagic = "WHYSIMC1"
-
-const entryHeaderSize = len(entryMagic) + 8 + sha256.Size
 
 // entryPath fans entries out over 256 subdirectories so huge grids don't
 // produce one enormous flat directory.
@@ -268,14 +270,14 @@ func (c *Cache[V]) loadDisk(key Key) (V, diskProbe) {
 	buf := readBufs.Get().(*bytes.Buffer)
 	defer readBufs.Put(buf)
 	buf.Reset()
-	if err := readEntry(path, buf); err != nil {
+	if err := c.fsys.ReadFile(path, buf); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return zero, diskMiss
 		}
 		c.rErrors.Add(1)
 		return zero, diskUnreadable
 	}
-	payload, ok := checkEntry(buf.Bytes())
+	payload, ok := framing.Entry(buf.Bytes(), entryMagic)
 	if !ok {
 		c.dropCorrupt(path)
 		return zero, diskMiss
@@ -290,46 +292,10 @@ func (c *Cache[V]) loadDisk(key Key) (V, diskProbe) {
 	return v, diskHit
 }
 
-// readEntry reads the file at path to EOF into buf. Sizing buf from Stat
-// makes the common case one read of the data and one that reports EOF.
-func readEntry(path string, buf *bytes.Buffer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if info, err := f.Stat(); err == nil && info.Size() < math.MaxInt32 {
-		buf.Grow(int(info.Size()) + bytes.MinRead) // room for the read that finds EOF
-	}
-	_, err = buf.ReadFrom(f)
-	return err
-}
-
-// checkEntry validates the framing and checksum, returning the payload.
-func checkEntry(raw []byte) ([]byte, bool) {
-	if len(raw) < entryHeaderSize {
-		return nil, false
-	}
-	if string(raw[:len(entryMagic)]) != entryMagic {
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint64(raw[len(entryMagic):])
-	payload := raw[entryHeaderSize:]
-	if uint64(len(payload)) != n {
-		return nil, false
-	}
-	var want [sha256.Size]byte
-	copy(want[:], raw[len(entryMagic)+8:])
-	if sha256.Sum256(payload) != want {
-		return nil, false
-	}
-	return payload, true
-}
-
 func (c *Cache[V]) dropCorrupt(path string) {
 	c.corrupt.Add(1)
 	// Best-effort: leaving the entry behind only costs a recheck.
-	_ = os.Remove(path)
+	_ = c.fsys.Remove(path)
 }
 
 // storeDisk persists a computed value. Failures are counted, not fatal:
@@ -339,39 +305,12 @@ func (c *Cache[V]) storeDisk(key Key, v V) {
 		return
 	}
 	payload := c.codec.Encode(v)
-	buf := make([]byte, entryHeaderSize+len(payload))
-	copy(buf, entryMagic)
-	binary.LittleEndian.PutUint64(buf[len(entryMagic):], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(buf[len(entryMagic)+8:], sum[:])
-	copy(buf[entryHeaderSize:], payload)
-
-	path := c.entryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		c.wErrors.Add(1)
-		return
-	}
-	// Write-then-rename keeps concurrent processes (two cold runs sharing
-	// a directory) from observing a torn entry; the checksum catches
-	// whatever slips through anyway.
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		c.wErrors.Add(1)
-		return
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		c.wErrors.Add(1)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		c.wErrors.Add(1)
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
+	buf := make([]byte, 0, len(entryMagic)+framing.HeaderSize+len(payload))
+	buf = framing.Append(append(buf, entryMagic...), payload)
+	// Replacing the entry whole keeps concurrent processes (two cold runs
+	// sharing a directory) from observing a torn one. It is not fsynced: a
+	// power loss can tear an entry, and the checksum turns that into a miss.
+	if err := framing.Replace(c.fsys, c.entryPath(key), buf, false); err != nil {
 		c.wErrors.Add(1)
 		return
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/nal-epfl/wehey/internal/framing"
 )
 
 // stringCodec is the trivial identity codec used by the disk tests.
@@ -122,7 +124,7 @@ func TestDiskRoundTripAcrossProcessLifetimes(t *testing.T) {
 // corruptions maps a name to a mutation of a valid on-disk entry. Every
 // one must read as a miss — recompute, never a panic or a wrong value.
 var corruptions = map[string]func([]byte) []byte{
-	"truncated header":  func(b []byte) []byte { return b[:entryHeaderSize/2] },
+	"truncated header":  func(b []byte) []byte { return b[:(len(entryMagic)+framing.HeaderSize)/2] },
 	"truncated payload": func(b []byte) []byte { return b[:len(b)-1] },
 	"empty file":        func([]byte) []byte { return nil },
 	"bad magic":         func(b []byte) []byte { b[0] ^= 0xff; return b },
