@@ -136,8 +136,10 @@ func submit(ctx context.Context, c *service.Client, args []string) {
 	if !*wait {
 		return
 	}
-	job, err = c.Await(ctx, job.ID, 250*time.Millisecond)
-	fatalIf(err)
+	if !job.State.Terminal() { // a job that ran inside its submit's fsync answers the POST done
+		job, err = c.Await(ctx, job.ID, 250*time.Millisecond)
+		fatalIf(err)
+	}
 	printJSON(job)
 	exitForState(job)
 }

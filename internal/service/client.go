@@ -280,7 +280,9 @@ func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 }
 
 // Await polls a job until it reaches a terminal state, the context ends,
-// or the server becomes unreachable. poll <= 0 defaults to 250 ms.
+// or the server becomes unreachable. poll <= 0 defaults to 250 ms. The
+// answer to Submit may already carry the verdict — a job runs while its
+// submit's fsync is in flight — so check its State before calling Await.
 func (c *Client) Await(ctx context.Context, id string, poll time.Duration) (Job, error) {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,10 +38,11 @@ func waitEnded(t *testing.T, s *Scheduler, n int64) {
 }
 
 // TestCrashStatesKeepTheContract enumerates the crashes of a campaign
-// (ALICE-style, on the recorded operation log): three batches of four
-// jobs, an operator cancel, two workers posting terminal records, a
-// graceful stop, a torn copy of the journal put in place and a restart
-// that compacts it and re-runs the job whose record was torn. For every
+// (ALICE-style, on the recorded operation log): four batches of four
+// jobs, the last finishing while its fsync is held, an operator cancel,
+// two workers posting terminal records, a graceful stop, a torn copy of
+// the journal put in place and a restart that compacts it and re-runs
+// the job whose record was torn. For every
 // prefix of the log and every way its unsynced writes can persist
 // (framingtest.Crash), a scheduler reopened on that disk must keep
 // DESIGN.md §10's contract: every acknowledged submit is there, no
@@ -58,7 +61,32 @@ func TestCrashStatesKeepTheContract(t *testing.T) {
 			acked[j.ID] = fsys.Len()
 		}
 	}
-	s := crashScheduler(t, fsys, NullBackend{})
+	b := newStubBackend()
+	var s *Scheduler
+	// The fourth batch's fsync waits until its jobs have finished: their
+	// terminal records are held, not queued behind the submit, and go out
+	// as one burst once it is durable.
+	var step atomic.Int32 // 1: the batch is being submitted; 2: its submits are written
+	fsys.Hook = func(op *framingtest.Op) error {
+		switch {
+		case op.Kind == framingtest.Write && bytes.Contains(op.Data, []byte(`"j000013"`)):
+			step.CompareAndSwap(1, 2)
+		case op.Kind == framingtest.Sync && step.CompareAndSwap(2, 3):
+			if !waitFor(func() bool {
+				return b.runCount(12)+b.runCount(13)+b.runCount(14)+b.runCount(15) == 4 && s.Metrics().Running == 0
+			}) {
+				t.Error("the fourth batch did not run while its fsync was held")
+			}
+			s.journal.mu.Lock()
+			queued := s.journal.queued
+			s.journal.mu.Unlock()
+			if queued != 0 {
+				t.Errorf("%d terminal records were queued before their submits were durable", queued)
+			}
+		}
+		return nil
+	}
+	s = crashScheduler(t, fsys, b)
 	submit(s, 0)
 	if _, err := s.Cancel("j000001"); err != nil {
 		t.Fatal(err)
@@ -67,6 +95,13 @@ func TestCrashStatesKeepTheContract(t *testing.T) {
 	submit(s, 4)
 	submit(s, 8)
 	waitEnded(t, s, 12)
+
+	step.Store(1) // the fourth batch, held at its fsync by the hook
+	submit(s, 12)
+	waitEnded(t, s, 16)
+	if m := s.Metrics(); m.FinishedBeforeDurable < 4 {
+		t.Fatalf("%d jobs finished before their submit was durable, want at least the fourth batch's 4", m.FinishedBeforeDurable)
+	}
 	s.Close()
 	raw := fsys.Files()[recorderJournal]
 	if err := framing.Replace(fsys, recorderJournal, raw[:len(raw)-10], true); err != nil {
@@ -77,7 +112,7 @@ func TestCrashStatesKeepTheContract(t *testing.T) {
 		t.Fatalf("the torn copy reopened with %d bytes dropped and %d jobs resumed, want some and 1", m.JournalDroppedBytes, m.Resumed)
 	}
 	s.Start()
-	waitEnded(t, s, 12)
+	waitEnded(t, s, 16)
 	s.Close()
 
 	states := 0

@@ -210,12 +210,12 @@ func (j *Journal) AppendBatch(recs []record) error {
 	return j.enqueue(frames, len(recs), true)
 }
 
-// post queues one framed record for the next commit and returns without
+// post queues n framed records for the next commit and returns without
 // waiting for it: the caller learns only whether the journal took the
-// record (it refuses as Append does once closed or failed), not whether
-// the record became durable. Close drains posted records like any other.
-func (j *Journal) post(frame []byte) error {
-	return j.enqueue(frame, 1, false)
+// records (it refuses as Append does once closed or failed), not whether
+// they became durable. Close drains posted records like any other.
+func (j *Journal) post(frames []byte, n int) error {
+	return j.enqueue(frames, n, false)
 }
 
 // enqueue puts framed records on the commit queue and wakes the

@@ -47,6 +47,9 @@ type Metrics struct {
 	Retried   int64 `json:"retried"`
 	Rejected  int64 `json:"rejected"`
 	Resumed   int64 `json:"resumed"`
+	// FinishedBeforeDurable counts jobs whose attempt ended while their
+	// submit's fsync was in flight: the verdict was ready at the ack.
+	FinishedBeforeDurable int64 `json:"finished_before_durable"`
 
 	// Batch-submission counters: batches accepted via SubmitBatch with
 	// more than one spec, and the jobs they carried.
@@ -112,22 +115,23 @@ func (s *Scheduler) ServiceMoments() (count int64, mean, scv float64) {
 // Metrics snapshots the scheduler counters.
 func (s *Scheduler) Metrics() Metrics {
 	m := Metrics{
-		Queued:              int(s.queued.Load()),
-		Running:             int(s.c.running.Load()),
-		WaitRetry:           int(s.c.waitRetry.Load()),
-		Submitted:           s.c.submitted.Load(),
-		Done:                s.c.done.Load(),
-		Failed:              s.c.failed.Load(),
-		Canceled:            s.c.canceled.Load(),
-		Retried:             s.c.retried.Load(),
-		Rejected:            s.c.rejected.Load(),
-		Resumed:             s.c.resumed.Load(),
-		BatchSubmits:        s.c.batchSubmits.Load(),
-		BatchJobs:           s.c.batchJobs.Load(),
-		ClaimScans:          s.c.claimScans.Load(),
-		ClaimPairSkips:      s.c.claimPairSkips.Load(),
-		JournalDroppedBytes: int(s.c.journalDroppedBytes.Load()),
-		JournalDupTerminals: s.c.journalDupTerminals.Load(),
+		Queued:                int(s.queued.Load()),
+		Running:               int(s.c.running.Load()),
+		WaitRetry:             int(s.c.waitRetry.Load()),
+		Submitted:             s.c.submitted.Load(),
+		Done:                  s.c.done.Load(),
+		Failed:                s.c.failed.Load(),
+		Canceled:              s.c.canceled.Load(),
+		Retried:               s.c.retried.Load(),
+		Rejected:              s.c.rejected.Load(),
+		Resumed:               s.c.resumed.Load(),
+		FinishedBeforeDurable: s.c.finishedBeforeDurable.Load(),
+		BatchSubmits:          s.c.batchSubmits.Load(),
+		BatchJobs:             s.c.batchJobs.Load(),
+		ClaimScans:            s.c.claimScans.Load(),
+		ClaimPairSkips:        s.c.claimPairSkips.Load(),
+		JournalDroppedBytes:   int(s.c.journalDroppedBytes.Load()),
+		JournalDupTerminals:   s.c.journalDupTerminals.Load(),
 	}
 	if n := s.c.latencyCount.Load(); n > 0 {
 		m.QueueLatencyMean = time.Duration(s.c.latencyTotalNs.Load() / n)

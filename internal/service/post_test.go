@@ -320,13 +320,23 @@ func TestPostedToFailedJournal(t *testing.T) {
 // BenchmarkSchedulerDrain: with the post limit at 0 a post waits for its
 // fsync like an Append, so one worker makes exactly one terminal record
 // durable per commit — the scheduler as it was before records were posted.
+// The worker starts once the batch is durable, so no record is held.
 func TestPostLimitZeroParksEveryPost(t *testing.T) {
 	const jobs = 50
-	s := instantScheduler(t, filepath.Join(t.TempDir(), "journal.wj"), 1)
+	s, err := NewScheduler(Options{
+		Workers:     1,
+		JournalPath: filepath.Join(t.TempDir(), "journal.wj"),
+		Backends:    map[string]Backend{"stub": NullBackend{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
 	s.journal.postLimit = 0
 	if _, err := s.SubmitBatch(stubSpecs(0, jobs)); err != nil {
 		t.Fatal(err)
 	}
+	s.Start()
 	waitDone(t, s, jobs)
 	s.Close()
 	if js := s.journal.Stats(); js.Records != 2*jobs || js.Commits != 1+jobs {
@@ -345,11 +355,11 @@ func TestPostLimitZeroParksEveryPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.post(frame); err != nil || jr.Stats().Records != 1 {
+	if err := jr.post(frame, 1); err != nil || jr.Stats().Records != 1 {
 		t.Errorf("post at limit 0: err %v, %d records durable on return; want nil, 1", err, jr.Stats().Records)
 	}
 	jr.Close()
-	if err := jr.post(frame); !errors.Is(err, ErrJournalClosed) {
+	if err := jr.post(frame, 1); !errors.Is(err, ErrJournalClosed) {
 		t.Errorf("post after Close = %v, want ErrJournalClosed", err)
 	}
 }

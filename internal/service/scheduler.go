@@ -79,6 +79,11 @@ type job struct {
 	userCancel bool // operator asked; running attempt winds down
 	retryTimer clock.Timer
 	runs       int // completed executions (test observability)
+
+	// A job is claimable once sequenced and visible once durable.
+	durable bool   // its submit is on disk: published in jobs
+	held    []byte // the terminal record reached before durable; landed posts it
+	refused bool   // the journal refused its batch: no further run, no record
 }
 
 // Scheduler owns the campaign state machine: admission, the priority
@@ -102,8 +107,8 @@ type Scheduler struct {
 	// but are not visible yet.
 	//
 	// bySeq is the listing index: the job numbered seq is in slot seq-1.
-	// A slot is made (nil) with its number and filled when its batch
-	// lands; it stays nil if the journal refused the batch. Numbers are
+	// A slot is filled when its job is queued, before the batch lands,
+	// and emptied if the journal refuses the batch. Numbers are
 	// assigned densely, so the index has as many slots as there are jobs.
 	nextSeq  uint64   // last assigned submission sequence number
 	inflight []uint64 // first number of each assigned, not yet visible batch
@@ -130,6 +135,7 @@ type counters struct {
 	latencyTotalNs, latencyCount                         atomic.Int64
 	journalDroppedBytes                                  atomic.Int64
 	journalDupTerminals                                  atomic.Int64
+	finishedBeforeDurable                                atomic.Int64
 
 	// claimScans counts claim() calls, claimPairSkips the jobs they passed
 	// over because their server pair's token was held — the contention
@@ -207,7 +213,7 @@ func (s *Scheduler) replay(records []record) {
 	for _, jj := range jobs {
 		snap := jj.snapshot()
 		j := newJob(snap.ID, snap.Seq, snap.Spec, now)
-		j.Resumed = true
+		j.Resumed, j.durable = true, true
 		j.State, j.Result, j.Error = snap.State, snap.Result, snap.Error
 		s.jobs[j.ID] = j
 		if j.Seq > 0 { // a listing starts after 0: a job numbered 0 was never on a page
@@ -289,12 +295,20 @@ func (s *Scheduler) Close() {
 	}
 	close(s.stop)
 	s.mu.Lock()
-	for _, j := range s.jobs {
+	stop := func(j *job) {
 		if j.cancel != nil {
 			j.cancel()
 		}
 		if j.retryTimer != nil {
 			j.retryTimer.Stop()
+		}
+	}
+	for _, j := range s.jobs {
+		stop(j)
+	}
+	for _, j := range s.bySeq[s.floorLocked()-1:] { // not published, maybe running
+		if j != nil { // nil: a refused batch's number
+			stop(j)
 		}
 	}
 	s.mu.Unlock()
@@ -305,7 +319,7 @@ func (s *Scheduler) Close() {
 	close(s.closeDone)
 }
 
-// Submit admits one job, journals it durably, and queues it.
+// Submit admits one job: queued at once, acknowledged once journaled.
 func (s *Scheduler) Submit(spec Spec) (Job, error) {
 	jobs, err := s.SubmitBatch([]Spec{spec})
 	if err != nil {
@@ -315,10 +329,12 @@ func (s *Scheduler) Submit(spec Spec) (Job, error) {
 }
 
 // SubmitBatch admits a group of jobs as one unit: every spec is
-// validated up front, queue capacity is reserved for all of them, their
-// submit records ride one journal group commit (one fsync for the whole
-// batch), and only then are they published to the queue. Admission is
-// all-or-nothing — on any error no job of the batch was admitted.
+// validated up front, queue capacity is reserved for all of them, and
+// their submit records ride one journal group commit (one fsync for the
+// whole batch). The jobs are claimable from the moment they are numbered,
+// so they can run while that fsync is in flight, but visible — and the
+// call returns — only once it has returned. Admission is all-or-nothing:
+// on any error no job of the batch was admitted.
 func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -366,50 +382,96 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 		js[i] = newJob(id, seq, specs[i], now)
 		recs[i] = record{Op: recSubmit, ID: id, Seq: seq, Spec: &specs[i]}
 	}
-	if s.journal != nil {
-		// Durability gate: nothing is published, and nothing is
-		// acknowledged to the caller, until the batch's fsync returns.
-		if err := s.journal.AppendBatch(recs); err != nil {
-			s.landed(first, nil) // refused: its numbers stay holes in the listing
-			s.queued.Add(-n)
-			if errors.Is(err, ErrJournalClosed) {
-				err = ErrClosed
-			}
-			return nil, err
+	var frames []byte
+	var err error
+	if s.journal != nil { // encoded first: a spec the journal cannot hold never runs
+		frames, err = frameRecords(make([]byte, 0, len(recs)*(framing.HeaderSize+256)), recs)
+	}
+	if err == nil {
+		s.mu.Lock()
+		for _, j := range js {
+			heap.Push(&s.pending, j)
+			s.bySeq[j.Seq-1] = j // above the listing floor until landed
+		}
+		s.mu.Unlock()
+		for range js {
+			s.signalReady()
+		}
+		if s.journal != nil {
+			err = s.journal.enqueue(frames, len(recs), true)
 		}
 	}
-
-	out := make([]Job, len(js))
-	for i, j := range js {
-		out[i] = j.Job // snapshot before publication: workers may claim immediately
+	if err != nil {
+		s.landed(first, js, err)
+		if errors.Is(err, ErrJournalClosed) {
+			err = ErrClosed
+		}
+		return nil, err
 	}
-	s.landed(first, js)
 	s.c.submitted.Add(n)
 	if len(specs) > 1 {
 		s.c.batchSubmits.Add(1)
 		s.c.batchJobs.Add(n)
 	}
-	for range js {
-		s.signalReady()
-	}
-	return out, nil
+	return s.landed(first, js, nil), nil
 }
 
 // landed takes the batch whose sequence numbers start at first out of
-// the in-flight set and publishes its jobs — none, if the journal refused
-// the batch — to the ID index, the queue and the listing index, so a page
-// sees all of a batch or none.
-func (s *Scheduler) landed(first uint64, js []*job) {
+// the in-flight set once its journal commit returned. A durable batch is
+// published to the ID index — a page sees all of it or none — and its
+// snapshots, the caller's answer, returned; the terminal records its jobs
+// reached meanwhile are posted as one enqueue, their FinishedAt moved up
+// to now, when the verdict became readable. A refused batch is withdrawn.
+func (s *Scheduler) landed(first uint64, js []*job, err error) []Job {
+	var out []Job
+	var held []byte
+	nheld := 0
 	s.mu.Lock()
+	now := s.clk.Now()
 	for _, j := range js {
+		if err != nil {
+			s.withdrawLocked(j)
+			continue
+		}
+		j.durable = true
 		s.jobs[j.ID] = j
-		heap.Push(&s.pending, j)
-		s.bySeq[j.Seq-1] = j
+		if j.held != nil {
+			j.FinishedAt = now
+			s.c.finished(j.State).Add(1)
+			held, j.held, nheld = append(held, j.held...), nil, nheld+1
+		}
+		out = append(out, j.Job)
 	}
 	if i := slices.Index(s.inflight, first); i >= 0 {
 		s.inflight = slices.Delete(s.inflight, i, i+1)
 	}
 	s.mu.Unlock()
+	if nheld > 0 && s.journal != nil {
+		s.journal.post(held, nheld) // not fatal either, for complete's reasons
+	}
+	s.c.finishedBeforeDurable.Add(int64(nheld))
+	return out
+}
+
+// withdrawLocked takes a job of a refused batch back: out of the queue,
+// returning its reservation, or its attempt canceled (complete drops the
+// outcome), or its retry stopped; a held record is dropped and its number
+// stays a hole in the listing. Callers hold s.mu.
+func (s *Scheduler) withdrawLocked(j *job) {
+	j.refused, j.held = true, nil
+	s.bySeq[j.Seq-1] = nil
+	switch {
+	case j.heapIdx >= 0:
+		heap.Remove(&s.pending, j.heapIdx)
+		s.queued.Add(-1)
+	case j.Attempts == 0: // never queued: its batch could not be encoded
+		s.queued.Add(-1)
+	case j.cancel != nil:
+		j.cancel()
+	case j.State == StateWaitRetry:
+		j.retryTimer.Stop()
+		s.c.waitRetry.Add(-1)
+	}
 }
 
 // batchErr labels a per-spec error with its batch index (single-spec
@@ -466,12 +528,7 @@ func (s *Scheduler) List() []Job {
 func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The lowest number that may not be visible yet: every job below it
-	// that will ever exist is in its slot.
-	floor := s.nextSeq + 1
-	if len(s.inflight) > 0 {
-		floor = s.inflight[0] // ascending: appended in assignment order
-	}
+	floor := s.floorLocked()
 	window := s.bySeq[min(afterSeq, floor-1) : floor-1]
 	if limit <= 0 || limit > len(window) {
 		limit = len(window)
@@ -487,6 +544,16 @@ func (s *Scheduler) ListPage(afterSeq uint64, limit int) []Job {
 		out = append(out, j.Job)
 	}
 	return out
+}
+
+// floorLocked is the lowest number that may not be visible yet: every job
+// below it that will ever exist is published in its slot. Callers hold
+// s.mu.
+func (s *Scheduler) floorLocked() uint64 {
+	if len(s.inflight) > 0 {
+		return s.inflight[0] // ascending: appended in assignment order
+	}
+	return s.nextSeq + 1
 }
 
 // Cancel ends a job: immediately when queued or waiting for a retry, by
@@ -527,7 +594,8 @@ func (s *Scheduler) Cancel(id string) (Job, error) {
 	s.mu.Unlock()
 	if terminal && s.journal != nil {
 		// An operator's cancel is acknowledged after its fsync, like a
-		// submit. A failure is not fatal, for the reasons postTerminal gives.
+		// submit. A failure is not fatal, for the reasons complete gives
+		// for a posted terminal record.
 		s.journal.Append(rec)
 	}
 	return snap, nil
@@ -663,6 +731,8 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 	j.runs++
 
 	switch {
+	case j.refused:
+		// The journal refused the job's batch: the outcome is nobody's.
 	case err == nil:
 		sec := s.clk.Now().Sub(j.StartedAt).Seconds()
 		s.c.svcCount.Add(1)
@@ -704,11 +774,25 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 		s.wg.Add(1)
 		go s.awaitRetry(j, t)
 	}
+	if terminal && frame == nil {
+		frame, _ = frameRecords(nil, []record{rec}) // a fail or cancel record always encodes
+	}
+	if terminal && !j.durable {
+		j.held, terminal = frame, false // landed posts it once the submit is on disk
+	}
 	s.mu.Unlock()
 
 	s.c.running.Add(-1)
-	if terminal {
-		s.postTerminal(rec, frame)
+	if terminal && s.journal != nil {
+		// Posted, not appended: the worker claims its next job and the
+		// commit carries every record posted meanwhile. The state is
+		// already visible, nobody reads this acknowledgement, and the
+		// record is duplicate-safe (recovery keeps the first terminal
+		// record per job), so a refusal is not fatal either: the in-memory
+		// state is authoritative for this process, and the next process
+		// re-runs the job — which exactly-once semantics tolerate in the
+		// crash-before-append case anyway.
+		s.journal.post(frame, 1)
 	}
 	if pairFreed {
 		// The freed pair may unblock a queued same-pair sibling: post a
@@ -719,12 +803,14 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 
 // finishLocked moves a job into a terminal state and returns the journal
 // record describing it. Callers hold s.mu and append the record after
-// releasing it.
+// releasing it. A job not durable yet is counted when landed publishes it.
 func (s *Scheduler) finishLocked(j *job, st State, res *Result, errMsg string) record {
 	j.State = st
 	j.FinishedAt = s.clk.Now()
 	j.RetryAt = time.Time{}
-	s.c.finished(st).Add(1)
+	if j.durable {
+		s.c.finished(st).Add(1)
+	}
 	switch st {
 	case StateDone:
 		return record{Op: recDone, ID: j.ID, Result: res}
@@ -733,28 +819,6 @@ func (s *Scheduler) finishLocked(j *job, st State, res *Result, errMsg string) r
 	default:
 		return record{Op: recCancel, ID: j.ID}
 	}
-}
-
-// postTerminal hands a worker's terminal record (frame, when complete
-// has framed it already) to the journal's commit queue and returns
-// without waiting for the fsync, so the worker claims its next job and
-// the commit carries every record posted meanwhile. The state is already
-// visible, nobody reads this acknowledgement, and the record is
-// duplicate-safe (recovery keeps the first terminal record per job), so
-// a refusal is not fatal either: the in-memory state is authoritative for
-// this process, and the next process re-runs the job — which exactly-once
-// semantics tolerate in the crash-before-append case anyway.
-func (s *Scheduler) postTerminal(rec record, frame []byte) {
-	if s.journal == nil {
-		return
-	}
-	if frame == nil {
-		var err error
-		if frame, err = frameRecords(nil, []record{rec}); err != nil {
-			return
-		}
-	}
-	s.journal.post(frame)
 }
 
 // awaitRetry re-queues a job when its backoff timer fires (or gives up on
@@ -767,7 +831,7 @@ func (s *Scheduler) awaitRetry(j *job, t clock.Timer) {
 		return
 	}
 	s.mu.Lock()
-	if s.closed.Load() || j.State != StateWaitRetry {
+	if s.closed.Load() || j.refused || j.State != StateWaitRetry {
 		s.mu.Unlock()
 		return
 	}

@@ -33,6 +33,24 @@ func BenchmarkDiskHit(b *testing.B) {
 	}
 }
 
+// BenchmarkMemoryHit is a served session's cache cost: a Get for a key
+// this process already computed, answered from the flight table.
+func BenchmarkMemoryHit(b *testing.B) {
+	c := New[measure.Path]()
+	key := KeyOf("v1", []byte("spec"))
+	c.Get(key, func() measure.Path { return tracePath(19000, 2*time.Millisecond) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := c.Get(key, nil); len(p.Tx) != 19000 {
+			b.Fatalf("not a hit: %d timestamps", len(p.Tx))
+		}
+	}
+	if st := c.Stats(); st.Hits != int64(b.N) {
+		b.Fatalf("%d hits in %d gets", st.Hits, b.N)
+	}
+}
+
 // BenchmarkKeyOf derives the key of a SimSpec-sized (≈120-byte) encoding.
 func BenchmarkKeyOf(b *testing.B) {
 	spec := make([]byte, 120)
