@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -47,7 +48,7 @@ func main() {
 			dur = 5 * time.Second // real wall-clock time; keep it short
 		}
 		fmt.Printf("scenario: loopback testbed over real UDP sockets (%v replays)\n", dur)
-		ts, err := wehey.NewTestbedSession(wehey.TestbedConfig{Duration: dur, Seed: *seed})
+		ts, err := wehey.NewTestbedSession(context.Background(), wehey.TestbedConfig{Duration: dur, Seed: *seed})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"time"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/isp"
+	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/wehe"
 )
 
@@ -16,6 +18,18 @@ func cellularTDiff(rng *rand.Rand) []float64 {
 		Clients: 15, TestsPerClient: 9, Spread: 0.15,
 	})
 	return h.TDiff("", "netflix", "carrier-1")
+}
+
+// localize runs one WeHeY test against the profile through the public
+// API, with extra replays beside p1 and p2 in the simultaneous phase; one
+// rng drives both the session and the detector. A SimSession never fails
+// a replay, so the only errors are the detectors', and the partial verdict
+// that comes with one is not localized.
+func localize(rng *rand.Rand, p isp.Profile, dur time.Duration, extra int, tdiff []float64) wehey.Verdict {
+	s := wehey.NewSimSession(rng, p, dur)
+	s.ExtraReplays = extra
+	v, _ := (&wehey.Localizer{Rand: rng}).Localize(s, tdiff)
+	return v
 }
 
 // Table1 reproduces the in-the-wild evaluation (§5): the successful
@@ -47,16 +61,16 @@ func Table1(cfg Config) *Report {
 		header = append(header, p.Name)
 		// Each trial runs on its own identity-derived rng, so trials are
 		// independent of one another and safe to execute concurrently.
-		basic := ForEach(trials, cfg.workers(), func(i int) isp.TestResult {
+		basic := ForEach(trials, cfg.workers(), func(i int) wehey.Verdict {
 			trng := rand.New(rand.NewSource(specSeed(cfg.Seed, "table1", p.Name, i)))
-			return isp.RunLocalizationTest(trng, p, tdiff, isp.TestOptions{Duration: dur})
+			return localize(trng, p, dur, 0, tdiff)
 		})
 		localized, detected := 0, 0
-		for _, res := range basic {
-			if res.WeHeDetected {
+		for _, v := range basic {
+			if v.WeHeDetected {
 				detected++
 			}
-			if res.Localized {
+			if v.LocalizedToISP {
 				localized++
 			}
 		}
@@ -65,8 +79,7 @@ func Table1(cfg Config) *Report {
 
 		sanityHits := ForEach(sanityTrials, cfg.workers(), func(i int) bool {
 			trng := rand.New(rand.NewSource(specSeed(cfg.Seed, "table1", p.Name+"/sanity", i)))
-			res := isp.RunLocalizationTest(trng, p, tdiff, isp.TestOptions{Duration: dur, ExtraReplay: true})
-			return res.Evidence.Found()
+			return localize(trng, p, dur, 1, tdiff).LocalizedToISP
 		})
 		falsePos := 0
 		for _, hit := range sanityHits {
@@ -107,9 +120,10 @@ func Figure4(cfg Config) *Report {
 	p := isp.FiveISPs()[4] // ISP5
 	p.TriggerJitter = 0    // the representative test of the figure
 
-	res := isp.RunLocalizationTest(rng, p, tdiff, isp.TestOptions{Duration: dur})
+	v := localize(rng, p, dur, 0, tdiff)
 
-	toXY := func(t []float64, interval time.Duration) ([]float64, []float64) {
+	interval := dur / measure.WeHeIntervals
+	toXY := func(t []float64) ([]float64, []float64) {
 		xs := make([]float64, len(t))
 		ys := make([]float64, len(t))
 		for i := range t {
@@ -118,8 +132,8 @@ func Figure4(cfg Config) *Report {
 		}
 		return xs, ys
 	}
-	sx, sy := toXY(res.SingleSeries.Samples, res.SingleSeries.Interval)
-	mx, my := toXY(res.SimSeries.Samples, res.SimSeries.Interval)
+	sx, sy := toXY(v.X)
+	mx, my := toXY(v.Y)
 
 	report := &Report{
 		ID:    "figure4",
@@ -130,7 +144,7 @@ func Figure4(cfg Config) *Report {
 			{Name: "simultaneous replay (aggregate)", XLabel: "time (s)", YLabel: "Mbit/s", X: mx, Y: my},
 		},
 		Notes: []string{
-			fmt.Sprintf("localized=%v (the throughput comparison fails on this profile most of the time)", res.Localized),
+			fmt.Sprintf("localized=%v (the throughput comparison fails on this profile most of the time)", v.LocalizedToISP),
 		},
 	}
 	return report

@@ -1,9 +1,7 @@
 // Package isp models the five U.S. cellular ISPs of the paper's
 // in-the-wild evaluation (§5, Table 1) as throttling profiles driven
-// through the simulator, and provides the end-to-end localization test
-// runner that reproduces a WeHeY user's flow: WeHe detection on p0, the
-// simultaneous replays on p1/p2, differentiation confirmation, and
-// common-bottleneck detection.
+// through the simulator. wehey.SimSession replays against a profile, so a
+// Table 1 test is one wehey.Localizer run over it.
 //
 // ISP1–ISP4 implement always-on per-client throttling at their plan rates
 // ("video streaming at DVD quality"), differing in rate, queue depth
@@ -19,10 +17,8 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/nal-epfl/wehey/internal/core"
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/netsim"
-	"github.com/nal-epfl/wehey/internal/wehe"
 )
 
 // Profile describes one ISP's differentiation behaviour.
@@ -93,120 +89,11 @@ func FiveISPs() []Profile {
 	}
 }
 
-// TestOptions tunes a localization test run.
-type TestOptions struct {
-	// Duration of each replay (default 20 s; the paper replays ≥45 s —
-	// shorter runs keep the full Table 1 grid fast and do not change the
-	// verdicts, which depend on throughput ratios, not durations).
-	Duration time.Duration
-	// ExtraReplay adds a third concurrent replay during the simultaneous
-	// phase (the Table 1 "sanity check": the throughput comparison must
-	// then NOT find a common bottleneck).
-	ExtraReplay bool
-}
-
-func (o *TestOptions) fill() {
-	if o.Duration <= 0 {
-		o.Duration = 20 * time.Second
-	}
-}
-
-// TestResult is the outcome of one localization test.
-type TestResult struct {
-	// WeHeDetected is WeHe's verdict on p0 (original vs bit-inverted).
-	WeHeDetected bool
-	// Confirmed is WeHeY's step 3: both p1 and p2 showed differentiation.
-	Confirmed bool
-	// Evidence is the common-bottleneck detector's verdict.
-	Evidence core.Evidence
-	// Localized is the headline outcome: evidence that differentiation
-	// happens inside the ISP.
-	Localized bool
-	// X, Y are the §4.1 sample sets (for Figure 2 rendering).
-	X, Y []float64
-	// SingleSeries and SimSeries are throughput-over-time for Figure 4.
-	SingleSeries, SimSeries measure.Throughput
-	// P is the throughput-comparison p-value (NaN if it did not run).
-	P float64
-}
-
 // ReplayOutcome carries one replay's client-side and path measurements.
 type ReplayOutcome struct {
 	Throughput   measure.Throughput
 	Measurements measure.Path
 	Bytes        int64
-}
-
-// RunLocalizationTest simulates one full WeHeY test against the profile:
-//
-//  1. p0 single replays (original, then bit-inverted) → WeHe detection, X;
-//  2. p1+p2 simultaneous replays (original, then bit-inverted) →
-//     confirmation and Y;
-//  3. the combined common-bottleneck detector.
-//
-// Each replay runs in a fresh simulation (the real system replays
-// sequentially over the same network; the throttling state — including
-// ISP5's trigger — resets between replays, matching the per-test behaviour
-// in Figure 4).
-func RunLocalizationTest(rng *rand.Rand, p Profile, tdiff []float64, opts TestOptions) TestResult {
-	opts.fill()
-	dur := opts.Duration
-
-	trig := p.DrawTrigger(rng)
-
-	// Phase 1: single replays on p0.
-	origSingle := p.Replays(rng.Int63(), dur, trig, 1, true)
-	invSingle := p.Replays(rng.Int63(), dur, trig, 1, false)
-
-	res := TestResult{
-		X:            origSingle[0].Throughput.Samples,
-		SingleSeries: origSingle[0].Throughput,
-	}
-	det, err := wehe.DetectDifferentiation(origSingle[0].Throughput, invSingle[0].Throughput, wehe.DetectionConfig{})
-	if err == nil {
-		res.WeHeDetected = det.Differentiation
-	}
-
-	// Phase 2: simultaneous replays on p1, p2 (and optionally p3).
-	n := 2
-	if opts.ExtraReplay {
-		n = 3
-	}
-	origSim := p.Replays(rng.Int63(), dur, trig, n, true)
-	invSim := p.Replays(rng.Int63(), dur, trig, n, false)
-
-	// Step 3 (§3.1): differentiation confirmation on both paths.
-	res.Confirmed = true
-	for i := 0; i < 2; i++ {
-		d, err := wehe.DetectDifferentiation(origSim[i].Throughput, invSim[i].Throughput, wehe.DetectionConfig{})
-		if err != nil || !d.Differentiation {
-			res.Confirmed = false
-		}
-	}
-
-	// Y aggregates p1's and p2's samples only (the extra replay, when
-	// present, deliberately steals bottleneck share).
-	res.Y = measure.SumSamples(origSim[0].Throughput.Samples, origSim[1].Throughput.Samples)
-	res.SimSeries = measure.Throughput{Interval: origSim[0].Throughput.Interval, Samples: res.Y}
-
-	if !res.Confirmed {
-		return res
-	}
-
-	// Step 4: common-bottleneck detection.
-	out, err := core.DetectCommonBottleneck(rng, core.DetectorInput{
-		X: res.X, Y: res.Y, TDiff: tdiff,
-		M1: &origSim[0].Measurements, M2: &origSim[1].Measurements,
-	}, core.DetectorConfig{})
-	if err != nil {
-		return res
-	}
-	res.Evidence = out.Evidence
-	if out.Throughput != nil {
-		res.P = out.Throughput.P
-	}
-	res.Localized = res.WeHeDetected && res.Confirmed && out.Evidence.Found()
-	return res
 }
 
 // Trigger is the per-test instantiation of the conditional-throttling

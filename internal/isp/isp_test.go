@@ -1,21 +1,6 @@
 package isp
 
-import (
-	"math/rand"
-	"testing"
-	"time"
-
-	"github.com/nal-epfl/wehey/internal/core"
-	"github.com/nal-epfl/wehey/internal/wehe"
-)
-
-func testTDiff(rng *rand.Rand) []float64 {
-	// Cellular throughput varies more test-to-test than wired access;
-	// 0.15 relative spread matches the wide T_diff the paper derives from
-	// real WeHe history.
-	h := wehe.SynthHistory(rng, wehe.SynthHistorySpec{Clients: 15, TestsPerClient: 9, Spread: 0.15})
-	return h.TDiff("", "netflix", "carrier-1")
-}
+import "testing"
 
 func TestFiveISPsShape(t *testing.T) {
 	ps := FiveISPs()
@@ -29,92 +14,5 @@ func TestFiveISPsShape(t *testing.T) {
 	}
 	if ps[4].TriggerRate == 0 {
 		t.Error("ISP5 must be the conditional-throttling profile")
-	}
-}
-
-func TestAlwaysOnISPLocalizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tdiff := testTDiff(rng)
-	p := FiveISPs()[0]
-	hits := 0
-	const trials = 5
-	for i := 0; i < trials; i++ {
-		res := RunLocalizationTest(rng, p, tdiff, TestOptions{Duration: 20 * time.Second})
-		if !res.WeHeDetected {
-			t.Errorf("trial %d: WeHe missed a 4 vs 9 Mbit/s differentiation", i)
-		}
-		if !res.Confirmed {
-			t.Errorf("trial %d: simultaneous differentiation not confirmed", i)
-		}
-		if res.Localized {
-			hits++
-			if res.Evidence != core.EvidencePerClient {
-				t.Errorf("trial %d: evidence = %v, want per-client", i, res.Evidence)
-			}
-		}
-	}
-	if hits < trials-1 {
-		t.Errorf("localized %d/%d tests on an always-on per-client policer", hits, trials)
-	}
-}
-
-func TestConditionalISPUsuallyFails(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tdiff := testTDiff(rng)
-	p := FiveISPs()[4]
-	hits := 0
-	const trials = 6
-	for i := 0; i < trials; i++ {
-		res := RunLocalizationTest(rng, p, tdiff, TestOptions{Duration: 20 * time.Second})
-		if res.Localized {
-			hits++
-		}
-	}
-	if hits > trials/2 {
-		t.Errorf("ISP5-style conditional throttling localized %d/%d; expected mostly failures", hits, trials)
-	}
-}
-
-func TestSanityCheckExtraReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tdiff := testTDiff(rng)
-	p := FiveISPs()[0]
-	falseDetections := 0
-	const trials = 4
-	for i := 0; i < trials; i++ {
-		res := RunLocalizationTest(rng, p, tdiff, TestOptions{Duration: 20 * time.Second, ExtraReplay: true})
-		if res.Evidence == core.EvidencePerClient {
-			falseDetections++
-		}
-	}
-	if falseDetections > 1 {
-		t.Errorf("sanity check: %d/%d per-client detections with a third replay stealing share",
-			falseDetections, trials)
-	}
-}
-
-func TestConditionalTriggerTiming(t *testing.T) {
-	// The trigger must fire roughly twice as early under the simultaneous
-	// replay (two flows fill the byte budget faster) — the Figure 4 shape.
-	rng := rand.New(rand.NewSource(4))
-	p := FiveISPs()[4]
-	p.TriggerJitter = 0 // deterministic threshold for the timing check
-	res := RunLocalizationTest(rng, p, testTDiff(rng), TestOptions{Duration: 20 * time.Second})
-
-	drop := func(th []float64, interval time.Duration) time.Duration {
-		for i, v := range th {
-			if float64(i)*interval.Seconds() > 2 && v < p.PlanRate*1.4 {
-				return time.Duration(i) * interval
-			}
-		}
-		return -1
-	}
-	singleDrop := drop(res.SingleSeries.Samples, res.SingleSeries.Interval)
-	simDrop := drop(res.SimSeries.Samples, res.SimSeries.Interval)
-	if singleDrop < 0 || simDrop < 0 {
-		t.Fatalf("no throttling observed: single %v sim %v", singleDrop, simDrop)
-	}
-	if simDrop >= singleDrop {
-		t.Errorf("simultaneous throttling at %v should precede single at %v", simDrop, singleDrop)
 	}
 }

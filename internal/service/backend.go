@@ -4,15 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/experiments"
-	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
-	"github.com/nal-epfl/wehey/internal/testbed"
-	"github.com/nal-epfl/wehey/internal/trace"
 )
 
 // Backend executes one job attempt. Run must honor ctx: the scheduler
@@ -122,28 +118,20 @@ func (NullBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 // middlebox. Cancellation propagates into every replay via ctx.
 type TestbedBackend struct{}
 
-// Run executes one localization session.
+// Run executes one localization session. Its delay and replay defaults
+// are shorter than the library's: a service job is one of many.
 func (b *TestbedBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	p := spec.Testbed
-	cfg := testbedParams{
-		app:   p.App,
-		rate:  p.Rate,
-		delay: p.Delay,
-		dur:   p.Duration,
+	cfg := wehey.TestbedConfig{
+		App: p.App, Rate: p.Rate, Delay: p.Delay, Duration: p.Duration, Seed: spec.Seed,
 	}
-	if cfg.app == "" {
-		cfg.app = "netflix"
+	if cfg.Delay <= 0 {
+		cfg.Delay = 5 * time.Millisecond
 	}
-	if cfg.rate <= 0 {
-		cfg.rate = 3e6
+	if cfg.Duration <= 0 {
+		cfg.Duration = 500 * time.Millisecond
 	}
-	if cfg.delay <= 0 {
-		cfg.delay = 5 * time.Millisecond
-	}
-	if cfg.dur <= 0 {
-		cfg.dur = 500 * time.Millisecond
-	}
-	sess, err := newCtxTestbedSession(ctx, cfg, spec.Seed)
+	sess, err := wehey.NewTestbedSession(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -159,144 +147,13 @@ func (b *TestbedBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
 		Backend:        BackendTestbed,
 		WeHeDetected:   v.WeHeDetected,
 		Confirmed:      v.Confirmed,
 		LocalizedToISP: v.LocalizedToISP,
 		Evidence:       v.Evidence.String(),
-		LossRates:      sess.origSimLossRates(),
+		LossRates:      v.LossRates,
 		Detail:         v.String(),
-	}
-	return res, nil
-}
-
-// testbedParams is the filled TestbedJob.
-type testbedParams struct {
-	app   string
-	rate  float64
-	delay time.Duration
-	dur   time.Duration
-}
-
-// ctxTestbedSession is a context-aware sibling of wehey.TestbedSession:
-// the same replay structure (fresh identically-configured middlebox per
-// replay, truly concurrent simultaneous replays), but every replay runs
-// under the attempt's context so cancellation tears the session down
-// promptly instead of waiting out the replay duration.
-type ctxTestbedSession struct {
-	ctx  context.Context
-	cfg  testbedParams
-	orig *trace.Trace
-	inv  *trace.Trace
-
-	mu      sync.Mutex
-	connID  uint32
-	origSim [2]*measure.Path // measurements of the original simultaneous replay
-}
-
-// origSimLossRates reports the two paths' loss rates from the original
-// simultaneous replay (zeros before it ran).
-func (s *ctxTestbedSession) origSimLossRates() [2]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out [2]float64
-	for i, m := range s.origSim {
-		if m != nil {
-			out[i] = m.LossRate()
-		}
-	}
-	return out
-}
-
-func newCtxTestbedSession(ctx context.Context, cfg testbedParams, seed int64) (*ctxTestbedSession, error) {
-	tr, err := trace.Generate(cfg.app, rand.New(rand.NewSource(seed)), cfg.dur+time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("service: testbed session: %w", err)
-	}
-	return &ctxTestbedSession{
-		ctx:  ctx,
-		cfg:  cfg,
-		orig: tr,
-		inv:  trace.BitInvert(tr),
 	}, nil
 }
-
-func (s *ctxTestbedSession) middlebox() *testbed.Middlebox {
-	return testbed.NewMiddlebox(testbed.MiddleboxConfig{
-		Delay: s.cfg.delay,
-		SNIs:  testbed.SNIsForApps(s.cfg.app),
-		Rate:  s.cfg.rate,
-		Burst: int(s.cfg.rate / 8 * (2 * s.cfg.delay).Seconds()),
-	})
-}
-
-func (s *ctxTestbedSession) nextConn() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.connID++
-	return s.connID
-}
-
-func (s *ctxTestbedSession) pick(original bool) *trace.Trace {
-	if original {
-		return s.orig
-	}
-	return s.inv
-}
-
-// SingleReplay implements wehey.ReplaySession on p0.
-func (s *ctxTestbedSession) SingleReplay(original bool) (wehey.PathReplay, error) {
-	mb := s.middlebox()
-	defer mb.Close()
-	res, err := testbed.RunReliableReplay(s.ctx, mb, "p0",
-		s.pick(original), s.cfg.dur, s.nextConn())
-	if err != nil {
-		return wehey.PathReplay{}, err
-	}
-	m := res.Measurements
-	return wehey.PathReplay{Throughput: res.Throughput, Measurements: &m}, nil
-}
-
-// SimultaneousReplay implements wehey.ReplaySession on p1, p2: both
-// replays run concurrently through one shared middlebox (the per-client
-// bottleneck).
-func (s *ctxTestbedSession) SimultaneousReplay(original bool) ([2]wehey.PathReplay, error) {
-	mb := s.middlebox()
-	defer mb.Close()
-	tr := s.pick(original)
-
-	var wg sync.WaitGroup
-	var out [2]wehey.PathReplay
-	errs := [2]error{}
-	for i := 0; i < 2; i++ {
-		i := i
-		name := fmt.Sprintf("p%d", i+1)
-		id := s.nextConn()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := testbed.RunReliableReplay(s.ctx, mb, name, tr, s.cfg.dur, id)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			m := res.Measurements
-			out[i] = wehey.PathReplay{Throughput: res.Throughput, Measurements: &m}
-			if original {
-				s.mu.Lock()
-				s.origSim[i] = &m
-				s.mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-var _ wehey.ReplaySession = (*ctxTestbedSession)(nil)

@@ -103,3 +103,35 @@ func TestTestbedPairExclusivityUnderRace(t *testing.T) {
 		t.Errorf("max concurrent pairs = %d; expected cross-pair parallelism", guard.maxActive)
 	}
 }
+
+// TestTestbedCancelStopsTheReplay cancels a testbed job mid-replay. Every
+// replay runs under the attempt's context, so the job reaches canceled
+// well inside one 5 s replay instead of waiting the session out.
+func TestTestbedCancelStopsTheReplay(t *testing.T) {
+	const replay = 5 * time.Second
+	s, err := NewScheduler(Options{
+		Workers:  1,
+		Retry:    RetryPolicy{MaxAttempts: 1},
+		Backends: map[string]Backend{BackendTestbed: &TestbedBackend{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	s.Start()
+
+	job, err := s.Submit(Spec{Backend: BackendTestbed, Seed: 1, Testbed: &TestbedJob{Duration: replay}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, job.ID, StateRunning)
+	time.Sleep(100 * time.Millisecond) // into the first replay
+	start := time.Now()
+	if _, err := s.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, job.ID, StateCanceled)
+	if took := time.Since(start); took > replay/5 {
+		t.Errorf("canceled after %v; a %v replay was waited out", took, replay)
+	}
+}

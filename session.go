@@ -1,6 +1,7 @@
 package wehey
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -17,8 +18,13 @@ import (
 type SimSession struct {
 	Profile  isp.Profile
 	Duration time.Duration
-	rng      *rand.Rand
-	trig     *isp.Trigger
+	// ExtraReplays adds concurrent replays to the simultaneous phase
+	// beyond p1 and p2; they compete for the bottleneck but are not
+	// returned. Table 1's sanity check sets it to 1: a third replay steals
+	// share, so the throughput comparison must then not localize.
+	ExtraReplays int
+	rng          *rand.Rand
+	trig         *isp.Trigger
 }
 
 // NewSimSession creates a session against the given profile. The
@@ -45,7 +51,7 @@ func (s *SimSession) SingleReplay(original bool) (PathReplay, error) {
 
 // SimultaneousReplay implements ReplaySession.
 func (s *SimSession) SimultaneousReplay(original bool) ([2]PathReplay, error) {
-	out := s.Profile.Replays(s.rng.Int63(), s.Duration, s.trig, 2, original)
+	out := s.Profile.Replays(s.rng.Int63(), s.Duration, s.trig, 2+s.ExtraReplays, original)
 	var pr [2]PathReplay
 	for i := 0; i < 2; i++ {
 		m := out[i].Measurements
@@ -118,7 +124,7 @@ func NewCollectiveSimSession(rng *rand.Rand, cfg CollectiveConfig) *CollectiveSi
 }
 
 // run executes n replays through the collective bottleneck.
-func (s *CollectiveSimSession) run(n int, original bool) []PathReplay {
+func (s *CollectiveSimSession) run(n int, original bool) ([]PathReplay, error) {
 	c := s.cfg
 	var eng netsim.Engine
 	rtt := c.RTT1
@@ -130,9 +136,6 @@ func (s *CollectiveSimSession) run(n int, original bool) []PathReplay {
 	// through the limiter, tens of Mbit/s against ~10 Mbit/s of replays);
 	// the limiter's rate is then set so offered/rate = InputFactor.
 	bgDiff := c.BgDiffRate
-	if bgDiff <= 0 {
-		bgDiff = 20e6
-	}
 	replayRate := c.ReplayRate
 	if c.App != "" {
 		if p, err := trace.ProfileByName(c.App); err == nil && p.FrameInterval > 0 {
@@ -168,7 +171,7 @@ func (s *CollectiveSimSession) run(n int, original bool) []PathReplay {
 		for i := range flows {
 			tr, err := trace.Generate(c.App, rand.New(rand.NewSource(s.rng.Int63())), 12*time.Second)
 			if err != nil {
-				panic(err) // unknown app: constructor-validated below
+				return nil, fmt.Errorf("wehey: collective session: %w", err)
 			}
 			tr = trace.PoissonRetime(rand.New(rand.NewSource(s.rng.Int63())), trace.ExtendTo(tr, c.Duration))
 			f := netsim.NewUDPFlow(&eng, i+1, class, sc.Entry(i))
@@ -185,7 +188,7 @@ func (s *CollectiveSimSession) run(n int, original bool) []PathReplay {
 				Measurements: &m,
 			}
 		}
-		return out
+		return out, nil
 	}
 
 	flows := make([]*netsim.TCPFlow, n)
@@ -209,16 +212,23 @@ func (s *CollectiveSimSession) run(n int, original bool) []PathReplay {
 			Measurements: &m,
 		}
 	}
-	return out
+	return out, nil
 }
 
 // SingleReplay implements ReplaySession.
 func (s *CollectiveSimSession) SingleReplay(original bool) (PathReplay, error) {
-	return s.run(1, original)[0], nil
+	out, err := s.run(1, original)
+	if err != nil {
+		return PathReplay{}, err
+	}
+	return out[0], nil
 }
 
 // SimultaneousReplay implements ReplaySession.
 func (s *CollectiveSimSession) SimultaneousReplay(original bool) ([2]PathReplay, error) {
-	out := s.run(2, original)
+	out, err := s.run(2, original)
+	if err != nil {
+		return [2]PathReplay{}, err
+	}
 	return [2]PathReplay{out[0], out[1]}, nil
 }

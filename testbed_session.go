@@ -49,8 +49,11 @@ func (c *TestbedConfig) fill() {
 // TestbedSession runs localization replays over real sockets. Each replay
 // gets a fresh middlebox with identical configuration (sequential replays
 // in the real system traverse the same device; a fresh instance resets
-// bucket state exactly like an idle period would).
+// bucket state exactly like an idle period would). Every replay runs under
+// the session's context, so canceling it tears a replay down promptly
+// instead of waiting out its duration.
 type TestbedSession struct {
+	ctx    context.Context
 	cfg    TestbedConfig
 	orig   *trace.Trace
 	inv    *trace.Trace
@@ -58,14 +61,14 @@ type TestbedSession struct {
 	mu     sync.Mutex
 }
 
-// NewTestbedSession creates the session.
-func NewTestbedSession(cfg TestbedConfig) (*TestbedSession, error) {
+// NewTestbedSession creates a session whose replays run under ctx.
+func NewTestbedSession(ctx context.Context, cfg TestbedConfig) (*TestbedSession, error) {
 	cfg.fill()
 	tr, err := trace.Generate(cfg.App, rand.New(rand.NewSource(cfg.Seed)), cfg.Duration+time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("wehey: testbed session: %w", err)
 	}
-	return &TestbedSession{cfg: cfg, orig: tr, inv: trace.BitInvert(tr)}, nil
+	return &TestbedSession{ctx: ctx, cfg: cfg, orig: tr, inv: trace.BitInvert(tr)}, nil
 }
 
 func (s *TestbedSession) middlebox() *testbed.Middlebox {
@@ -95,7 +98,7 @@ func (s *TestbedSession) pick(original bool) *trace.Trace {
 func (s *TestbedSession) SingleReplay(original bool) (PathReplay, error) {
 	mb := s.middlebox()
 	defer mb.Close()
-	res, err := testbed.RunReliableReplay(context.Background(), mb, "p0",
+	res, err := testbed.RunReliableReplay(s.ctx, mb, "p0",
 		s.pick(original), s.cfg.Duration, s.nextConn())
 	if err != nil {
 		return PathReplay{}, err
@@ -121,7 +124,7 @@ func (s *TestbedSession) SimultaneousReplay(original bool) ([2]PathReplay, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := testbed.RunReliableReplay(context.Background(), mb, name, tr, s.cfg.Duration, id)
+			res, err := testbed.RunReliableReplay(s.ctx, mb, name, tr, s.cfg.Duration, id)
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,6 +1,7 @@
 package wehey
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ func TestLocalizeOverTestbed(t *testing.T) {
 	l := testLocalizer(rng)
 	tdiff := l.TDiff("", "netflix", "carrier-1")
 
-	session, err := NewTestbedSession(TestbedConfig{
+	session, err := NewTestbedSession(context.Background(), TestbedConfig{
 		Rate:     3e6,
 		Duration: 4 * time.Second,
 		Seed:     21,
@@ -47,10 +48,10 @@ func TestLocalizeOverTestbed(t *testing.T) {
 }
 
 func TestNewTestbedSessionValidation(t *testing.T) {
-	if _, err := NewTestbedSession(TestbedConfig{App: "myspace"}); err == nil {
+	if _, err := NewTestbedSession(context.Background(), TestbedConfig{App: "myspace"}); err == nil {
 		t.Error("unknown app accepted")
 	}
-	s, err := NewTestbedSession(TestbedConfig{})
+	s, err := NewTestbedSession(context.Background(), TestbedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,10 @@ type Verdict struct {
 	// X and Y are the §4.1 throughput sample sets (single and aggregate
 	// simultaneous), kept for rendering and audit.
 	X, Y []float64
+	// LossRates are p1's and p2's loss rates during the original
+	// simultaneous replay (zero for a path without Measurements, and both
+	// zero when that replay did not run).
+	LossRates [2]float64
 }
 
 // String summarizes the verdict in one line.
@@ -181,6 +185,11 @@ func (l *Localizer) Localize(session ReplaySession, tdiff []float64) (Verdict, e
 	origSim, err := session.SimultaneousReplay(true)
 	if err != nil {
 		return v, fmt.Errorf("wehey: simultaneous original replay: %w", err)
+	}
+	for i, r := range origSim {
+		if r.Measurements != nil {
+			v.LossRates[i] = r.Measurements.LossRate()
+		}
 	}
 	invSim, err := session.SimultaneousReplay(false)
 	if err != nil {
