@@ -6,7 +6,7 @@
 //
 //	wehey-localize -isp ISP1                 # per-client throttling
 //	wehey-localize -isp ISP5                 # conditional throttling (usually fails)
-//	wehey-localize -collective               # collective throttling (loss-trend path)
+//	wehey-localize -collective               # collective throttling (loss-trend path, 45 s replays)
 //	wehey-localize -isp ISP3 -duration 30s -seed 7
 package main
 
@@ -28,7 +28,7 @@ func main() {
 		ispName    = flag.String("isp", "ISP1", "ISP profile (ISP1..ISP5)")
 		collective = flag.Bool("collective", false, "collective per-service throttling instead of per-client")
 		tb         = flag.Bool("testbed", false, "replay over real UDP sockets through a loopback middlebox")
-		duration   = flag.Duration("duration", 20*time.Second, "replay duration")
+		duration   = flag.Duration("duration", 0, "replay duration (0 = the scenario's default: 20s per-client, 45s collective, 5s testbed)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		verbose    = flag.Bool("v", false, "print algorithm details")
 	)
@@ -44,7 +44,7 @@ func main() {
 	var session wehey.ReplaySession
 	if *tb {
 		dur := *duration
-		if dur > 8*time.Second {
+		if dur <= 0 || dur > 8*time.Second {
 			dur = 5 * time.Second // real wall-clock time; keep it short
 		}
 		fmt.Printf("scenario: loopback testbed over real UDP sockets (%v replays)\n", dur)
@@ -55,17 +55,22 @@ func main() {
 		}
 		session = ts
 	} else if *collective {
-		fmt.Println("scenario: collective per-service throttling (shared bottleneck)")
-		session = wehey.NewCollectiveSimSession(rng, wehey.CollectiveConfig{Duration: *duration})
+		dur := *duration
+		if dur <= 0 {
+			dur = 45 * time.Second // the paper's minimum: the loss-trend detector needs it
+		}
+		fmt.Printf("scenario: collective per-service throttling (shared bottleneck, %v replays)\n", dur)
+		session = wehey.NewCollectiveSimSession(rng, wehey.CollectiveConfig{Duration: dur})
 	} else {
 		profile, ok := findProfile(*ispName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown ISP %q; have ISP1..ISP5\n", *ispName)
 			os.Exit(2)
 		}
-		fmt.Printf("scenario: %s (plan rate %.1f Mbit/s, RTT %v)\n",
-			profile.Name, profile.PlanRate/1e6, profile.RTT)
-		session = wehey.NewSimSession(rng, profile, *duration)
+		ss := wehey.NewSimSession(rng, profile, *duration)
+		fmt.Printf("scenario: %s (plan rate %.1f Mbit/s, RTT %v, %v replays)\n",
+			profile.Name, profile.PlanRate/1e6, profile.RTT, ss.Duration)
+		session = ss
 	}
 
 	verdict, err := localizer.Localize(session, tdiff)

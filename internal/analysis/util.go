@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -27,19 +26,6 @@ func calleeFuncOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // calleeFunc is the Pass-bound form of calleeFuncOf.
 func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 	return calleeFuncOf(p.Info, call)
-}
-
-// isPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (not a method, not a local shadow).
-func (p *Pass) isPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
-	fn := p.calleeFunc(call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // pkgFuncName returns "path.Name" for a call to a package-level function,
@@ -67,30 +53,4 @@ func (p *Pass) exprUsesObj(expr ast.Expr, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// incrementedIdents collects the objects of identifiers mutated by x++ or
-// x += ... statements inside node (a loop body).
-func (p *Pass) incrementedIdents(node ast.Node) map[types.Object]ast.Node {
-	out := make(map[types.Object]ast.Node)
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(s.X).(*ast.Ident); ok {
-				if obj := p.Info.Uses[id]; obj != nil {
-					out[obj] = s
-				}
-			}
-		case *ast.AssignStmt:
-			if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 {
-				if id, ok := ast.Unparen(s.Lhs[0]).(*ast.Ident); ok {
-					if obj := p.Info.Uses[id]; obj != nil {
-						out[obj] = s
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"errors"
 	"sort"
-	"time"
 
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
@@ -104,31 +102,11 @@ func appendSpec(b []byte, s *SimSpec) []byte {
 	b = measure.AppendInt64(b, int64(s.Placement))
 	b = measure.AppendFloat64(b, s.CongestionFactor)
 	b = measure.AppendInt64(b, int64(s.Duration))
-	b = appendBool(b, s.Unmodified)
-	b = appendBool(b, s.BBR)
+	b = measure.AppendBool(b, s.Unmodified)
+	b = measure.AppendBool(b, s.BBR)
 	b = measure.AppendString(b, s.BackgroundMode)
 	b = measure.AppendFloat64(b, s.BgFlowRate)
 	return measure.AppendInt64(b, s.Seed)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func decodeBool(b []byte) (bool, []byte, error) {
-	if len(b) < 1 {
-		return false, nil, measure.ErrTruncated
-	}
-	switch b[0] {
-	case 0:
-		return false, b[1:], nil
-	case 1:
-		return true, b[1:], nil
-	}
-	return false, nil, errors.New("experiments: invalid bool byte")
 }
 
 // encodeResult is the exact wire form of a SimResult, field by field in
@@ -149,10 +127,8 @@ func encodeResult(r SimResult) []byte {
 	for i := range r.Tput {
 		b = measure.AppendThroughputBinary(b, r.Tput[i])
 	}
-	if r.Drops == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
+	b = measure.AppendBool(b, r.Drops != nil)
+	if r.Drops != nil {
 		keys := make([]string, 0, len(r.Drops))
 		for k := range r.Drops {
 			keys = append(keys, k)
@@ -173,73 +149,36 @@ func encodeResult(r SimResult) []byte {
 // trailing garbage, invalid tags — is an error (the cache treats it as a
 // miss and recomputes); it can never yield a wrong result silently.
 func decodeResult(b []byte) (SimResult, error) {
-	var r SimResult
-	var err error
-	fail := func(err error) (SimResult, error) { return SimResult{}, err }
-	if r.M1, b, err = measure.DecodePathBinary(b); err != nil {
-		return fail(err)
+	r := measure.NewReader(b)
+	res := SimResult{
+		M1: r.Path(),
+		M2: r.Path(),
 	}
-	if r.M2, b, err = measure.DecodePathBinary(b); err != nil {
-		return fail(err)
+	for i := range res.RetransRate {
+		res.RetransRate[i] = r.Float64()
 	}
-	for i := range r.RetransRate {
-		if r.RetransRate[i], b, err = measure.DecodeFloat64(b); err != nil {
-			return fail(err)
+	for i := range res.QueueDelay {
+		res.QueueDelay[i] = r.Duration()
+	}
+	for i := range res.LossRate {
+		res.LossRate[i] = r.Float64()
+	}
+	for i := range res.Tput {
+		res.Tput[i] = r.Throughput()
+	}
+	if r.Bool() {
+		n := r.Count(16) // ≥16 bytes per entry: 8-byte key length + 8-byte value
+		res.Drops = make(map[string]int, n)
+		for range n {
+			k := r.Str()
+			res.Drops[k] = int(r.Int64())
 		}
 	}
-	for i := range r.QueueDelay {
-		var v int64
-		if v, b, err = measure.DecodeInt64(b); err != nil {
-			return fail(err)
-		}
-		r.QueueDelay[i] = time.Duration(v)
+	res.Events = r.Int64()
+	res.BgEvents = r.Int64()
+	res.BgFlows = r.Int64()
+	if err := r.Done(); err != nil {
+		return SimResult{}, err
 	}
-	for i := range r.LossRate {
-		if r.LossRate[i], b, err = measure.DecodeFloat64(b); err != nil {
-			return fail(err)
-		}
-	}
-	for i := range r.Tput {
-		if r.Tput[i], b, err = measure.DecodeThroughputBinary(b); err != nil {
-			return fail(err)
-		}
-	}
-	present, b, err := decodeBool(b)
-	if err != nil {
-		return fail(err)
-	}
-	if present {
-		var n uint64
-		if n, b, err = measure.DecodeUint64(b); err != nil {
-			return fail(err)
-		}
-		if n > uint64(len(b)/16) { // ≥16 bytes per entry: 8-byte key length + 8-byte value
-			return fail(measure.ErrTruncated)
-		}
-		r.Drops = make(map[string]int, n)
-		for i := uint64(0); i < n; i++ {
-			var k string
-			var v int64
-			if k, b, err = measure.DecodeString(b); err != nil {
-				return fail(err)
-			}
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return fail(err)
-			}
-			r.Drops[k] = int(v)
-		}
-	}
-	if r.Events, b, err = measure.DecodeInt64(b); err != nil {
-		return fail(err)
-	}
-	if r.BgEvents, b, err = measure.DecodeInt64(b); err != nil {
-		return fail(err)
-	}
-	if r.BgFlows, b, err = measure.DecodeInt64(b); err != nil {
-		return fail(err)
-	}
-	if len(b) != 0 {
-		return fail(errors.New("experiments: trailing bytes after SimResult"))
-	}
-	return r, nil
+	return res, nil
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,12 +157,82 @@ func escapeResult(rng *rand.Rand) SimResult {
 	return r
 }
 
-// TestSimResultCodecTruncation: every strict prefix of a valid encoding,
-// cuts inside an escaped timestamp included, is an error — never a panic,
-// never a result.
+// goldenResult is a small SimResult with every shape the entry layout
+// distinguishes: nil and empty slices, an escaped timestamp, a Drops map.
+func goldenResult() SimResult {
+	return SimResult{
+		M1:          measure.Path{RTT: 35 * time.Millisecond, Duration: 2 * time.Second, Tx: []time.Duration{1000, 2500, 1500}},
+		M2:          measure.Path{RTT: 40 * time.Millisecond, Duration: 2 * time.Second, Tx: []time.Duration{}, Loss: []time.Duration{2500}},
+		RetransRate: [2]float64{0.25, 0},
+		QueueDelay:  [2]time.Duration{3 * time.Millisecond, 0},
+		LossRate:    [2]float64{0.5, 0.125},
+		Tput: [2]measure.Throughput{
+			{Interval: 20 * time.Millisecond, Samples: []float64{}},
+			{Interval: 20 * time.Millisecond, Samples: []float64{1.5e6}},
+		},
+		Drops:    map[string]int{"tbf_c": 3, "link_1": 1},
+		Events:   1234,
+		BgEvents: 56,
+		BgFlows:  7,
+	}
+}
+
+// goldenResultEntry is goldenResult's cache value, field by field. It
+// pins the layout: a change here changes the meaning of every entry on
+// disk and needs a simCacheSchema bump with it.
+var goldenResultEntry = hexBytes(
+	"c00e160200000000",             // M1.RTT 35ms
+	"0094357700000000",             // M1.Duration 2s
+	"010300000000000000",           // M1.Tx present, 3 elements
+	"e8030000",                     // 1000: +1000
+	"dc050000",                     // 2500: +1500
+	"ffffffffdc05000000000000",     // 1500: below its predecessor, escaped
+	"00",                           // M1.Loss nil
+	"005a620200000000",             // M2.RTT 40ms
+	"0094357700000000",             // M2.Duration 2s
+	"010000000000000000",           // M2.Tx present, empty
+	"010100000000000000",           // M2.Loss present, 1 element
+	"c4090000",                     // 2500: +2500
+	"000000000000d03f",             // RetransRate[0] 0.25
+	"0000000000000000",             // RetransRate[1] 0
+	"c0c62d0000000000",             // QueueDelay[0] 3ms
+	"0000000000000000",             // QueueDelay[1] 0
+	"000000000000e03f",             // LossRate[0] 0.5
+	"000000000000c03f",             // LossRate[1] 0.125
+	"002d310100000000",             // Tput[0].Interval 20ms
+	"010000000000000000",           // Tput[0].Samples present, empty
+	"002d310100000000",             // Tput[1].Interval 20ms
+	"010100000000000000",           // Tput[1].Samples present, 1 element
+	"0000000060e33641",             // 1.5e6
+	"010200000000000000",           // Drops present, 2 entries in key order
+	"06000000000000006c696e6b5f31", // "link_1"
+	"0100000000000000",             // 1
+	"05000000000000007462665f63",   // "tbf_c"
+	"0300000000000000",             // 3
+	"d204000000000000",             // Events 1234
+	"3800000000000000",             // BgEvents 56
+	"0700000000000000",             // BgFlows 7
+)
+
+// hexBytes decodes the concatenation of hex strings.
+func hexBytes(parts ...string) []byte {
+	b, err := hex.AppendDecode(nil, []byte(strings.Join(parts, "")))
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestSimResultCodecTruncation: the golden result encodes to the golden
+// entry, and for it and two random results (one with escaped timestamps)
+// the entry decodes back to the value, every strict prefix is an error —
+// never a panic, never a result — and so is one trailing byte.
 func TestSimResultCodecTruncation(t *testing.T) {
+	if got := encodeResult(goldenResult()); !bytes.Equal(got, goldenResultEntry) {
+		t.Fatalf("golden result encodes as\n% x\nwant\n% x", got, goldenResultEntry)
+	}
 	rng := rand.New(rand.NewSource(12))
-	for _, r := range []SimResult{randomResult(rng), escapeResult(rng)} {
+	for _, r := range []SimResult{goldenResult(), randomResult(rng), escapeResult(rng)} {
 		full := encodeResult(r)
 		if got, err := decodeResult(full); err != nil || !reflect.DeepEqual(got, r) {
 			t.Fatalf("round trip: %v", err)
@@ -174,6 +246,33 @@ func TestSimResultCodecTruncation(t *testing.T) {
 			t.Error("trailing byte accepted")
 		}
 	}
+}
+
+// FuzzSimResultCodec: arbitrary bytes never panic the decoder, and an
+// accepted entry is canonical after one round: e := encode(decode(x))
+// decodes and re-encodes to e again. (x itself may differ from e — a
+// Drops map listed out of key order, say — and DeepEqual cannot compare
+// NaN payloads, hence bytes.)
+func FuzzSimResultCodec(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	f.Add([]byte{})
+	f.Add(goldenResultEntry)
+	f.Add(encodeResult(randomResult(rng)))
+	f.Add(encodeResult(escapeResult(rng)))
+	f.Fuzz(func(t *testing.T, x []byte) {
+		r, err := decodeResult(x)
+		if err != nil {
+			return
+		}
+		e := encodeResult(r)
+		again, err := decodeResult(e)
+		if err != nil {
+			t.Fatalf("re-encoded entry rejected: %v", err)
+		}
+		if got := encodeResult(again); !bytes.Equal(got, e) {
+			t.Fatalf("re-encoding is not stable:\n% x\n% x", e, got)
+		}
+	})
 }
 
 // shortSpec is a fast (2 s) but real simulation for cache-behaviour tests.

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/core"
-	"github.com/nal-epfl/wehey/internal/measure"
-	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
 // This file is the experiments half of the fleet-inference subsystem
@@ -60,13 +58,6 @@ func (c Config) Verdict(spec SimSpec) (SimVerdict, error) {
 		LossRate:       res.LossRate,
 	}, nil
 }
-
-// fleetCacheSchema stamps FleetCampaignSpec cache keys. Bump it whenever a
-// FleetCampaignSpec field changes meaning, the session-plan derivation
-// changes (assignment, seeding, placement mapping), or the underlying
-// per-session verdict changes behaviour at a fixed spec.
-// TestFleetCampaignSchemaGuards pins the struct shape this stamp covers.
-const fleetCacheSchema = "wehey/fleetcache/v1"
 
 // FleetCampaignSpec describes one planted-ground-truth campaign over the
 // synthetic Internet: which ISPs throttle, which are deliberately starved
@@ -136,7 +127,8 @@ func (s FleetCampaignSpec) Filled() FleetCampaignSpec {
 }
 
 // canonIndices sorts and deduplicates, mapping empty to nil so a spec
-// relying on defaults and one spelling out an empty list share a key.
+// relying on defaults and one spelling out an empty list fill to equal
+// values.
 func canonIndices(in []int) []int {
 	if len(in) == 0 {
 		return nil
@@ -268,53 +260,4 @@ func (c Config) EvalCampaign(spec FleetCampaignSpec) []SessionOutcome {
 		}
 	}
 	return out
-}
-
-// FleetCache memoizes EvalCampaign results keyed on the canonical
-// campaign spec, so repeated scoring of one campaign (watch, then score;
-// or CI re-asserts) evaluates it once. Outcome slices handed out are
-// shared: callers must not mutate them.
-type FleetCache struct {
-	cfg   Config
-	inner *simcache.Cache[[]SessionOutcome]
-}
-
-// NewFleetCache returns an in-process campaign cache evaluating through
-// cfg (so a Config.Cache sim cache dedups the underlying simulations too).
-func NewFleetCache(cfg Config) *FleetCache {
-	return &FleetCache{cfg: cfg, inner: simcache.New[[]SessionOutcome]()}
-}
-
-// Eval returns EvalCampaign(spec), computing it at most once per key.
-func (fc *FleetCache) Eval(spec FleetCampaignSpec) []SessionOutcome {
-	spec.fill() // canonicalize before keying: defaulted == spelled out
-	key := simcache.KeyOf(fleetCacheSchema, appendFleetSpec(nil, &spec))
-	return fc.inner.Get(key, func() []SessionOutcome { return fc.cfg.EvalCampaign(spec) })
-}
-
-// Stats snapshots the campaign-cache counters.
-func (fc *FleetCache) Stats() simcache.Stats { return fc.inner.Stats() }
-
-// appendFleetSpec appends the canonical binary encoding of s — every
-// field, in declaration order. TestFleetCampaignSchemaGuards fails if
-// FleetCampaignSpec grows a field without this encoder (and
-// fleetCacheSchema) being updated.
-func appendFleetSpec(b []byte, s *FleetCampaignSpec) []byte {
-	b = measure.AppendInt64(b, int64(s.ISPs))
-	b = measure.AppendInt64(b, int64(s.Servers))
-	b = appendIntSlice(b, s.ThrottledISPs)
-	b = appendIntSlice(b, s.StarvedISPs)
-	b = measure.AppendInt64(b, int64(s.Sessions))
-	b = measure.AppendString(b, s.App)
-	b = measure.AppendInt64(b, int64(s.Duration))
-	b = measure.AppendInt64(b, int64(s.SeedPool))
-	return measure.AppendInt64(b, s.Seed)
-}
-
-func appendIntSlice(b []byte, vs []int) []byte {
-	b = measure.AppendUint64(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = measure.AppendInt64(b, int64(v))
-	}
-	return b
 }

@@ -1,55 +1,26 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// TestFleetCampaignSchemaGuards pins the shape fleetCacheSchema covers: if
-// FleetCampaignSpec grows, shrinks, or reorders fields, this fails until
-// appendFleetSpec is extended AND fleetCacheSchema is bumped.
-func TestFleetCampaignSchemaGuards(t *testing.T) {
-	if n := reflect.TypeOf(FleetCampaignSpec{}).NumField(); n != 9 {
-		t.Errorf("FleetCampaignSpec has %d fields, appendFleetSpec encodes 9: extend appendFleetSpec and bump fleetCacheSchema", n)
-	}
-	if fleetCacheSchema != "wehey/fleetcache/v1" {
-		t.Log("fleetCacheSchema bumped; confirm the field count in this test was revisited")
-	}
-}
-
-func TestAppendFleetSpecCanonicalizesDefaults(t *testing.T) {
-	// A spec leaning on fill() defaults and one spelling them out must
-	// share a cache key; index lists canonicalize (order, duplicates).
-	sparse := FleetCampaignSpec{ThrottledISPs: []int{5, 2, 5}, Seed: 7}
-	sparse.fill()
+// TestFleetCampaignSpecFilledCanonicalizes: a spec leaning on defaults
+// and one spelling them out fill to the same value, index lists sorted and
+// deduplicated and an empty list nil — fleet.NewCampaign stores the filled
+// spec, so equal campaigns compare equal.
+func TestFleetCampaignSpecFilledCanonicalizes(t *testing.T) {
+	sparse := FleetCampaignSpec{ThrottledISPs: []int{5, 2, 5}, StarvedISPs: []int{}, Seed: 7}
 	explicit := FleetCampaignSpec{
 		ISPs: 12, Servers: 8, ThrottledISPs: []int{2, 5}, Sessions: 2048,
 		App: TCPBulkApp, Duration: 45 * time.Second, SeedPool: 32, Seed: 7,
 	}
-	explicit.fill()
-	if !bytes.Equal(appendFleetSpec(nil, &sparse), appendFleetSpec(nil, &explicit)) {
-		t.Error("filled defaulted spec and explicit-default spec encode differently")
+	if got := sparse.Filled(); !reflect.DeepEqual(got, explicit) {
+		t.Errorf("filled sparse spec = %+v, want %+v", got, explicit)
 	}
-	// ...while every real parameter change must change the encoding.
-	base := appendFleetSpec(nil, &explicit)
-	for name, mut := range map[string]func(*FleetCampaignSpec){
-		"ISPs":          func(s *FleetCampaignSpec) { s.ISPs = 24 },
-		"Servers":       func(s *FleetCampaignSpec) { s.Servers = 4 },
-		"ThrottledISPs": func(s *FleetCampaignSpec) { s.ThrottledISPs = []int{2, 6} },
-		"StarvedISPs":   func(s *FleetCampaignSpec) { s.StarvedISPs = []int{11} },
-		"Sessions":      func(s *FleetCampaignSpec) { s.Sessions = 4096 },
-		"App":           func(s *FleetCampaignSpec) { s.App = "zoom" },
-		"Duration":      func(s *FleetCampaignSpec) { s.Duration = 60 * time.Second },
-		"SeedPool":      func(s *FleetCampaignSpec) { s.SeedPool = 16 },
-		"Seed":          func(s *FleetCampaignSpec) { s.Seed = 8 },
-	} {
-		mod := explicit
-		mut(&mod)
-		if bytes.Equal(base, appendFleetSpec(nil, &mod)) {
-			t.Errorf("changing %s did not change the spec encoding", name)
-		}
+	if got := explicit.Filled(); !reflect.DeepEqual(got, explicit) {
+		t.Errorf("filling an explicit spec changed it: %+v", got)
 	}
 }
 
@@ -137,24 +108,5 @@ func TestEvalCampaignWorkerInvariance(t *testing.T) {
 	}
 	if len(serial) != 40 {
 		t.Fatalf("got %d outcomes; want 40", len(serial))
-	}
-}
-
-// TestFleetCacheSingleEval: the campaign cache computes once per
-// canonical spec, and a defaulted spelling hits the same entry.
-func TestFleetCacheSingleEval(t *testing.T) {
-	fc := NewFleetCache(Config{Workers: 2, Cache: NewSimCache()})
-	spec := FleetCampaignSpec{
-		ISPs: 3, Servers: 2, Sessions: 6, Duration: 2 * time.Second,
-		SeedPool: 2, Seed: 5,
-	}
-	a := fc.Eval(spec)
-	b := fc.Eval(spec.Filled())
-	if !reflect.DeepEqual(a, b) {
-		t.Error("cached campaign outcomes differ between spellings")
-	}
-	st := fc.Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats = %+v; want exactly 1 miss, 1 hit", st)
 	}
 }

@@ -18,13 +18,15 @@ package measure
 // is below its predecessor or 2³²−1 ns or more ahead of it travels as the
 // escape word 0xFFFFFFFF followed by its full 8 bytes. Every int64 still
 // round-trips exactly; a packet trace just costs 4 bytes per timestamp
-// instead of 8, and a decoder may have to read 12. Decoders consume from
-// the front of the buffer and return the rest, so encoders compose by
-// concatenation.
+// instead of 8, and a decoder may have to read 12. Encoders compose by
+// concatenation, and one Reader reads the concatenation back: it is the
+// single place where a truncated, malformed or over-long value is
+// rejected.
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -56,7 +58,7 @@ const deltaEscape = math.MaxUint32
 // AppendDurations appends ds with the presence+length prefix, delta-coded
 // (see the layout conventions above).
 func AppendDurations(b []byte, ds []time.Duration) []byte {
-	b = appendSliceHeader(b, ds == nil, len(ds))
+	b = appendSliceHeader(b, ds != nil, len(ds))
 	b = slices.Grow(b, 4*len(ds))
 	var prev time.Duration
 	for _, d := range ds {
@@ -75,7 +77,7 @@ func AppendDurations(b []byte, ds []time.Duration) []byte {
 
 // AppendFloat64s appends xs with the presence+length prefix.
 func AppendFloat64s(b []byte, xs []float64) []byte {
-	b = appendSliceHeader(b, xs == nil, len(xs))
+	b = appendSliceHeader(b, xs != nil, len(xs))
 	b = slices.Grow(b, 8*len(xs))
 	for _, v := range xs {
 		b = AppendFloat64(b, v)
@@ -89,111 +91,20 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendSliceHeader(b []byte, isNil bool, n int) []byte {
-	if isNil {
-		return append(b, 0)
+// AppendBool appends v as one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
 	}
-	b = append(b, 1)
+	return append(b, 0)
+}
+
+func appendSliceHeader(b []byte, present bool, n int) []byte {
+	b = AppendBool(b, present)
+	if !present {
+		return b
+	}
 	return AppendUint64(b, uint64(n))
-}
-
-// DecodeUint64 consumes a uint64 from the front of b.
-func DecodeUint64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, ErrTruncated
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-// DecodeInt64 consumes an int64.
-func DecodeInt64(b []byte) (int64, []byte, error) {
-	v, rest, err := DecodeUint64(b)
-	return int64(v), rest, err
-}
-
-// DecodeFloat64 consumes a float64 bit pattern.
-func DecodeFloat64(b []byte) (float64, []byte, error) {
-	v, rest, err := DecodeUint64(b)
-	return math.Float64frombits(v), rest, err
-}
-
-// decodeSliceHeader consumes the presence byte and length. elemSize, the
-// fewest bytes an element can occupy, bounds the length claim against the
-// remaining bytes so a corrupt length can't trigger a huge allocation: on
-// success len(rest) >= n*elemSize.
-func decodeSliceHeader(b []byte, elemSize int) (n int, present bool, rest []byte, err error) {
-	if len(b) < 1 {
-		return 0, false, nil, ErrTruncated
-	}
-	switch b[0] {
-	case 0:
-		return 0, false, b[1:], nil
-	case 1:
-	default:
-		return 0, false, nil, errors.New("measure: invalid slice presence byte")
-	}
-	v, rest, err := DecodeUint64(b[1:])
-	if err != nil {
-		return 0, false, nil, err
-	}
-	if v > uint64(len(rest)/elemSize) {
-		return 0, false, nil, ErrTruncated
-	}
-	return int(v), true, rest, nil
-}
-
-// DecodeDurations consumes a delta-coded duration slice.
-func DecodeDurations(b []byte) ([]time.Duration, []byte, error) {
-	n, present, rest, err := decodeSliceHeader(b, 4)
-	if err != nil || !present {
-		return nil, rest, err
-	}
-	out := make([]time.Duration, n)
-	var prev int64
-	for i := range out {
-		if len(rest) < 4 { // the header bound covers 4 bytes each, escapes take 12
-			return nil, nil, ErrTruncated
-		}
-		w := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if w != deltaEscape {
-			prev += int64(w)
-		} else {
-			if len(rest) < 8 {
-				return nil, nil, ErrTruncated
-			}
-			prev = int64(binary.LittleEndian.Uint64(rest))
-			rest = rest[8:]
-		}
-		out[i] = time.Duration(prev)
-	}
-	return out, rest, nil
-}
-
-// DecodeFloat64s consumes a float64 slice.
-func DecodeFloat64s(b []byte) ([]float64, []byte, error) {
-	n, present, rest, err := decodeSliceHeader(b, 8)
-	if err != nil || !present {
-		return nil, rest, err
-	}
-	out := make([]float64, n)
-	src := rest[:8*n]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return out, rest[8*n:], nil
-}
-
-// DecodeString consumes a length-prefixed string.
-func DecodeString(b []byte) (string, []byte, error) {
-	n, rest, err := DecodeUint64(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, ErrTruncated
-	}
-	return string(rest[:n]), rest[n:], nil
 }
 
 // AppendPathBinary appends the exact encoding of p.
@@ -206,23 +117,9 @@ func AppendPathBinary(b []byte, p *Path) []byte {
 
 // DecodePathBinary consumes a Path written by AppendPathBinary.
 func DecodePathBinary(b []byte) (Path, []byte, error) {
-	var p Path
-	var rtt, dur int64
-	var err error
-	if rtt, b, err = DecodeInt64(b); err != nil {
-		return p, nil, err
-	}
-	if dur, b, err = DecodeInt64(b); err != nil {
-		return p, nil, err
-	}
-	p.RTT, p.Duration = time.Duration(rtt), time.Duration(dur)
-	if p.Tx, b, err = DecodeDurations(b); err != nil {
-		return p, nil, err
-	}
-	if p.Loss, b, err = DecodeDurations(b); err != nil {
-		return p, nil, err
-	}
-	return p, b, nil
+	r := NewReader(b)
+	p := r.Path()
+	return p, r.b, r.err
 }
 
 // AppendThroughputBinary appends the exact encoding of t.
@@ -231,17 +128,173 @@ func AppendThroughputBinary(b []byte, t Throughput) []byte {
 	return AppendFloat64s(b, t.Samples)
 }
 
-// DecodeThroughputBinary consumes a Throughput written by
-// AppendThroughputBinary.
-func DecodeThroughputBinary(b []byte) (Throughput, []byte, error) {
-	var t Throughput
-	iv, b, err := DecodeInt64(b)
-	if err != nil {
-		return t, nil, err
+// Reader decodes a value written by the Append functions, reading from
+// the front of its buffer. Its first error sticks: every later read
+// returns a zero value and consumes nothing, so a decoder reads field
+// after field without checking and asks Done once at the end. Go
+// evaluates the calls in a composite literal left to right, so a struct
+// reads one field per line in the order its encoder wrote them.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader returns a Reader over b. Values it returns never alias b.
+func NewReader(b []byte) *Reader {
+	return &Reader{b: b}
+}
+
+// Done returns the first error, or an error if bytes remain unread: a
+// cache entry is accepted only when it is exactly one value.
+func (r *Reader) Done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("measure: %d trailing bytes after value", len(r.b))
 	}
-	t.Interval = time.Duration(iv)
-	if t.Samples, b, err = DecodeFloat64s(b); err != nil {
-		return t, nil, err
+	return r.err
+}
+
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	return t, b, nil
+	r.b = nil
+}
+
+// take consumes n bytes, or fails with ErrTruncated and returns nil.
+func (r *Reader) take(n int) []byte {
+	if len(r.b) < n {
+		r.fail(ErrTruncated)
+		return nil
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
+// Uint64 consumes a little-endian uint64.
+func (r *Reader) Uint64() uint64 {
+	s := r.take(8)
+	if s == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(s)
+}
+
+// Int64 consumes an int64.
+func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
+
+// Float64 consumes a float64 bit pattern.
+func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
+
+// Duration consumes a time.Duration written by AppendInt64.
+func (r *Reader) Duration() time.Duration { return time.Duration(r.Uint64()) }
+
+// Bool consumes a byte written by AppendBool; any other byte is an error.
+func (r *Reader) Bool() bool {
+	s := r.take(1)
+	if s == nil {
+		return false
+	}
+	switch s[0] {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.fail(errors.New("measure: invalid bool byte"))
+	return false
+}
+
+// Str consumes a length-prefixed string. (Not String: a Reader is not a
+// fmt.Stringer.)
+func (r *Reader) Str() string {
+	return string(r.take(r.Count(1)))
+}
+
+// Count consumes a uint64 element count and bounds it against the
+// remaining bytes, minSize being the fewest an element can occupy, so a
+// corrupt count can't trigger a huge allocation: on success at least
+// count*minSize bytes remain.
+func (r *Reader) Count(minSize int) int {
+	n := r.Uint64()
+	if n > uint64(len(r.b)/minSize) {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return int(n)
+}
+
+// sliceLen consumes a slice's presence byte and, when present, its count.
+func (r *Reader) sliceLen(minSize int) (int, bool) {
+	if !r.Bool() {
+		return 0, false
+	}
+	n := r.Count(minSize)
+	return n, r.err == nil
+}
+
+// Durations consumes a delta-coded duration slice. The loop walks a local
+// copy of the buffer rather than calling take per element, which made
+// BenchmarkPathBinary's decode about 1.5× slower.
+func (r *Reader) Durations() []time.Duration {
+	n, ok := r.sliceLen(4)
+	if !ok {
+		return nil
+	}
+	out := make([]time.Duration, n)
+	b := r.b
+	var prev int64
+	for i := range out {
+		if len(b) < 4 { // the count bound covers 4 bytes each, escapes take 12
+			r.fail(ErrTruncated)
+			return nil
+		}
+		w := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		if w != deltaEscape {
+			prev += int64(w)
+		} else {
+			if len(b) < 8 {
+				r.fail(ErrTruncated)
+				return nil
+			}
+			prev = int64(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+		}
+		out[i] = time.Duration(prev)
+	}
+	r.b = b
+	return out
+}
+
+// Float64s consumes a float64 slice.
+func (r *Reader) Float64s() []float64 {
+	n, ok := r.sliceLen(8)
+	if !ok {
+		return nil
+	}
+	out := make([]float64, n)
+	src := r.take(8 * n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return out
+}
+
+// Path consumes a Path written by AppendPathBinary.
+func (r *Reader) Path() Path {
+	return Path{
+		RTT:      r.Duration(),
+		Duration: r.Duration(),
+		Tx:       r.Durations(),
+		Loss:     r.Durations(),
+	}
+}
+
+// Throughput consumes a Throughput written by AppendThroughputBinary.
+func (r *Reader) Throughput() Throughput {
+	return Throughput{
+		Interval: r.Duration(),
+		Samples:  r.Float64s(),
+	}
 }

@@ -9,34 +9,31 @@ import (
 	"time"
 )
 
-// The fixed-width duration-slice codec that delta coding replaced, kept
-// verbatim as the oracle of FuzzDurationsCodec and as the twin row of
+// The fixed-width duration-slice codec that delta coding replaced, its
+// layout kept as the oracle of FuzzDurationsCodec and as the twin row of
 // BenchmarkPathBinary (hence the exported names: the benchmark lives in
 // package measure_test). Nothing outside the tests reads or writes this
 // layout.
 
 func AppendDurationsFixed(b []byte, ds []time.Duration) []byte {
-	b = appendSliceHeader(b, ds == nil, len(ds))
+	b = appendSliceHeader(b, ds != nil, len(ds))
 	for _, d := range ds {
 		b = AppendInt64(b, int64(d))
 	}
 	return b
 }
 
-func DecodeDurationsFixed(b []byte) ([]time.Duration, []byte, error) {
-	n, present, rest, err := decodeSliceHeader(b, 8)
-	if err != nil || !present {
-		return nil, rest, err
+func (r *Reader) durationsFixed() []time.Duration {
+	n, ok := r.sliceLen(8)
+	if !ok {
+		return nil
 	}
 	out := make([]time.Duration, n)
+	src := r.take(8 * n)
 	for i := range out {
-		var v int64
-		if v, rest, err = DecodeInt64(rest); err != nil {
-			return nil, nil, err
-		}
-		out[i] = time.Duration(v)
+		out[i] = time.Duration(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, rest, nil
+	return out
 }
 
 // AppendPathFixed is AppendPathBinary over the fixed-width slices.
@@ -49,23 +46,14 @@ func AppendPathFixed(b []byte, p *Path) []byte {
 
 // DecodePathFixed is DecodePathBinary over the fixed-width slices.
 func DecodePathFixed(b []byte) (Path, []byte, error) {
-	var p Path
-	var rtt, dur int64
-	var err error
-	if rtt, b, err = DecodeInt64(b); err != nil {
-		return p, nil, err
+	r := NewReader(b)
+	p := Path{
+		RTT:      r.Duration(),
+		Duration: r.Duration(),
+		Tx:       r.durationsFixed(),
+		Loss:     r.durationsFixed(),
 	}
-	if dur, b, err = DecodeInt64(b); err != nil {
-		return p, nil, err
-	}
-	p.RTT, p.Duration = time.Duration(rtt), time.Duration(dur)
-	if p.Tx, b, err = DecodeDurationsFixed(b); err != nil {
-		return p, nil, err
-	}
-	if p.Loss, b, err = DecodeDurationsFixed(b); err != nil {
-		return p, nil, err
-	}
-	return p, b, nil
+	return p, r.b, r.err
 }
 
 // escapePath is a small trace with every kind of element the delta layout
@@ -109,9 +97,9 @@ func TestDurationsDeltaLayout(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: encoded % x, want % x", tc.name, got, tc.want)
 		}
-		back, rest, err := DecodeDurations(got)
-		if err != nil || len(rest) != 0 || !reflect.DeepEqual(back, tc.ds) {
-			t.Errorf("%s: decoded %v (rest %d, err %v), want %v", tc.name, back, len(rest), err, tc.ds)
+		r := NewReader(got)
+		if back, err := r.Durations(), r.Done(); err != nil || !reflect.DeepEqual(back, tc.ds) {
+			t.Errorf("%s: decoded %v (err %v), want %v", tc.name, back, err, tc.ds)
 		}
 	}
 }
@@ -176,16 +164,17 @@ func FuzzDurationsCodec(f *testing.F) {
 		// back as what the fixed-width codec reads back.
 		ds := durationsFromFuzz(data)
 		enc := AppendDurations([]byte("prefix"), ds)[len("prefix"):]
-		got, rest, err := DecodeDurations(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("round trip of %v: rest %d, err %v", ds, len(rest), err)
+		r := NewReader(enc)
+		got := r.Durations()
+		if err := r.Done(); err != nil {
+			t.Fatalf("round trip of %v: %v", ds, err)
 		}
 		if !reflect.DeepEqual(got, ds) {
 			t.Fatalf("round trip changed the slice:\n got %v\nwant %v", got, ds)
 		}
-		want, rest, err := DecodeDurationsFixed(AppendDurationsFixed(nil, ds))
-		if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("delta and fixed-width codecs disagree:\ndelta %v\nfixed %v (rest %d, err %v)", got, want, len(rest), err)
+		r = NewReader(AppendDurationsFixed(nil, ds))
+		if want, err := r.durationsFixed(), r.Done(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("delta and fixed-width codecs disagree:\ndelta %v\nfixed %v (err %v)", got, want, err)
 		}
 		if ds != nil && (len(enc) < 9+4*len(ds) || len(enc) > 9+12*len(ds)) {
 			t.Fatalf("%d elements encoded in %d bytes", len(ds), len(enc))
@@ -218,8 +207,8 @@ func TestDecodeDurationsEscapeTruncation(t *testing.T) {
 	ds := []time.Duration{5, -1, 6, 7} // word, escape, word, word
 	full := AppendDurations(nil, ds)
 	for cut := 9; cut < len(full); cut++ {
-		if _, _, err := DecodeDurations(full[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Errorf("cut=%d of %d: err = %v, want ErrTruncated", cut, len(full), err)
+		if r := NewReader(full[:cut]); r.Durations() != nil || !errors.Is(r.Done(), ErrTruncated) {
+			t.Errorf("cut=%d of %d: not ErrTruncated", cut, len(full))
 		}
 	}
 	// Exactly 4 bytes per claimed element, the last word an escape: the
@@ -227,7 +216,7 @@ func TestDecodeDurationsEscapeTruncation(t *testing.T) {
 	b := AppendUint64([]byte{1}, 2)
 	b = binary.LittleEndian.AppendUint32(b, 1)
 	b = binary.LittleEndian.AppendUint32(b, math.MaxUint32)
-	if _, _, err := DecodeDurations(b); !errors.Is(err, ErrTruncated) {
-		t.Errorf("escape word at the end of the input: err = %v, want ErrTruncated", err)
+	if r := NewReader(b); r.Durations() != nil || !errors.Is(r.Done(), ErrTruncated) {
+		t.Error("escape word at the end of the input: not ErrTruncated")
 	}
 }

@@ -72,13 +72,10 @@ func TestThroughputBinaryRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
 		tp := randomThroughput(rng)
-		buf := AppendThroughputBinary(nil, tp)
-		got, rest, err := DecodeThroughputBinary(buf)
-		if err != nil {
+		r := NewReader(AppendThroughputBinary(nil, tp))
+		got := r.Throughput()
+		if err := r.Done(); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("trial %d: %d leftover bytes", trial, len(rest))
 		}
 		if !reflect.DeepEqual(got, tp) {
 			t.Fatalf("trial %d: round trip mismatch:\n got %#v\nwant %#v", trial, got, tp)
@@ -89,9 +86,9 @@ func TestThroughputBinaryRoundTripProperty(t *testing.T) {
 func TestFloat64BinaryExactBits(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1.0 / 3.0}
-	buf := AppendFloat64s(nil, specials)
-	got, _, err := DecodeFloat64s(buf)
-	if err != nil {
+	r := NewReader(AppendFloat64s(nil, specials))
+	got := r.Float64s()
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range specials {
@@ -100,9 +97,8 @@ func TestFloat64BinaryExactBits(t *testing.T) {
 		}
 	}
 	// NaN must round-trip by bit pattern (DeepEqual can't check it).
-	nan := AppendFloat64(nil, math.NaN())
-	v, _, err := DecodeFloat64(nan)
-	if err != nil || !math.IsNaN(v) {
+	r = NewReader(AppendFloat64(nil, math.NaN()))
+	if v, err := r.Float64(), r.Done(); err != nil || !math.IsNaN(v) {
 		t.Errorf("NaN did not round trip: %v %v", v, err)
 	}
 }
@@ -143,13 +139,14 @@ func TestBinaryDecodeTruncation(t *testing.T) {
 
 func TestStringBinaryRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "tcpbulk", "exotic \x00\xff bytes", "日本語"} {
-		buf := AppendString(nil, s)
-		got, rest, err := DecodeString(buf)
-		if err != nil || got != s || len(rest) != 0 {
-			t.Errorf("%q: got %q rest=%d err=%v", s, got, len(rest), err)
+		r := NewReader(AppendString(nil, s))
+		if got, err := r.Str(), r.Done(); err != nil || got != s {
+			t.Errorf("%q: got %q err=%v", s, got, err)
 		}
 	}
-	if _, _, err := DecodeString(AppendUint64(nil, 99)); err == nil {
+	r := NewReader(AppendUint64(nil, 99))
+	r.Str()
+	if r.Done() == nil {
 		t.Error("string length beyond buffer decoded without error")
 	}
 }

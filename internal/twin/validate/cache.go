@@ -1,9 +1,6 @@
 package validate
 
 import (
-	"errors"
-	"time"
-
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
@@ -123,28 +120,14 @@ func tbfCodec() simcache.Codec[TBFMeasurement] {
 			return b
 		},
 		Decode: func(b []byte) (TBFMeasurement, error) {
-			var m TBFMeasurement
-			var err error
-			var v int64
-			if m.LossRate, b, err = measure.DecodeFloat64(b); err != nil {
-				return m, err
+			r := measure.NewReader(b)
+			m := TBFMeasurement{
+				LossRate:       r.Float64(),
+				MeanQueueDelay: r.Duration(),
+				Drops:          r.Int64() != 0,
+				FirstDrop:      r.Duration(),
 			}
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return m, err
-			}
-			m.MeanQueueDelay = time.Duration(v)
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return m, err
-			}
-			m.Drops = v != 0
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return m, err
-			}
-			m.FirstDrop = time.Duration(v)
-			if len(b) != 0 {
-				return m, errors.New("twincache: trailing bytes in TBF entry")
-			}
-			return m, nil
+			return m, r.Done()
 		},
 	}
 }
@@ -188,30 +171,15 @@ func hybridCodec() simcache.Codec[HybridMeasurement] {
 			return b
 		},
 		Decode: func(b []byte) (HybridMeasurement, error) {
-			var m HybridMeasurement
-			var err error
-			var v int64
-			if m.BgLossRate, b, err = measure.DecodeFloat64(b); err != nil {
-				return m, err
+			r := measure.NewReader(b)
+			m := HybridMeasurement{
+				BgLossRate: r.Float64(),
+				FgLossRate: r.Float64(),
+				FgP50:      r.Duration(),
+				FgP95:      r.Duration(),
+				Events:     r.Int64(),
 			}
-			if m.FgLossRate, b, err = measure.DecodeFloat64(b); err != nil {
-				return m, err
-			}
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return m, err
-			}
-			m.FgP50 = time.Duration(v)
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return m, err
-			}
-			m.FgP95 = time.Duration(v)
-			if m.Events, b, err = measure.DecodeInt64(b); err != nil {
-				return m, err
-			}
-			if len(b) != 0 {
-				return m, errors.New("twincache: trailing bytes in hybrid entry")
-			}
-			return m, nil
+			return m, r.Done()
 		},
 	}
 }
@@ -247,30 +215,15 @@ func mg1Codec() simcache.Codec[MG1Summary] {
 			return b
 		},
 		Decode: func(b []byte) (MG1Summary, error) {
-			var s MG1Summary
-			var err error
-			var v int64
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return s, err
+			r := measure.NewReader(b)
+			s := MG1Summary{
+				Jobs:          int(r.Int64()),
+				ExactSchedule: r.Int64() != 0,
+				MeanSojourn:   r.Float64(),
+				P50:           r.Float64(),
+				P95:           r.Float64(),
 			}
-			s.Jobs = int(v)
-			if v, b, err = measure.DecodeInt64(b); err != nil {
-				return s, err
-			}
-			s.ExactSchedule = v != 0
-			if s.MeanSojourn, b, err = measure.DecodeFloat64(b); err != nil {
-				return s, err
-			}
-			if s.P50, b, err = measure.DecodeFloat64(b); err != nil {
-				return s, err
-			}
-			if s.P95, b, err = measure.DecodeFloat64(b); err != nil {
-				return s, err
-			}
-			if len(b) != 0 {
-				return s, errors.New("twincache: trailing bytes in MG1 entry")
-			}
-			return s, nil
+			return s, r.Done()
 		},
 	}
 }
