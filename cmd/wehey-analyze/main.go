@@ -5,7 +5,7 @@
 // Usage:
 //
 //	wehey-analyze -session session.json
-//	wehey-analyze -session session.json -fp 0.01 -v
+//	wehey-analyze -session session.json -fp 0.01
 //	wehey-analyze -merge p1.json,p2.json -out session.json  # combine per-server records
 //	wehey-analyze -example > session.json       # emit a sample session
 package main
@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/core"
 	"github.com/nal-epfl/wehey/internal/isp"
 	"github.com/nal-epfl/wehey/internal/measure"
@@ -31,7 +32,6 @@ func main() {
 		fp          = flag.Float64("fp", 0.05, "acceptable false-positive rate")
 		seed        = flag.Int64("seed", 1, "Monte-Carlo seed")
 		example     = flag.Bool("example", false, "write a sample session to stdout and exit")
-		verbose     = flag.Bool("v", false, "print per-interval-size details")
 	)
 	flag.Parse()
 
@@ -70,31 +70,19 @@ func main() {
 		in.Y = measure.SumSamples(r1.ThroughputBps, r2.ThroughputBps)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	cfg := core.DetectorConfig{
-		Throughput: core.ThroughputCmpConfig{Alpha: *fp},
-		LossTrend:  core.LossTrendConfig{FP: *fp},
+	loc := wehey.Localizer{
+		Rand: rand.New(rand.NewSource(*seed)),
+		Detector: core.DetectorConfig{
+			Throughput: core.ThroughputCmpConfig{Alpha: *fp},
+			LossTrend:  core.LossTrendConfig{FP: *fp},
+		},
 	}
-	res, err := core.DetectCommonBottleneck(rng, in, cfg)
-	fatalIf(err)
+	var v wehey.Verdict
+	fatalIf(loc.Detect(&v, in))
 
-	if tc := res.Throughput; tc != nil {
-		fmt.Printf("throughput comparison: p = %.4g → common bottleneck = %v\n", tc.P, tc.CommonBottleneck)
-	} else {
-		fmt.Println("throughput comparison: skipped (needs p0 record and tdiff)")
-	}
-	if lt := res.LossTrend; lt != nil {
-		fmt.Printf("loss-trend correlation: %d/%d interval sizes correlated → common bottleneck = %v\n",
-			lt.Correlations, lt.Sizes, lt.CommonBottleneck)
-		if *verbose {
-			for _, v := range lt.PerSize {
-				fmt.Printf("  σ=%-10v n=%-4d ρ=%+.3f p=%.4f correlated=%v\n",
-					v.Sigma, v.Intervals, v.Rho, v.P, v.Correlated)
-			}
-		}
-	}
-	fmt.Printf("\nevidence: %s\n", res.Evidence)
-	if !res.Evidence.Found() {
+	v.WriteDetail(os.Stdout)
+	fmt.Printf("\nevidence: %s\n", v.Evidence)
+	if !v.LocalizedToISP {
 		os.Exit(3)
 	}
 }

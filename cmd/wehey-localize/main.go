@@ -20,7 +20,6 @@ import (
 
 	"github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/isp"
-	"github.com/nal-epfl/wehey/internal/wehe"
 )
 
 func main() {
@@ -35,11 +34,7 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	history := wehe.SynthHistory(rng, wehe.SynthHistorySpec{
-		Clients: 15, TestsPerClient: 9, Spread: 0.15,
-	})
-	localizer := &wehey.Localizer{Rand: rng, History: history}
-	tdiff := localizer.TDiff("", "netflix", "carrier-1")
+	tdiff := wehey.CellularTDiff(rng)
 
 	var session wehey.ReplaySession
 	if *tb {
@@ -73,7 +68,7 @@ func main() {
 		session = ss
 	}
 
-	verdict, err := localizer.Localize(session, tdiff)
+	verdict, err := (&wehey.Localizer{Rand: rng}).Localize(session, tdiff)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "localization failed:", err)
 		os.Exit(1)
@@ -87,16 +82,8 @@ func main() {
 	fmt.Println("verdict:", verdict)
 
 	if *verbose {
-		if tc := verdict.Detail.Throughput; tc != nil {
-			fmt.Printf("\nthroughput comparison: p = %.3g (common bottleneck: %v)\n", tc.P, tc.CommonBottleneck)
-		}
-		if lt := verdict.Detail.LossTrend; lt != nil {
-			fmt.Printf("\nloss-trend correlation: %d/%d interval sizes correlated\n", lt.Correlations, lt.Sizes)
-			for _, v := range lt.PerSize {
-				fmt.Printf("  σ=%-8v intervals=%-4d ρ=%+.3f p=%.4f correlated=%v\n",
-					v.Sigma, v.Intervals, v.Rho, v.P, v.Correlated)
-			}
-		}
+		fmt.Println()
+		verdict.WriteDetail(os.Stdout)
 	}
 	if !verdict.LocalizedToISP && verdict.WeHeDetected {
 		os.Exit(3) // detected but not localized

@@ -13,19 +13,15 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"github.com/nal-epfl/wehey"
-	"github.com/nal-epfl/wehey/internal/wehe"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(7))
-	history := wehe.SynthHistory(rng, wehe.SynthHistorySpec{
-		Clients: 15, TestsPerClient: 9, Spread: 0.15,
-	})
-	localizer := &wehey.Localizer{Rand: rng, History: history}
-	tdiff := localizer.TDiff("", "netflix", "carrier-1")
+	tdiff := wehey.CellularTDiff(rng)
 
 	session := wehey.NewCollectiveSimSession(rng, wehey.CollectiveConfig{
 		InputFactor: 1.5,              // offered load is 1.5x the collective rate
@@ -33,27 +29,14 @@ func main() {
 	})
 
 	fmt.Println("scenario: collective per-service throttling (other users share the limiter)")
-	verdict, err := localizer.Localize(session, tdiff)
+	fmt.Println("(the throughput comparison is expected to fail: the replays share the bottleneck with unknown traffic)")
+	verdict, err := (&wehey.Localizer{Rand: rng}).Localize(session, tdiff)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	if tc := verdict.Detail.Throughput; tc != nil {
-		fmt.Printf("\nthroughput comparison: p = %.3g → common bottleneck = %v\n", tc.P, tc.CommonBottleneck)
-		fmt.Println("(expected to fail: the replays share the bottleneck with unknown traffic)")
-	}
-	if lt := verdict.Detail.LossTrend; lt != nil {
-		fmt.Printf("\nloss-trend correlation: %d/%d interval sizes significantly correlated\n",
-			lt.Correlations, lt.Sizes)
-		for _, v := range lt.PerSize {
-			marker := " "
-			if v.Correlated {
-				marker = "*"
-			}
-			fmt.Printf("  %s σ=%-8v intervals=%-4d ρ=%+.3f p=%.4f\n",
-				marker, v.Sigma, v.Intervals, v.Rho, v.P)
-		}
-	}
+	fmt.Println()
+	verdict.WriteDetail(os.Stdout)
 	fmt.Println()
 	fmt.Println(verdict)
 }

@@ -24,7 +24,6 @@ import (
 
 	"github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/isp"
-	"github.com/nal-epfl/wehey/internal/wehe"
 )
 
 func main() {
@@ -32,12 +31,7 @@ func main() {
 
 	// Historical WeHe tests provide T_diff — what "normal" throughput
 	// variation looks like for this client population.
-	history := wehe.SynthHistory(rng, wehe.SynthHistorySpec{
-		Clients: 15, TestsPerClient: 9, Spread: 0.15,
-	})
-
-	localizer := &wehey.Localizer{Rand: rng, History: history}
-	tdiff := localizer.TDiff("", "netflix", "carrier-1")
+	tdiff := wehey.CellularTDiff(rng)
 
 	// ISP1: an always-on per-client policer at the plan rate (4 Mbit/s,
 	// "video at DVD quality").
@@ -46,7 +40,7 @@ func main() {
 		profile.Name, profile.PlanRate/1e6, profile.UnthrottledRate/1e6)
 
 	session := wehey.NewSimSession(rng, profile, 20*time.Second)
-	verdict, err := localizer.Localize(session, tdiff)
+	verdict, err := (&wehey.Localizer{Rand: rng}).Localize(session, tdiff)
 	if err != nil {
 		log.Fatal(err)
 	}

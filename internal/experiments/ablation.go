@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/core"
 	"github.com/nal-epfl/wehey/internal/isp"
 	"github.com/nal-epfl/wehey/internal/measure"
@@ -150,7 +151,7 @@ func AblationMWU(cfg Config) *Report {
 	cfg.fill()
 	trials := cfg.trials(8, 24)
 	rng := rand.New(rand.NewSource(cfg.Seed + 9500))
-	tdiff := cellularTDiff(rng)
+	tdiff := wehey.CellularTDiff(rng)
 	dur := cfg.Duration
 	if dur <= 0 {
 		dur = 20 * time.Second

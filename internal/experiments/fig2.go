@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/core"
 	"github.com/nal-epfl/wehey/internal/isp"
 	"github.com/nal-epfl/wehey/internal/measure"
@@ -23,7 +24,7 @@ func Figure2(cfg Config) *Report {
 		dur = 20 * time.Second
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tdiff := cellularTDiff(rng)
+	tdiff := wehey.CellularTDiff(rng)
 
 	report := &Report{
 		ID:    "figure2",

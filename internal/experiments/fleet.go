@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/core"
 )
 
@@ -16,9 +17,8 @@ import (
 // generator that turns a FleetCampaignSpec into a deterministic session
 // plan plus its evaluated outcomes.
 
-// detectSeedTag is the fixed identity string mixed into a sim job's seed
-// to derive its detector rng. It matches the service backend's
-// jobSeed("sim-detect", seed) so both evaluation paths agree.
+// detectSeedTag is the fixed identity string mixed into a sim run's seed
+// to derive its detector rng.
 const detectSeedTag = "sim-detect"
 
 // DetectSeed derives the detector rng seed for a sim run from the run's
@@ -38,25 +38,31 @@ type SimVerdict struct {
 	LossRate [2]float64 `json:"loss_rates"`
 }
 
-// Verdict runs one simulated session through the configured cache and
-// classifies it with the common-bottleneck detector (loss-trend
-// correlation; a sim session has no historical T_diff). The detector rng
-// is seeded by DetectSeed(spec.Seed), making the verdict a deterministic
-// function of the spec and identical to what the service's sim backend
-// reports for the same spec.
-func (c Config) Verdict(spec SimSpec) (SimVerdict, error) {
+// Localize runs one simulated session through the configured cache and
+// decides it with wehey.Localizer.Detect (loss-trend correlation; a sim
+// session has no historical T_diff). The detector rng is seeded by
+// DetectSeed(spec.Seed), making the verdict a deterministic function of
+// the spec and exactly the one the service's sim backend reports.
+func (c Config) Localize(spec SimSpec) (wehey.Verdict, error) {
 	res := c.Sim(spec)
-	rng := rand.New(rand.NewSource(DetectSeed(spec.Seed)))
-	out, err := core.DetectCommonBottleneck(rng,
-		core.DetectorInput{M1: &res.M1, M2: &res.M2}, core.DetectorConfig{})
+	// The trial is throttled by construction, so WeHe's end-to-end
+	// detection and the simultaneous confirmation hold without a replay.
+	// res.LossRate, not M1/M2.LossRate(): for a TCP flow it is the
+	// retransmission rate, which is what the service has always reported.
+	v := wehey.Verdict{WeHeDetected: true, Confirmed: true, LossRates: res.LossRate}
+	l := wehey.Localizer{Rand: rand.New(rand.NewSource(DetectSeed(spec.Seed)))}
+	err := l.Detect(&v, core.DetectorInput{M1: &res.M1, M2: &res.M2})
+	return v, err
+}
+
+// Verdict is Localize projected onto a SimVerdict; bench/ is its only
+// remaining caller.
+func (c Config) Verdict(spec SimSpec) (SimVerdict, error) {
+	v, err := c.Localize(spec)
 	if err != nil {
 		return SimVerdict{}, err
 	}
-	return SimVerdict{
-		LocalizedToISP: out.Evidence.Found(),
-		Evidence:       out.Evidence.String(),
-		LossRate:       res.LossRate,
-	}, nil
+	return SimVerdict{LocalizedToISP: v.LocalizedToISP, Evidence: v.Evidence.String(), LossRate: v.LossRates}, nil
 }
 
 // FleetCampaignSpec describes one planted-ground-truth campaign over the
@@ -237,11 +243,11 @@ func (c Config) EvalCampaign(spec FleetCampaignSpec) []SessionOutcome {
 		}
 	}
 	type evaled struct {
-		v   SimVerdict
+		v   wehey.Verdict
 		err error
 	}
 	verdicts := ForEach(len(order), c.workers(), func(i int) evaled {
-		v, err := c.Verdict(order[i])
+		v, err := c.Localize(order[i])
 		return evaled{v, err}
 	})
 

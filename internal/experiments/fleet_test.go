@@ -78,10 +78,9 @@ func TestSessionPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestVerdictMatchesDetectSeed: Verdict must seed its detector from
-// DetectSeed(spec.Seed) — the same derivation as the service backend's
-// jobSeed("sim-detect", seed) — so both paths agree bit-for-bit. The FNV
-// constant is pinned here against silent drift.
+// TestVerdictMatchesDetectSeed: Localize seeds its detector from
+// DetectSeed(spec.Seed), which bench/ re-derives to trace the detector on
+// its own, so the FNV constant is pinned here against silent drift.
 func TestVerdictMatchesDetectSeed(t *testing.T) {
 	if got, want := DetectSeed(0), int64(hash64("sim-detect")); got != want {
 		t.Fatalf("DetectSeed(0) = %d; want FNV-1a(sim-detect) = %d", got, want)

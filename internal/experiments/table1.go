@@ -8,17 +8,7 @@ import (
 	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/isp"
 	"github.com/nal-epfl/wehey/internal/measure"
-	"github.com/nal-epfl/wehey/internal/wehe"
 )
-
-// cellularTDiff builds the T_diff distribution used by the wild-style
-// experiments (cellular throughput varies ~15% test-to-test).
-func cellularTDiff(rng *rand.Rand) []float64 {
-	h := wehe.SynthHistory(rng, wehe.SynthHistorySpec{
-		Clients: 15, TestsPerClient: 9, Spread: 0.15,
-	})
-	return h.TDiff("", "netflix", "carrier-1")
-}
 
 // localize runs one WeHeY test against the profile through the public
 // API, with extra replays beside p1 and p2 in the simultaneous phase; one
@@ -44,7 +34,7 @@ func Table1(cfg Config) *Report {
 		dur = 20 * time.Second
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tdiff := cellularTDiff(rng)
+	tdiff := wehey.CellularTDiff(rng)
 
 	profiles := isp.FiveISPs()
 	header := []string{"metric"}
@@ -116,7 +106,7 @@ func Figure4(cfg Config) *Report {
 		dur = 20 * time.Second
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tdiff := cellularTDiff(rng)
+	tdiff := wehey.CellularTDiff(rng)
 	p := isp.FiveISPs()[4] // ISP5
 	p.TriggerJitter = 0    // the representative test of the figure
 

@@ -46,8 +46,9 @@ func (c Campaign) PathMatrix() *tomo.PathMatrix {
 // one per session, each carrying its fleet attribution. Submitting them
 // (in any order, any batching) and aggregating the terminal results
 // reproduces exactly what EvalCampaign computes in-process: the sim
-// backend's verdict path is shared (experiments.Config.Verdict), and the
-// session seeds are functions of the plan, not of submission order.
+// backend decides each job with the same experiments.Config.Localize,
+// and the session seeds are functions of the plan, not of submission
+// order. Each spec spells out the plan's duration.
 func (c Campaign) JobSpecs() []service.Spec {
 	plan := c.Plan()
 	specs := make([]service.Spec, len(plan))

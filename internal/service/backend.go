@@ -38,11 +38,10 @@ func NewSimBackend(cache *experiments.SimCache) *SimBackend {
 // CacheStats snapshots the underlying simulation cache counters.
 func (b *SimBackend) CacheStats() simcache.Stats { return b.cache.Stats() }
 
-// Run executes the trial and classifies the topology with the
-// common-bottleneck detector (loss-trend correlation; a sim job has no
-// historical T_diff). The simulation itself is not interruptible — it is
-// a pure in-process computation — so ctx is checked around it: a canceled
-// attempt never reports success.
+// Run executes the trial and decides it with experiments.Config.Localize.
+// The simulation itself is not interruptible — it is a pure in-process
+// computation — so ctx is checked around it: a canceled attempt never
+// reports success.
 func (b *SimBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	p := spec.Sim
 	simSpec := experiments.SimSpec{
@@ -56,14 +55,9 @@ func (b *SimBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if simSpec.App == "" {
 		simSpec.App = experiments.TCPBulkApp
 	}
-	if simSpec.Duration <= 0 {
-		simSpec.Duration = 3 * time.Second
-	}
-	placement := p.Placement
-	switch placement {
+	switch p.Placement {
 	case "", "common":
 		simSpec.Placement = experiments.LimiterCommon
-		placement = "common"
 	case "noncommon":
 		simSpec.Placement = experiments.LimiterNonCommon
 	default:
@@ -72,30 +66,31 @@ func (b *SimBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The verdict path is shared with internal/fleet's direct harness
-	// (experiments.Config.Verdict seeds its detector with
-	// DetectSeed(spec.Seed) == jobSeed("sim-detect", spec.Seed)), so a
-	// fleet campaign evaluated in-process and one driven through this
-	// backend report bit-identical verdicts per spec.
-	v, err := experiments.Config{Cache: b.cache}.Verdict(simSpec)
+	// internal/fleet's direct harness evaluates campaigns through the same
+	// Config.Localize, so an in-process campaign and one driven through
+	// this backend report bit-identical verdicts per spec.
+	v, err := experiments.Config{Cache: b.cache}.Localize(simSpec)
 	if err != nil {
 		return nil, fmt.Errorf("service: sim detection: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return resultOf(BackendSim, v), nil
+}
+
+// resultOf is the job result for a localization verdict: every backend
+// but null reports through it.
+func resultOf(backend string, v wehey.Verdict) *Result {
 	return &Result{
-		Backend: BackendSim,
-		// The trial starts from a throttled topology, so WeHe's end-to-end
-		// verdict and the simultaneous confirmation hold by construction.
-		WeHeDetected:   true,
-		Confirmed:      true,
+		Backend:        backend,
+		WeHeDetected:   v.WeHeDetected,
+		Confirmed:      v.Confirmed,
 		LocalizedToISP: v.LocalizedToISP,
-		Evidence:       v.Evidence,
-		LossRates:      v.LossRate,
-		Detail: fmt.Sprintf("sim %s placement=%s loss=%.3f/%.3f",
-			simSpec.App, placement, v.LossRate[0], v.LossRate[1]),
-	}, nil
+		Evidence:       v.Evidence.String(),
+		LossRates:      v.LossRates,
+		Detail:         v.String(),
+	}
 }
 
 // NullBackend runs "null" jobs: it returns a canned result immediately.
@@ -118,15 +113,15 @@ func (NullBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 // middlebox. Cancellation propagates into every replay via ctx.
 type TestbedBackend struct{}
 
-// Run executes one localization session. Its delay and replay defaults
-// are shorter than the library's: a service job is one of many.
+// Run executes one localization session. Its replay default is shorter
+// than the library's: a service job is one of many. T_diff comes from
+// wehey.CellularTDiff seeded by the job, as in wehey-localize; without
+// one the throughput comparison, the detector for the middlebox's
+// per-client limiter, would not run.
 func (b *TestbedBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	p := spec.Testbed
 	cfg := wehey.TestbedConfig{
 		App: p.App, Rate: p.Rate, Delay: p.Delay, Duration: p.Duration, Seed: spec.Seed,
-	}
-	if cfg.Delay <= 0 {
-		cfg.Delay = 5 * time.Millisecond
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 500 * time.Millisecond
@@ -138,7 +133,8 @@ func (b *TestbedBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	loc := wehey.Localizer{
 		Rand: rand.New(rand.NewSource(jobSeed("testbed-detect", spec.Seed))),
 	}
-	v, err := loc.Localize(sess, nil)
+	tdiff := wehey.CellularTDiff(rand.New(rand.NewSource(jobSeed("testbed-tdiff", spec.Seed))))
+	v, err := loc.Localize(sess, tdiff)
 	if err != nil {
 		// The localizer wraps the replay error; surface a ctx cancel as
 		// such so the scheduler files the attempt correctly.
@@ -147,13 +143,5 @@ func (b *TestbedBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		return nil, err
 	}
-	return &Result{
-		Backend:        BackendTestbed,
-		WeHeDetected:   v.WeHeDetected,
-		Confirmed:      v.Confirmed,
-		LocalizedToISP: v.LocalizedToISP,
-		Evidence:       v.Evidence.String(),
-		LossRates:      v.LossRates,
-		Detail:         v.String(),
-	}, nil
+	return resultOf(BackendTestbed, v), nil
 }

@@ -138,19 +138,24 @@ type SimJob struct {
 	BgShare float64 `json:"bg_share,omitempty"`
 	// Placement is "common" (FN topology, default) or "noncommon" (FP).
 	Placement string `json:"placement,omitempty"`
-	// Duration of the simulated replay (default 3s — service jobs favour
-	// turnaround; the paper-scale 45s is available by asking for it).
+	// Duration of the simulated replay (default 45s, experiments.SimSpec's
+	// and the campaigns': shorter replays leave the loss-trend detector
+	// too few intervals to localize a shared limiter).
 	Duration time.Duration `json:"duration,omitempty"`
 }
 
-// TestbedJob parameterizes a real-socket localization session.
+// TestbedJob parameterizes a real-socket localization session. The
+// session's T_diff is a synthetic cellular history seeded by the job
+// (wehey.CellularTDiff), so the throughput comparison runs.
 type TestbedJob struct {
 	// App selects the replayed trace and the SNI the middlebox DPI
 	// throttles (default "netflix").
 	App string `json:"app,omitempty"`
 	// Rate is the middlebox throttling rate in bits/s (default 3 Mbit/s).
 	Rate float64 `json:"rate,omitempty"`
-	// Delay is the middlebox one-way propagation delay (default 5 ms).
+	// Delay is the middlebox one-way propagation delay (default 10 ms).
+	// It also sizes the limiter's bucket (rate × 2·Delay): at 5 ms that
+	// is 2.5 packets, and the simultaneous replays lose to it.
 	Delay time.Duration `json:"delay,omitempty"`
 	// Duration of each replay (default 500 ms; this is wall-clock time).
 	Duration time.Duration `json:"duration,omitempty"`
@@ -160,12 +165,12 @@ type TestbedJob struct {
 type Result struct {
 	// Backend echoes the substrate that produced the result.
 	Backend string `json:"backend"`
-	// WeHeDetected reports WeHe's end-to-end differentiation verdict
-	// (testbed backend; sim trials start from a throttled topology, so
-	// it is true there by construction).
+	// WeHeDetected reports WeHe's end-to-end differentiation verdict.
+	// A sim trial is throttled by construction, so it is always true
+	// there.
 	WeHeDetected bool `json:"wehe_detected"`
-	// Confirmed reports differentiation on both simultaneous paths
-	// (testbed backend).
+	// Confirmed reports differentiation on both simultaneous paths;
+	// always true for a sim trial, for the same reason.
 	Confirmed bool `json:"confirmed"`
 	// LocalizedToISP is the headline localization answer.
 	LocalizedToISP bool `json:"localized_to_isp"`
@@ -173,7 +178,8 @@ type Result struct {
 	Evidence string `json:"evidence"`
 	// LossRates are the two paths' measured loss rates.
 	LossRates [2]float64 `json:"loss_rates"`
-	// Detail is a one-line human-readable summary.
+	// Detail is a one-line summary: wehey.Verdict.String for every
+	// backend but null.
 	Detail string `json:"detail,omitempty"`
 }
 

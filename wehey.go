@@ -27,6 +27,7 @@ package wehey
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"github.com/nal-epfl/wehey/internal/core"
@@ -91,6 +92,29 @@ func (v Verdict) String() string {
 		return fmt.Sprintf("differentiation localized to the client's ISP (%s)", v.Evidence)
 	default:
 		return "differentiation detected, but no evidence it happens within the client's ISP"
+	}
+}
+
+// WriteDetail prints what the common-bottleneck detector computed: the
+// throughput comparison's p value and decision, then the loss-trend
+// correlation's vote with one row per interval size σ. A detector that
+// did not run says so.
+func (v Verdict) WriteDetail(w io.Writer) {
+	if tc := v.Detail.Throughput; tc != nil {
+		fmt.Fprintf(w, "throughput comparison: p = %.4g → common bottleneck = %v\n", tc.P, tc.CommonBottleneck)
+	} else {
+		fmt.Fprintln(w, "throughput comparison: not run")
+	}
+	lt := v.Detail.LossTrend
+	if lt == nil {
+		fmt.Fprintln(w, "loss-trend correlation: not run")
+		return
+	}
+	fmt.Fprintf(w, "loss-trend correlation: %d/%d interval sizes correlated → common bottleneck = %v\n",
+		lt.Correlations, lt.Sizes, lt.CommonBottleneck)
+	for _, s := range lt.PerSize {
+		fmt.Fprintf(w, "  σ=%-8v intervals=%-4d ρ=%+.3f p=%.4f correlated=%v\n",
+			s.Sigma, s.Intervals, s.Rho, s.P, s.Correlated)
 	}
 }
 
@@ -226,12 +250,32 @@ func (l *Localizer) Localize(session ReplaySession, tdiff []float64) (Verdict, e
 		in.M1 = origSim[0].Measurements
 		in.M2 = origSim[1].Measurements
 	}
+	err = l.Detect(&v, in)
+	return v, err
+}
+
+// Detect performs operation 4, common-bottleneck detection, and records
+// its outcome in v's Detail, Evidence and LocalizedToISP. Localize calls
+// it once both paths confirmed the differentiation; callers that hold the
+// measurements already (a simulated trial, a recorded session) call it
+// directly. On error v is left unchanged.
+func (l *Localizer) Detect(v *Verdict, in core.DetectorInput) error {
 	out, err := core.DetectCommonBottleneck(l.Rand, in, l.Detector)
 	if err != nil {
-		return v, fmt.Errorf("wehey: common-bottleneck detection: %w", err)
+		return fmt.Errorf("wehey: common-bottleneck detection: %w", err)
 	}
 	v.Detail = out
 	v.Evidence = out.Evidence
 	v.LocalizedToISP = out.Evidence.Found()
-	return v, nil
+	return nil
+}
+
+// CellularTDiff draws a synthetic past-tests history of cellular clients
+// (throughput varies ~15% test to test) from rng and returns its T_diff
+// distribution for netflix on carrier-1.
+func CellularTDiff(rng *rand.Rand) []float64 {
+	h := wehe.SynthHistory(rng, wehe.SynthHistorySpec{
+		Clients: 15, TestsPerClient: 9, Spread: 0.15,
+	})
+	return h.TDiff("", "netflix", "carrier-1")
 }
