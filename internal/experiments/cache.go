@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"sort"
+	"sync"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
@@ -29,23 +31,63 @@ import (
 // Path.Loss) are delta-coded (PR 16).
 const simCacheSchema = "wehey/simcache/v3"
 
-// SimCache memoizes RunSim results. Results handed out are shared:
-// callers must not mutate them (the experiment generators only read).
+// SimCache memoizes trials: each entry is one SimSpec's RunSim result
+// plus the verdict Config.Localize reaches on it, decided at most once
+// per entry. Results and verdicts handed out are shared: callers must
+// not mutate them (the experiment generators and the service only read;
+// a Verdict's Detail holds pointers into the entry).
+//
+// The verdict is as pure as the result: decide reads nothing but the
+// result, which is a function of the filled SimSpec (Config.BackgroundMode
+// is folded into the spec before keying, as Sim folds it). A Config field
+// that ever changes the decision must enter the key too. Only the result
+// goes to disk: a persisted verdict would need a stamp for the detector's
+// behaviour as well, so a disk hit decides again, once per process.
 type SimCache struct {
-	inner *simcache.Cache[SimResult]
+	inner *simcache.Cache[*trial]
+}
+
+// trial is one cache entry: a simulation's result and, once a caller has
+// asked for it, the verdict decided on it. mu serializes deciders, so
+// concurrent callers get one decision; a panic in decide unlocks mu with
+// decided still false, and the next caller decides again.
+type trial struct {
+	res SimResult
+
+	mu      sync.Mutex
+	decided bool
+	v       wehey.Verdict
+	err     error
+}
+
+// verdict returns decide(&t.res), computing it on the first call only.
+func (t *trial) verdict() (wehey.Verdict, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.decided {
+		t.v, t.err = decide(&t.res)
+		t.decided = true
+	}
+	return t.v, t.err
 }
 
 // NewSimCache returns an in-process (memory-only) simulation cache.
 func NewSimCache() *SimCache {
-	return &SimCache{inner: simcache.New[SimResult]()}
+	return &SimCache{inner: simcache.New[*trial]()}
 }
 
 // NewDiskSimCache returns a simulation cache persisted under dir, so a
 // later process skips every simulation this one ran.
 func NewDiskSimCache(dir string) (*SimCache, error) {
-	inner, err := simcache.NewDisk(dir, simcache.Codec[SimResult]{
-		Encode: encodeResult,
-		Decode: decodeResult,
+	inner, err := simcache.NewDisk(dir, simcache.Codec[*trial]{
+		Encode: func(t *trial) []byte { return encodeResult(t.res) },
+		Decode: func(b []byte) (*trial, error) {
+			res, err := decodeResult(b)
+			if err != nil {
+				return nil, err
+			}
+			return &trial{res: res}, nil
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -55,19 +97,22 @@ func NewDiskSimCache(dir string) (*SimCache, error) {
 
 // Run returns RunSim(spec), computing it at most once per key: concurrent
 // requests for the same spec single-flight onto one simulation.
-func (sc *SimCache) Run(spec SimSpec) SimResult {
+func (sc *SimCache) Run(spec SimSpec) SimResult { return sc.trial(spec).res }
+
+// trial returns spec's entry, simulating it on a miss.
+func (sc *SimCache) trial(spec SimSpec) *trial {
 	spec.fill() // canonicalize before keying: defaulted == spelled out
 	key := simcache.KeyOf(simCacheSchema, appendSpec(nil, &spec))
-	return sc.inner.Get(key, func() SimResult { return RunSim(spec) })
+	return sc.inner.Get(key, func() *trial { return &trial{res: RunSim(spec)} })
 }
 
 // Stats snapshots the cache counters.
 func (sc *SimCache) Stats() simcache.Stats { return sc.inner.Stats() }
 
-// Sim runs one simulation through the configured cache, or directly when
-// none is set. Generators call this (or Grid) instead of RunSim so a
-// process-wide cache dedups identical trials across experiments.
-func (c Config) Sim(spec SimSpec) SimResult {
+// trial is spec's trial through the configured cache, or a fresh one when
+// none is set. Sim and Localize both start here, so each counts one cache
+// request.
+func (c Config) trial(spec SimSpec) *trial {
 	if c.BackgroundMode != "" && spec.BackgroundMode == "" {
 		// The config-level mode is a default for specs that don't pin one;
 		// experiments explicitly about the mode (ablation-scale) set it per
@@ -75,10 +120,15 @@ func (c Config) Sim(spec SimSpec) SimResult {
 		spec.BackgroundMode = c.BackgroundMode
 	}
 	if c.Cache != nil {
-		return c.Cache.Run(spec)
+		return c.Cache.trial(spec)
 	}
-	return RunSim(spec)
+	return &trial{res: RunSim(spec)}
 }
+
+// Sim runs one simulation through the configured cache, or directly when
+// none is set. Generators call this (or Grid) instead of RunSim so a
+// process-wide cache dedups identical trials across experiments.
+func (c Config) Sim(spec SimSpec) SimResult { return c.trial(spec).res }
 
 // Grid is the cache-aware RunGrid: every spec through Sim on the
 // configured worker pool, results in submission order.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
@@ -325,7 +326,7 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sc.inner.Get(oddKey, func() SimResult { return odd }); !reflect.DeepEqual(got, odd) {
+		if got := sc.inner.Get(oddKey, func() *trial { return &trial{res: odd} }); !reflect.DeepEqual(got.res, odd) {
 			t.Fatalf("pass %d: escape-bearing result changed on its way through the cache", pass)
 		}
 		if st := sc.Stats(); st.Misses != want.Misses || st.DiskHits != want.DiskHits || st.Corrupt != 0 {
@@ -438,5 +439,93 @@ func TestCacheModesRenderByteIdentically(t *testing.T) {
 	}
 	if st := warmCache.Stats(); st.Misses != 0 {
 		t.Errorf("warm cache re-simulated %d specs: %+v", st.Misses, st)
+	}
+}
+
+// TestLocalizeDecidesOnce: a verdict memoized in a cache entry is the one
+// a cache-less Config decides afresh — on the deciding call and on the
+// repeat, for concurrent callers, and from a fresh disk cache, which holds
+// only the result and so decides again.
+func TestLocalizeDecidesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	localize := func(t *testing.T, cfg Config, spec SimSpec) wehey.Verdict {
+		t.Helper()
+		v, err := cfg.Localize(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, app := range []string{TCPBulkApp, "zoom"} {
+		for _, p := range []struct {
+			name      string
+			placement LimiterPlacement
+		}{{"common", LimiterCommon}, {"noncommon", LimiterNonCommon}} {
+			spec := SimSpec{App: app, Placement: p.placement, Seed: 5}
+			t.Run(app+"/"+p.name, func(t *testing.T) {
+				fresh := localize(t, Config{}, spec)
+				cfg := Config{Cache: NewSimCache()}
+				first := localize(t, cfg, spec)
+				if st := cfg.Cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+					t.Fatalf("first Localize: stats %+v, want one miss", st)
+				}
+				second := localize(t, cfg, spec)
+				if st := cfg.Cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+					t.Fatalf("second Localize: stats %+v, want one miss and one hit", st)
+				}
+				if !reflect.DeepEqual(first, fresh) || !reflect.DeepEqual(second, fresh) {
+					t.Fatalf("cached verdicts differ from the fresh one:\nfresh  %v\nfirst  %v\nsecond %v", fresh, first, second)
+				}
+				if second.Detail.LossTrend != first.Detail.LossTrend {
+					t.Error("the repeat decided again instead of reusing the entry's verdict")
+				}
+			})
+		}
+	}
+
+	spec := SimSpec{App: TCPBulkApp, Seed: 6}
+	fresh := localize(t, Config{}, spec)
+
+	// Eight concurrent callers: one simulation, one decision, one verdict.
+	cfg := Config{Cache: NewSimCache(), Workers: 8}
+	type decided struct {
+		v   wehey.Verdict
+		err error
+	}
+	vs := ForEach(8, cfg.Workers, func(int) decided {
+		v, err := cfg.Localize(spec)
+		return decided{v, err}
+	})
+	if st := cfg.Cache.Stats(); st.Misses != 1 || st.Hits != 7 {
+		t.Errorf("8 concurrent callers: stats %+v, want one miss and seven hits", st)
+	}
+	for i, d := range vs {
+		if d.err != nil || !reflect.DeepEqual(d.v, fresh) || d.v.Detail.LossTrend != vs[0].v.Detail.LossTrend {
+			t.Errorf("caller %d: verdict differs from the fresh one or was decided separately (err %v)", i, d.err)
+		}
+	}
+
+	// A fresh disk cache over a populated directory reads the result back
+	// undecided and decides it again.
+	dir := t.TempDir()
+	cold, err := NewDiskSimCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localize(t, Config{Cache: cold}, spec)
+	warm, err := NewDiskSimCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := warm.trial(spec); tr.decided {
+		t.Fatal("a disk hit came back decided: a verdict was persisted")
+	}
+	if v := localize(t, Config{Cache: warm}, spec); !reflect.DeepEqual(v, fresh) {
+		t.Errorf("verdict over a disk hit differs from the fresh one:\nfresh %v\ngot   %v", fresh, v)
+	}
+	if st := warm.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("warm stats %+v, want one disk hit then one hit", st)
 	}
 }

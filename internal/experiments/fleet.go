@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 
@@ -22,9 +21,10 @@ import (
 const detectSeedTag = "sim-detect"
 
 // DetectSeed derives the detector rng seed for a sim run from the run's
-// spec seed: seed ^ FNV-1a("sim-detect"). A pure function of the spec, so
-// the verdict — like the simulation itself — is deterministic in the spec
-// alone.
+// spec seed: seed ^ FNV-1a("sim-detect"). The detector draws from its rng
+// only for the throughput comparison, which needs a T_diff that a sim
+// trial never has, so Localize builds no rng; bench/ still seeds its
+// traced detector with this.
 func DetectSeed(seed int64) int64 { return seed ^ int64(hash64(detectSeedTag)) }
 
 // SimVerdict is the localization verdict of one simulated session.
@@ -40,18 +40,23 @@ type SimVerdict struct {
 
 // Localize runs one simulated session through the configured cache and
 // decides it with wehey.Localizer.Detect (loss-trend correlation; a sim
-// session has no historical T_diff). The detector rng is seeded by
-// DetectSeed(spec.Seed), making the verdict a deterministic function of
-// the spec and exactly the one the service's sim backend reports.
+// session has no historical T_diff). The verdict is a deterministic
+// function of the spec and exactly the one the service's sim backend
+// reports. Through a cache it is decided once per entry and shared
+// (SimCache): a repeated spec costs one cache hit.
 func (c Config) Localize(spec SimSpec) (wehey.Verdict, error) {
-	res := c.Sim(spec)
-	// The trial is throttled by construction, so WeHe's end-to-end
-	// detection and the simultaneous confirmation hold without a replay.
-	// res.LossRate, not M1/M2.LossRate(): for a TCP flow it is the
-	// retransmission rate, which is what the service has always reported.
+	return c.trial(spec).verdict()
+}
+
+// decide is operation 4 on a simulated trial. The trial is throttled by
+// construction, so WeHe's end-to-end detection and the simultaneous
+// confirmation hold without a replay. res.LossRate, not
+// M1/M2.LossRate(): for a TCP flow it is the retransmission rate, which
+// is what the service has always reported.
+func decide(res *SimResult) (wehey.Verdict, error) {
 	v := wehey.Verdict{WeHeDetected: true, Confirmed: true, LossRates: res.LossRate}
-	l := wehey.Localizer{Rand: rand.New(rand.NewSource(DetectSeed(spec.Seed)))}
-	err := l.Detect(&v, core.DetectorInput{M1: &res.M1, M2: &res.M2})
+	// No T_diff, so the detector never draws from Localizer.Rand.
+	err := (&wehey.Localizer{}).Detect(&v, core.DetectorInput{M1: &res.M1, M2: &res.M2})
 	return v, err
 }
 

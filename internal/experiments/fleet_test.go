@@ -78,9 +78,9 @@ func TestSessionPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestVerdictMatchesDetectSeed: Localize seeds its detector from
-// DetectSeed(spec.Seed), which bench/ re-derives to trace the detector on
-// its own, so the FNV constant is pinned here against silent drift.
+// TestVerdictMatchesDetectSeed: bench/ seeds its traced detector from
+// DetectSeed(spec.Seed), so the FNV constant is pinned here against
+// silent drift.
 func TestVerdictMatchesDetectSeed(t *testing.T) {
 	if got, want := DetectSeed(0), int64(hash64("sim-detect")); got != want {
 		t.Fatalf("DetectSeed(0) = %d; want FNV-1a(sim-detect) = %d", got, want)
@@ -92,16 +92,16 @@ func TestVerdictMatchesDetectSeed(t *testing.T) {
 
 // TestEvalCampaignWorkerInvariance: outcomes are identical at 1 and N
 // workers (ForEach keeps plan order; verdict dedup is order-independent).
-// A tiny short-duration campaign keeps this fast — verdicts may be
-// degenerate at 2 s, but they must be *identically* degenerate.
+// Each side has its own cache, so neither reads the other's memoized
+// verdicts. A tiny short-duration campaign keeps this fast — verdicts may
+// be degenerate at 2 s, but they must be *identically* degenerate.
 func TestEvalCampaignWorkerInvariance(t *testing.T) {
 	spec := FleetCampaignSpec{
 		ISPs: 4, Servers: 2, ThrottledISPs: []int{1}, Sessions: 40,
 		Duration: 2 * time.Second, SeedPool: 4, Seed: 9,
 	}
-	cache := NewSimCache()
-	serial := Config{Workers: 1, Cache: cache}.EvalCampaign(spec)
-	parallel := Config{Workers: 8, Cache: cache}.EvalCampaign(spec)
+	serial := Config{Workers: 1, Cache: NewSimCache()}.EvalCampaign(spec)
+	parallel := Config{Workers: 8, Cache: NewSimCache()}.EvalCampaign(spec)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("EvalCampaign differs across worker counts")
 	}

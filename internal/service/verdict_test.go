@@ -94,11 +94,12 @@ func TestDefaultTestbedJobsLocalize(t *testing.T) {
 // TestSimResultIsTheLocalizeVerdict: the sim backend reports exactly
 // resultOf of Config.Localize for the SimSpec its job spec stands for, and
 // Config.Verdict is that result's projection — the invariant bench/
-// checks on every session it serves.
+// checks on every session it serves. The backend and the reference have
+// separate caches, so the reference decides each trial itself rather
+// than reading the backend's memoized verdict.
 func TestSimResultIsTheLocalizeVerdict(t *testing.T) {
-	cache := experiments.NewSimCache()
-	backend := NewSimBackend(cache)
-	cfg := experiments.Config{Cache: cache}
+	backend := NewSimBackend(experiments.NewSimCache())
+	cfg := experiments.Config{Cache: experiments.NewSimCache()}
 	cases := []struct {
 		job SimJob
 		sim experiments.SimSpec

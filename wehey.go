@@ -258,7 +258,8 @@ func (l *Localizer) Localize(session ReplaySession, tdiff []float64) (Verdict, e
 // its outcome in v's Detail, Evidence and LocalizedToISP. Localize calls
 // it once both paths confirmed the differentiation; callers that hold the
 // measurements already (a simulated trial, a recorded session) call it
-// directly. On error v is left unchanged.
+// directly. l.Rand is drawn from only when in carries a T_diff. On error
+// v is left unchanged.
 func (l *Localizer) Detect(v *Verdict, in core.DetectorInput) error {
 	out, err := core.DetectCommonBottleneck(l.Rand, in, l.Detector)
 	if err != nil {
