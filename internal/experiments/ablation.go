@@ -277,19 +277,8 @@ func AblationPacing(cfg Config) *Report {
 			})
 		}
 	}
-	fnFlags := ForEach(len(specs), cfg.workers(), func(i int) bool {
-		res := cfg.Sim(specs[i])
-		lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
-		return err != nil || !lt.CommonBottleneck
-	})
-	for vi, v := range variants {
-		fn := 0
-		for _, miss := range fnFlags[vi*trials : (vi+1)*trials] {
-			if miss {
-				fn++
-			}
-		}
-		rows = append(rows, []string{v.label, pct(fn, trials)})
+	for vi, tp := range cfg.localizedPer(specs, trials) {
+		rows = append(rows, []string{variants[vi].label, pct(trials-tp, trials)})
 	}
 	return &Report{
 		ID:     "ablation-pacing",

@@ -16,7 +16,7 @@ func BenchmarkLocalize(b *testing.B) {
 		b.Run(app+"/decide", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr := &trial{res: cfg.Cache.Run(spec)}
+				tr := &trial{res: cfg.Sim(spec)}
 				if _, err := tr.verdict(); err != nil {
 					b.Fatal(err)
 				}

@@ -95,11 +95,8 @@ func NewDiskSimCache(dir string) (*SimCache, error) {
 	return &SimCache{inner: inner}, nil
 }
 
-// Run returns RunSim(spec), computing it at most once per key: concurrent
-// requests for the same spec single-flight onto one simulation.
-func (sc *SimCache) Run(spec SimSpec) SimResult { return sc.trial(spec).res }
-
-// trial returns spec's entry, simulating it on a miss.
+// trial returns spec's entry, simulating it on a miss: concurrent requests
+// for the same spec single-flight onto one simulation.
 func (sc *SimCache) trial(spec SimSpec) *trial {
 	spec.fill() // canonicalize before keying: defaulted == spelled out
 	key := simcache.KeyOf(simCacheSchema, appendSpec(nil, &spec))
@@ -110,8 +107,8 @@ func (sc *SimCache) trial(spec SimSpec) *trial {
 func (sc *SimCache) Stats() simcache.Stats { return sc.inner.Stats() }
 
 // trial is spec's trial through the configured cache, or a fresh one when
-// none is set. Sim and Localize both start here, so each counts one cache
-// request.
+// none is set. Sim, Localize and the generators that read both a result
+// and its verdict start here, so each call counts one cache request.
 func (c Config) trial(spec SimSpec) *trial {
 	if c.BackgroundMode != "" && spec.BackgroundMode == "" {
 		// The config-level mode is a default for specs that don't pin one;
@@ -130,8 +127,8 @@ func (c Config) trial(spec SimSpec) *trial {
 // process-wide cache dedups identical trials across experiments.
 func (c Config) Sim(spec SimSpec) SimResult { return c.trial(spec).res }
 
-// Grid is the cache-aware RunGrid: every spec through Sim on the
-// configured worker pool, results in submission order.
+// Grid runs every spec through Sim on the configured worker pool, results
+// in submission order.
 func (c Config) Grid(specs []SimSpec) []SimResult {
 	return ForEach(len(specs), c.workers(), func(i int) SimResult {
 		return c.Sim(specs[i])

@@ -300,7 +300,7 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cold.Run(spec); !reflect.DeepEqual(got, truth) {
+	if got := (Config{Cache: cold}).Sim(spec); !reflect.DeepEqual(got, truth) {
 		t.Fatal("cold cache result differs from direct RunSim")
 	}
 
@@ -308,7 +308,7 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := warm.Run(spec); !reflect.DeepEqual(got, truth) {
+	if got := (Config{Cache: warm}).Sim(spec); !reflect.DeepEqual(got, truth) {
 		t.Fatal("disk-served result differs from recomputed result")
 	}
 	if st := warm.Stats(); st.DiskHits != 1 || st.Misses != 0 {
@@ -358,7 +358,7 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := repaired.Run(spec); !reflect.DeepEqual(got, truth) {
+	if got := (Config{Cache: repaired}).Sim(spec); !reflect.DeepEqual(got, truth) {
 		t.Fatal("result after corruption differs from truth")
 	}
 	if st := repaired.Stats(); st.Corrupt != 1 || st.Misses != 1 {

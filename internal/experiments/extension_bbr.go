@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"github.com/nal-epfl/wehey/internal/core"
 )
 
 // ExtensionBBR answers the §7 open question: "it is an open question how
@@ -53,12 +51,12 @@ func ExtensionBBR(cfg Config) *Report {
 		detects bool
 	}
 	verdicts := ForEach(len(specs), cfg.workers(), func(i int) verdict {
-		res := cfg.Sim(specs[i])
-		v := verdict{loss: (res.M1.LossRate() + res.M2.LossRate()) / 2}
-		if lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{}); err == nil && lt.CommonBottleneck {
-			v.detects = true
+		t := cfg.trial(specs[i])
+		lv, err := t.verdict()
+		return verdict{
+			loss:    (t.res.M1.LossRate() + t.res.M2.LossRate()) / 2,
+			detects: err == nil && lv.LocalizedToISP,
 		}
-		return v
 	})
 	for idx, v := range verdicts {
 		r := rows[idx/trials]

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -67,7 +68,12 @@ func Figure2(cfg Config) *Report {
 
 // appendFig2Scenario adds one scenario's four curves and its MWU verdict.
 func (r *Report) appendFig2Scenario(rng *rand.Rand, name string, x, y, tdiff []float64) {
-	res, err := core.ThroughputComparison(rng, x, y, tdiff, core.ThroughputCmpConfig{})
+	var v wehey.Verdict
+	err := (&wehey.Localizer{Rand: rng}).Detect(&v, core.DetectorInput{X: x, Y: y, TDiff: tdiff})
+	res := v.Detail.Throughput
+	if err == nil && res == nil {
+		err = errors.New("throughput comparison skipped: no samples")
+	}
 	if err != nil {
 		r.Notes = append(r.Notes, fmt.Sprintf("%s: %v", name, err))
 		return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/nal-epfl/wehey/internal/core"
 	"github.com/nal-epfl/wehey/internal/tomo"
 )
 
@@ -72,14 +71,15 @@ func Figure6(cfg Config) *Report {
 	}
 	type verdict struct{ excluded, fnTrend, fnClassic bool }
 	verdicts := ForEach(len(specs), cfg.workers(), func(i int) verdict {
-		res := cfg.Sim(specs[i])
+		t := cfg.trial(specs[i])
+		res := &t.res
 		// §6.2 exclusion: insignificant throttling (the replay barely lost
 		// anything → WeHe would not have flagged differentiation).
 		if res.M1.LossRate() < 0.005 && res.M2.LossRate() < 0.005 {
 			return verdict{excluded: true}
 		}
 		var v verdict
-		if lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{}); err != nil || !lt.CommonBottleneck {
+		if lv, err := t.verdict(); err != nil || !lv.LocalizedToISP {
 			v.fnTrend = true
 		}
 		if !tomo.BinLossTomoNoParams(&res.M1, &res.M2, tomo.NoParamsConfig{}).CommonBottleneck {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"github.com/nal-epfl/wehey/internal/core"
 )
 
 // Figure7 reproduces the severe-throttling limit study (§6.3): TCP
@@ -48,15 +46,15 @@ func Figure7(cfg Config) *Report {
 		ok bool
 	}
 	outcomes := ForEach(len(specs), cfg.workers(), func(i int) outcome {
-		res := cfg.Sim(specs[i])
-		lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
+		t := cfg.trial(specs[i])
+		v, err := t.verdict()
 		if err != nil {
 			return outcome{}
 		}
 		return outcome{ok: true, p: point{
-			retrans: (res.RetransRate[0] + res.RetransRate[1]) / 2,
-			delay:   (res.QueueDelay[0] + res.QueueDelay[1]) / 2,
-			fn:      !lt.CommonBottleneck,
+			retrans: (t.res.RetransRate[0] + t.res.RetransRate[1]) / 2,
+			delay:   (t.res.QueueDelay[0] + t.res.QueueDelay[1]) / 2,
+			fn:      !v.LocalizedToISP,
 		}}
 	})
 	var points []point

@@ -73,7 +73,7 @@ func Lookup(name string) (Generator, bool) {
 func Run(w io.Writer, name string, cfg Config) error {
 	g, ok := Lookup(name)
 	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+		return fmt.Errorf("experiments: unknown experiment %q (have %v, opt-in %v)", name, Names(), ExtraNames())
 	}
 	g(cfg).Render(w)
 	return nil

@@ -106,6 +106,8 @@ func TestRegistry(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run(&buf, "nope", Config{}); err == nil {
 		t.Error("Run with bogus name should error")
+	} else if !strings.Contains(err.Error(), "ablation-scale") {
+		t.Errorf("unknown-name error does not list the opt-in experiments: %v", err)
 	}
 	// table2 is pure configuration — cheap enough to run in tests.
 	if err := Run(&buf, "table2", Config{}); err != nil {

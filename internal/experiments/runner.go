@@ -7,11 +7,11 @@ import (
 )
 
 // This file is the experiment execution engine: a deterministic seed
-// derivation (specSeed) plus a worker pool (ForEach/RunGrid) that fans
-// simulation runs out over GOMAXPROCS goroutines while keeping results in
-// submission order. Every generator that sweeps RunSim over a parameter
-// grid goes through here, so serial (-workers=1) and parallel (-workers=N)
-// execution render byte-identical reports.
+// derivation (specSeed) plus a worker pool (ForEach) that fans simulation
+// runs out over GOMAXPROCS goroutines while keeping results in submission
+// order. Every generator that sweeps trials over a parameter grid goes
+// through here, so serial (-workers=1) and parallel (-workers=N) execution
+// render byte-identical reports.
 
 // specSeed derives the seed of one simulation run from its identity — the
 // experiment it belongs to, the grid cell it occupies, and its trial index
@@ -102,15 +102,4 @@ func ForEach[T any](n, workers int, fn func(i int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// RunGrid executes every spec through RunSim on a pool of workers
-// goroutines and returns the results in submission order. Seeds must
-// already be set (normally via specSeed), so the output is independent of
-// the worker count. This is the uncached path; generators go through
-// Config.Grid, which consults Config.Cache first (see cache.go).
-func RunGrid(specs []SimSpec, workers int) []SimResult {
-	return ForEach(len(specs), workers, func(i int) SimResult {
-		return RunSim(specs[i])
-	})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -106,7 +107,7 @@ func TestForEachOrderAndCoverage(t *testing.T) {
 	}
 }
 
-func TestRunGridMatchesSerial(t *testing.T) {
+func TestGridMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -120,42 +121,64 @@ func TestRunGridMatchesSerial(t *testing.T) {
 			Seed:     specSeed(1, "runner-test", "cell", trial),
 		})
 	}
-	serial := RunGrid(specs, 1)
-	parallel := RunGrid(specs, 4)
+	serial := Config{Workers: 1}.Grid(specs)
+	parallel := Config{Workers: 4}.Grid(specs)
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("RunGrid results differ between workers=1 and workers=4")
+		t.Error("Grid results differ between workers=1 and workers=4")
 	}
 }
 
 // TestExperimentsDeterministicAcrossWorkers is the headline guarantee:
 // every registered experiment renders byte-identical reports across
-// repeated runs and across worker-pool widths. Run under -race it also
-// verifies the fan-out keeps each engine and rng goroutine-local.
+// repeated runs, across worker-pool widths and through a cache, and the
+// renders together are the `-run all` stream committed under testdata. Run
+// under -race it also verifies the fan-out keeps each engine and rng
+// goroutine-local. The cached render must see no cache hit: no generator
+// asks for one trial twice.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered experiment three times")
 	}
-	render := func(name string, workers int) []byte {
+	const golden = "testdata/run_all_trials1_seed5_6s.golden"
+	render := func(t *testing.T, name string, workers int, cache *SimCache) []byte {
 		t.Helper()
-		cfg := Config{Trials: 1, Seed: 5, Duration: 6 * time.Second, Workers: workers}
+		cfg := Config{Trials: 1, Seed: 5, Duration: 6 * time.Second, Workers: workers, Cache: cache}
 		var buf bytes.Buffer
 		if err := Run(&buf, name, cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return buf.Bytes()
 	}
+	var all bytes.Buffer
+	rendered := 0
 	for _, name := range Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			one := render(name, 1)
-			again := render(name, 1)
-			pool := render(name, 4)
+			one := render(t, name, 1, nil)
+			cache := NewSimCache()
+			again := render(t, name, 1, cache)
+			pool := render(t, name, 4, nil)
 			if !bytes.Equal(one, again) {
-				t.Errorf("%s: two workers=1 runs differ", name)
+				t.Errorf("%s: the cached workers=1 run differs from the uncached one", name)
 			}
 			if !bytes.Equal(one, pool) {
 				t.Errorf("%s: workers=1 and workers=4 renders differ", name)
 			}
+			if hits := cache.Stats().Hits; hits != 0 {
+				t.Errorf("%s: %d cache hits: the generator asked for a trial more than once", name, hits)
+			}
+			all.Write(one)
+			all.WriteByte('\n') // RunAll's separator
+			rendered++
 		})
+	}
+	if rendered < len(Names()) {
+		return // -run selected a subset of the generators
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(all.Bytes(), want) {
+		t.Errorf("renders differ from %s (go run ./cmd/wehey-experiments -run all -trials 1 -seed 5 -duration 6s)", golden)
 	}
 }

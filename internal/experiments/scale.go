@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"github.com/nal-epfl/wehey/internal/core"
 )
 
 // scaleArm is one row of the fluid-background scale ablation.
@@ -73,19 +71,19 @@ func runScaleArms(cfg Config) []scaleStats {
 			})
 		}
 	}
-	runs := cfg.Grid(specs)
+	runs := ForEach(len(specs), cfg.workers(), func(i int) *trial { return cfg.trial(specs[i]) })
 	stats := make([]scaleStats, len(arms))
 	for ai := range arms {
 		st := &stats[ai]
 		for i := 0; i < trials; i++ {
-			r := &runs[ai*trials+i]
-			st.events += float64(r.Events)
-			st.bgEvents += float64(r.BgEvents)
-			if r.BgFlows > st.peakFlows {
-				st.peakFlows = r.BgFlows
+			t := runs[ai*trials+i]
+			st.events += float64(t.res.Events)
+			st.bgEvents += float64(t.res.BgEvents)
+			if t.res.BgFlows > st.peakFlows {
+				st.peakFlows = t.res.BgFlows
 			}
 			st.trials++
-			if lt, err := core.LossTrendCorrelation(&r.M1, &r.M2, core.LossTrendConfig{}); err == nil && lt.CommonBottleneck {
+			if v, err := t.verdict(); err == nil && v.LocalizedToISP {
 				st.detected++
 			}
 		}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"github.com/nal-epfl/wehey/internal/core"
 )
 
 func TestRunSimFNRegimeTCP(t *testing.T) {
@@ -14,12 +12,13 @@ func TestRunSimFNRegimeTCP(t *testing.T) {
 	misses := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		res := RunSim(SimSpec{App: TCPBulkApp, InputFactor: 1.5, BgShare: 0.5, Seed: seed})
-		lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
+		v, err := decide(&res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !lt.CommonBottleneck {
+		if !v.LocalizedToISP {
 			misses++
+			lt := v.Detail.LossTrend
 			t.Logf("seed %d: missed (%d/%d), loss rates %.3f/%.3f",
 				seed, lt.Correlations, lt.Sizes, res.M1.LossRate(), res.M2.LossRate())
 		}
@@ -34,11 +33,11 @@ func TestRunSimFNRegimeUDP(t *testing.T) {
 		t.Skip("45 s simulation")
 	}
 	res := RunSim(SimSpec{App: "zoom", InputFactor: 1.5, BgShare: 0.5, Seed: 7})
-	lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
+	v, err := decide(&res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lt.CommonBottleneck {
+	if lt := v.Detail.LossTrend; !v.LocalizedToISP {
 		t.Errorf("UDP FN on default config (%d/%d), loss %.3f/%.3f",
 			lt.Correlations, lt.Sizes, res.M1.LossRate(), res.M2.LossRate())
 	}
@@ -59,11 +58,11 @@ func TestRunSimFPRegime(t *testing.T) {
 		if res.Drops["tbf_1"] == 0 || res.Drops["tbf_2"] == 0 {
 			t.Fatal("path limiters did not throttle")
 		}
-		lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
+		v, err := decide(&res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lt.CommonBottleneck {
+		if v.LocalizedToISP {
 			positives++
 		}
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"github.com/nal-epfl/wehey/internal/core"
 )
 
 // fnCellSpecs expands base into the severe-throttling parameter mix of
@@ -28,26 +26,22 @@ func fnCellSpecs(base SimSpec, baseSeed int64, experimentID, cellKey string, tri
 	return specs
 }
 
-// fnCounts fans specs out over the worker pool and returns the loss-trend
-// FN count of each consecutive block of cellRuns specs (one block per
-// table cell), in block order.
-func fnCounts(cfg Config, specs []SimSpec, cellRuns int) []int {
-	flags := ForEach(len(specs), cfg.workers(), func(i int) bool {
-		res := cfg.Sim(specs[i])
-		lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
-		return err != nil || !lt.CommonBottleneck
+// localizedPer decides every spec through Localize on the worker pool and
+// returns how many verdicts localized the differentiation in each
+// consecutive block of n specs (one block per table cell), in block order.
+// A detector error counts as not localized.
+func (c Config) localizedPer(specs []SimSpec, n int) []int {
+	hits := ForEach(len(specs), c.workers(), func(i int) bool {
+		v, err := c.Localize(specs[i])
+		return err == nil && v.LocalizedToISP
 	})
-	fns := make([]int, 0, len(specs)/cellRuns)
-	for start := 0; start < len(flags); start += cellRuns {
-		fn := 0
-		for _, miss := range flags[start : start+cellRuns] {
-			if miss {
-				fn++
-			}
+	counts := make([]int, len(specs)/n)
+	for i, hit := range hits {
+		if hit {
+			counts[i/n]++
 		}
-		fns = append(fns, fn)
 	}
-	return fns
+	return counts
 }
 
 // Table3 reproduces the RTT limit study: RTT1 = 35 ms, RTT2 swept from
@@ -78,11 +72,11 @@ func Table3(cfg Config) *Report {
 		base.App = "zoom"
 		specs = append(specs, fnCellSpecs(base, cfg.Seed, "table3", "udp/rtt2="+fms(rtt2), trials)...)
 	}
-	for i, fn := range fnCounts(cfg, specs, cellRuns) {
+	for i, tp := range cfg.localizedPer(specs, cellRuns) {
 		if i%2 == 0 {
-			tcpRow = append(tcpRow, pct(fn, cellRuns))
+			tcpRow = append(tcpRow, pct(cellRuns-tp, cellRuns))
 		} else {
-			udpRow = append(udpRow, pct(fn, cellRuns))
+			udpRow = append(udpRow, pct(cellRuns-tp, cellRuns))
 		}
 	}
 
@@ -123,11 +117,11 @@ func Table4(cfg Config) *Report {
 		base.App = TCPBulkApp
 		specs = append(specs, fnCellSpecs(base, cfg.Seed, "table4", fmt.Sprintf("tcp/cf=%g", cf), trials)...)
 	}
-	for i, fn := range fnCounts(cfg, specs, cellRuns) {
+	for i, tp := range cfg.localizedPer(specs, cellRuns) {
 		if i%2 == 0 {
-			udpRow = append(udpRow, pct(fn, cellRuns))
+			udpRow = append(udpRow, pct(cellRuns-tp, cellRuns))
 		} else {
-			tcpRow = append(tcpRow, pct(fn, cellRuns))
+			tcpRow = append(tcpRow, pct(cellRuns-tp, cellRuns))
 		}
 	}
 
@@ -175,18 +169,7 @@ func Table5(cfg Config) *Report {
 			})
 		}
 	}
-	fpFlags := ForEach(len(specs), cfg.workers(), func(i int) bool {
-		res := cfg.Sim(specs[i])
-		lt, err := core.LossTrendCorrelation(&res.M1, &res.M2, core.LossTrendConfig{})
-		return err == nil && lt.CommonBottleneck
-	})
-	for start := 0; start < len(fpFlags); start += trials {
-		fp := 0
-		for _, hit := range fpFlags[start : start+trials] {
-			if hit {
-				fp++
-			}
-		}
+	for _, fp := range cfg.localizedPer(specs, trials) {
 		row = append(row, pct(fp, trials))
 	}
 

@@ -106,7 +106,7 @@ func TestEngineEventOrderProperty(t *testing.T) {
 		var fired []time.Duration
 		for _, v := range raw {
 			at := time.Duration(v) * time.Microsecond
-			eng.Schedule(at, func() { fired = append(fired, eng.Now()) })
+			schedule(&eng, at, func() { fired = append(fired, eng.Now()) })
 		}
 		eng.Run(time.Second)
 		for i := 1; i < len(fired); i++ {

@@ -62,11 +62,8 @@ type Engine struct {
 type eventKind uint8
 
 const (
-	// evFunc runs a closure — the compatibility shim for cold paths and
-	// tests (Engine.Schedule / Engine.After).
-	evFunc eventKind = iota
 	// evDeliver hands a packet to a hop (link/limiter egress).
-	evDeliver
+	evDeliver eventKind = iota
 	// evStream marks a stream's queue entry; arg indexes Engine.streams.
 	// pop replaces it with the stream item's own kind, so it is never
 	// dispatched.
@@ -118,13 +115,12 @@ func (k qkey) before(o qkey) bool {
 }
 
 // payload is what an event does. Exactly one group is used, selected by
-// kind: fn (evFunc), pkt+hop (evDeliver), or h+arg (interned callbacks).
+// kind: pkt+hop (evDeliver) or h+arg (interned callbacks).
 type payload struct {
 	arg  uint64
 	pkt  *Packet
 	hop  Hop
 	h    handler
-	fn   func()
 	kind eventKind
 }
 
@@ -157,24 +153,10 @@ func (s *stream) key(i int, slot uint32) qkey {
 // Now returns the current simulation time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Schedule runs fn at simulation time at. Events scheduled in the past run
-// at the current time, after already-pending events for that time.
-//
-// This is the closure compatibility shim: it allocates the closure like any
-// Go function value. Hot paths inside the package use the typed record
-// schedulers below instead.
-func (e *Engine) Schedule(at time.Duration, fn func()) {
-	p := e.push(at)
-	p.kind, p.fn = evFunc, fn
-}
-
-// After schedules fn to run d from now.
-func (e *Engine) After(d time.Duration, fn func()) {
-	e.Schedule(e.now+d, fn)
-}
-
 // ScheduleDeliver hands pkt to hop at simulation time at without
 // allocating. A nil hop is a terminal delivery: the packet is recycled.
+// Events scheduled in the past run at the current time, after
+// already-pending events for that time.
 func (e *Engine) ScheduleDeliver(at time.Duration, pkt *Packet, hop Hop) {
 	p := e.push(at)
 	p.kind, p.pkt, p.hop = evDeliver, pkt, hop
@@ -201,12 +183,13 @@ type seriesFunc func(i int)
 
 func (f seriesFunc) handle(_ eventKind, arg uint64) { f(int(arg)) }
 
-// ScheduleSeries runs fn(i) at simulation time times[i] for every i, exactly
-// as calling Schedule(times[i], …) for i = 0, 1, 2, … would: the same event
-// order relative to everything else, the same event count. It is the
-// scheduler for sources whose whole timetable is known up front — it keeps
-// one queue entry however long the series is, and allocates no closure per
-// item. The engine takes ownership of times.
+// ScheduleSeries runs fn(i) at simulation time times[i] for every i. Each
+// item fires where pushing the items one by one, in index order, now would
+// have put it: a time in the past runs at the current time, after
+// already-pending events for that time. It is the engine's one scheduler
+// for arbitrary callbacks (a single callback is a one-item series); the
+// series keeps one queue entry however long it is and allocates no closure
+// per item. The engine takes ownership of times.
 func (e *Engine) ScheduleSeries(times []time.Duration, fn func(i int)) {
 	e.scheduleSeries(times, seriesFunc(fn), evSeries)
 }
@@ -351,8 +334,6 @@ func (e *Engine) pop(ev *payload) qkey {
 // dispatch runs one event.
 func (e *Engine) dispatch(ev *payload) {
 	switch ev.kind {
-	case evFunc:
-		ev.fn()
 	case evDeliver:
 		if ev.hop != nil {
 			ev.hop.Send(ev.pkt)

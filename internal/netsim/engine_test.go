@@ -5,12 +5,17 @@ import (
 	"time"
 )
 
+// schedule runs fn at simulation time at: a one-item ScheduleSeries.
+func schedule(e *Engine, at time.Duration, fn func()) {
+	e.ScheduleSeries([]time.Duration{at}, func(int) { fn() })
+}
+
 func TestEngineOrdering(t *testing.T) {
 	var eng Engine
 	var got []int
-	eng.Schedule(3*time.Second, func() { got = append(got, 3) })
-	eng.Schedule(1*time.Second, func() { got = append(got, 1) })
-	eng.Schedule(2*time.Second, func() { got = append(got, 2) })
+	schedule(&eng, 3*time.Second, func() { got = append(got, 3) })
+	schedule(&eng, 1*time.Second, func() { got = append(got, 1) })
+	schedule(&eng, 2*time.Second, func() { got = append(got, 2) })
 	eng.Run(10 * time.Second)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +33,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.Schedule(time.Second, func() { got = append(got, i) })
+		schedule(&eng, time.Second, func() { got = append(got, i) })
 	}
 	eng.Run(2 * time.Second)
 	for i := range got {
@@ -41,7 +46,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 func TestEngineRunUntilStopsAndResumes(t *testing.T) {
 	var eng Engine
 	fired := 0
-	eng.Schedule(5*time.Second, func() { fired++ })
+	schedule(&eng, 5*time.Second, func() { fired++ })
 	n := eng.Run(2 * time.Second)
 	if n != 0 || fired != 0 {
 		t.Fatalf("event beyond horizon ran: n=%d fired=%d", n, fired)
@@ -62,10 +67,10 @@ func TestEngineCascade(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 100 {
-			eng.After(time.Millisecond, tick)
+			schedule(&eng, eng.Now()+time.Millisecond, tick)
 		}
 	}
-	eng.Schedule(0, tick)
+	schedule(&eng, 0, tick)
 	eng.Run(time.Second)
 	if count != 100 {
 		t.Fatalf("cascade count = %d", count)
@@ -78,8 +83,8 @@ func TestEngineCascade(t *testing.T) {
 func TestEnginePastEventsRunNow(t *testing.T) {
 	var eng Engine
 	var at time.Duration
-	eng.Schedule(time.Second, func() {
-		eng.Schedule(0, func() { at = eng.Now() }) // in the past
+	schedule(&eng, time.Second, func() {
+		schedule(&eng, 0, func() { at = eng.Now() }) // in the past
 	})
 	eng.Run(2 * time.Second)
 	if at != time.Second {

@@ -133,7 +133,7 @@ func TestTBFFluidForegroundExactness(t *testing.T) {
 		// 1200-byte CBR at 8 Mbit/s for 100 packets: overload, pure shaping.
 		for i := 0; i < 100; i++ {
 			at := time.Duration(i) * 1200 * 8 * time.Microsecond / 8 // 1.2 ms spacing
-			eng.Schedule(at, func() {
+			schedule(&eng, at, func() {
 				pkt := eng.AllocPacket()
 				pkt.Flow = 1
 				pkt.Size = 1200
@@ -179,7 +179,7 @@ func TestLinkFluidForegroundExactness(t *testing.T) {
 		}
 		for i := 0; i < 80; i++ {
 			at := time.Duration(i) * 700 * time.Microsecond
-			eng.Schedule(at, func() {
+			schedule(&eng, at, func() {
 				pkt := eng.AllocPacket()
 				pkt.Flow = 1
 				pkt.Size = 1400

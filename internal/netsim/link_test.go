@@ -22,7 +22,7 @@ func TestLinkSerializationAndDelay(t *testing.T) {
 	col := &collector{eng: &eng}
 	// 8 Mbit/s, 10 ms propagation: a 1000-byte packet serializes in 1 ms.
 	link := NewLink(&eng, "l", 8e6, 10*time.Millisecond, col)
-	eng.Schedule(0, func() { link.Send(&Packet{Size: 1000}) })
+	schedule(&eng, 0, func() { link.Send(&Packet{Size: 1000}) })
 	eng.Run(time.Second)
 	if len(col.pkts) != 1 {
 		t.Fatalf("delivered %d", len(col.pkts))
@@ -36,7 +36,7 @@ func TestLinkBackToBackSerialization(t *testing.T) {
 	var eng Engine
 	col := &collector{eng: &eng}
 	link := NewLink(&eng, "l", 8e6, 0, col)
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		link.Send(&Packet{Size: 1000}) // tx 1 ms
 		link.Send(&Packet{Size: 1000}) // queued; tx 1 ms after first
 	})
@@ -68,7 +68,7 @@ func TestLinkTailDrop(t *testing.T) {
 		}
 		drops = append(drops, pkt)
 	}
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		link.Send(&Packet{Seq: 0, Size: 1000}) // transmitting
 		link.Send(&Packet{Seq: 1, Size: 1000}) // queued
 		link.Send(&Packet{Seq: 2, Size: 1000}) // dropped (queue full)
@@ -89,7 +89,7 @@ func TestLinkInfiniteRate(t *testing.T) {
 	var eng Engine
 	col := &collector{eng: &eng}
 	link := NewLink(&eng, "l", 0, 7*time.Millisecond, col)
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 100; i++ {
 			link.Send(&Packet{Seq: int64(i), Size: 1500})
 		}
@@ -114,7 +114,7 @@ func TestLinkUtilizationUnderLoad(t *testing.T) {
 	interval := 500 * time.Microsecond // 1000B per 0.5ms = 16 Mbit/s offered
 	for i := 0; i < 2000; i++ {
 		i := i
-		eng.Schedule(time.Duration(i)*interval, func() {
+		schedule(&eng, time.Duration(i)*interval, func() {
 			link.Send(&Packet{Seq: int64(i), Size: 1000})
 		})
 	}
@@ -139,7 +139,7 @@ func TestLinkStructLiteralQueueLimitDefault(t *testing.T) {
 	var eng Engine
 	col := &collector{eng: &eng}
 	link := &Link{Name: "lit", Rate: 8e6, Next: col, eng: &eng}
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		link.Send(&Packet{Seq: 0, Size: 1000}) // transmitting
 		link.Send(&Packet{Seq: 1, Size: 1000}) // busy: must queue, not drop
 	})

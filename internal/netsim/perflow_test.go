@@ -18,7 +18,7 @@ func TestPerFlowLimiterSeparateBuckets(t *testing.T) {
 	n := int(4 * time.Second / interval)
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * interval
-		eng.Schedule(at, func() {
+		schedule(&eng, at, func() {
 			pf.Send(&Packet{Flow: 1, Size: 1000, Class: ClassDifferentiated})
 			pf.Send(&Packet{Flow: 2, Size: 1000, Class: ClassDifferentiated})
 		})
@@ -49,7 +49,7 @@ func TestPerFlowLimiterMergedKeyShares(t *testing.T) {
 	n := int(4 * time.Second / interval)
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * interval
-		eng.Schedule(at, func() {
+		schedule(&eng, at, func() {
 			pf.Send(&Packet{Flow: 1, Size: 1000, Class: ClassDifferentiated, PolicyKey: "m"})
 			pf.Send(&Packet{Flow: 2, Size: 1000, Class: ClassDifferentiated, PolicyKey: "m"})
 		})
@@ -69,7 +69,7 @@ func TestPerFlowLimiterBypassesDefaultClass(t *testing.T) {
 	var eng Engine
 	col := &collector{eng: &eng}
 	pf := NewPerFlowLimiter(&eng, "pf", 1e3, 100, 0, col)
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 20; i++ {
 			pf.Send(&Packet{Flow: 1, Size: 1500, Class: ClassDefault})
 		}

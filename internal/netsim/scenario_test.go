@@ -143,10 +143,10 @@ func TestScenarioPathLimiters(t *testing.T) {
 	flow = NewUDPFlow(&eng, 1, ClassDifferentiated, sc.Entry(0))
 	sc.Register(1, flow.Receiver())
 	// 4 Mbit/s offered against a 2 Mbit/s limiter on l_1.
-	eng.Schedule(0, func() {})
+	schedule(&eng, 0, func() {})
 	for i := 0; i < 4000; i++ {
 		i := i
-		eng.Schedule(time.Duration(i)*2*time.Millisecond, func() { flow.transmit(int64(i), 1000) })
+		schedule(&eng, time.Duration(i)*2*time.Millisecond, func() { flow.transmit(int64(i), 1000) })
 	}
 	flow.totalScheduled = 4000
 	eng.Run(10 * time.Second)

@@ -10,7 +10,7 @@ func TestRateLimiterBypassesDefaultClass(t *testing.T) {
 	var eng Engine
 	col := &collector{eng: &eng}
 	rl := NewRateLimiter(&eng, "tbf", 1e6, 1500, 0, col)
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 50; i++ {
 			rl.Send(&Packet{Seq: int64(i), Size: 1500, Class: ClassDefault})
 		}
@@ -35,7 +35,7 @@ func TestRateLimiterPolicesAtConfiguredRate(t *testing.T) {
 	interval := 2 * time.Millisecond
 	n := int(10 * time.Second / interval)
 	for i := 0; i < n; i++ {
-		eng.Schedule(time.Duration(i)*interval, func() {
+		schedule(&eng, time.Duration(i)*interval, func() {
 			rl.Send(&Packet{Size: 1000, Class: ClassDifferentiated})
 		})
 	}
@@ -68,7 +68,7 @@ func TestRateLimiterShaperDelaysInsteadOfDropping(t *testing.T) {
 	n := int(6 * time.Second / interval)
 	for i := 0; i < n; i++ {
 		at := time.Duration(i) * interval
-		eng.Schedule(at, func() {
+		schedule(&eng, at, func() {
 			policer.Send(&Packet{Size: 1000, Class: ClassDifferentiated})
 			shaper.Send(&Packet{Size: 1000, Class: ClassDifferentiated})
 		})
@@ -99,7 +99,7 @@ func TestRateLimiterBurstAllowsInitialBurst(t *testing.T) {
 	col := &collector{eng: &eng}
 	// Big bucket: 10 packets of burst available immediately.
 	rl := NewRateLimiter(&eng, "tbf", 1e6, 10*1000, 0, col)
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 12; i++ {
 			rl.Send(&Packet{Seq: int64(i), Size: 1000, Class: ClassDifferentiated})
 		}
@@ -115,7 +115,7 @@ func TestRateLimiterInactivePassesEverything(t *testing.T) {
 	col := &collector{eng: &eng}
 	rl := NewRateLimiter(&eng, "tbf", 1e3, 100, 0, col)
 	rl.Active = false
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 30; i++ {
 			rl.Send(&Packet{Size: 1500, Class: ClassDifferentiated})
 		}
@@ -136,7 +136,7 @@ func TestRateLimiterCustomClassifier(t *testing.T) {
 		}
 		return ClassDefault
 	}
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 10; i++ {
 			rl.Send(&Packet{Flow: 7, Size: 1000})
 			rl.Send(&Packet{Flow: 8, Size: 1000})
@@ -156,7 +156,7 @@ func TestRateLimiterZeroRateTerminates(t *testing.T) {
 	col := &collector{eng: &eng}
 	rl := NewRateLimiter(&eng, "tbf", 0, 3000, 60000, col)
 	for i := 0; i < 20; i++ {
-		eng.Schedule(time.Duration(i)*time.Millisecond, func() {
+		schedule(&eng, time.Duration(i)*time.Millisecond, func() {
 			rl.Send(&Packet{Size: 1000, Class: ClassDifferentiated})
 		})
 	}
@@ -189,12 +189,12 @@ func TestRateLimiterRateZeroedMidRunDropsQueue(t *testing.T) {
 			t.Errorf("dropped packet has open queue-delay interval: %v", pkt.QueuedFor)
 		}
 	}
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		for i := 0; i < 10; i++ {
 			rl.Send(&Packet{Size: 1500, Class: ClassDifferentiated})
 		}
 	})
-	eng.Schedule(time.Millisecond, func() { rl.Rate = 0 })
+	schedule(&eng, time.Millisecond, func() { rl.Rate = 0 })
 	eng.Run(time.Second)
 	if eng.Pending() != 0 {
 		t.Errorf("engine left %d events pending", eng.Pending())

@@ -78,13 +78,13 @@ func TestUDPLossRegistrationLagsDrops(t *testing.T) {
 	link := NewLink(&eng, "l", 0, 5*time.Millisecond, end)
 	flow = NewUDPFlow(&eng, 1, ClassDefault, link)
 	// Hand-built schedule: drop seq 1 by sending it to Discard.
-	eng.Schedule(0, func() { flow.transmit(0, 100) })
-	eng.Schedule(10*time.Millisecond, func() {
+	schedule(&eng, 0, func() { flow.transmit(0, 100) })
+	schedule(&eng, 10*time.Millisecond, func() {
 		flow.SentCount++
 		flow.TxLog = append(flow.TxLog, eng.Now())
 		// seq 1 vanishes (never enters the link)
 	})
-	eng.Schedule(20*time.Millisecond, func() { flow.transmit(2, 100) })
+	schedule(&eng, 20*time.Millisecond, func() { flow.transmit(2, 100) })
 	flow.totalScheduled = 3
 	eng.Run(time.Second)
 

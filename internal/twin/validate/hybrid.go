@@ -124,15 +124,18 @@ func RunHybridPoint(pt HybridPoint, fluid bool) HybridMeasurement {
 	if fluid {
 		fq = rl.Fluid()
 		bgSrc = fq.AddSource()
+		// Each interval's rate, then silence at the horizon.
+		var times []time.Duration
+		var levels []float64
 		for i, r := range rates {
 			at := time.Duration(i) * pt.BgModPeriod
 			if at >= pt.Horizon {
 				break
 			}
-			rate := r
-			eng.Schedule(at, func() { fq.SetSource(bgSrc, rate) })
+			times, levels = append(times, at), append(levels, r)
 		}
-		eng.Schedule(pt.Horizon, func() { fq.SetSource(bgSrc, 0) })
+		times, levels = append(times, pt.Horizon), append(levels, 0)
+		eng.ScheduleSeries(times, func(i int) { fq.SetSource(bgSrc, levels[i]) })
 	} else {
 		// Poisson packet arrivals whose mean tracks the interval's
 		// trajectory rate. All arrivals precompute from one seeded rng so
