@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey"
+	"github.com/nal-epfl/wehey/internal/experiments"
 	"github.com/nal-epfl/wehey/internal/isp"
 )
 
@@ -55,7 +56,11 @@ func main() {
 			dur = 45 * time.Second // the paper's minimum: the loss-trend detector needs it
 		}
 		fmt.Printf("scenario: collective per-service throttling (shared bottleneck, %v replays)\n", dur)
-		session = wehey.NewCollectiveSimSession(rng, wehey.CollectiveConfig{Duration: dur})
+		session = experiments.NewSpecSession(rng, experiments.SimSpec{
+			App:         experiments.TCPBulkApp,
+			InputFactor: 2.5, // Table 2's severe end: mild loss hides from WeHe
+			Duration:    dur,
+		})
 	} else {
 		profile, ok := findProfile(*ispName)
 		if !ok {

@@ -17,14 +17,16 @@ import (
 	"time"
 
 	"github.com/nal-epfl/wehey"
+	"github.com/nal-epfl/wehey/internal/experiments"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(7))
 	tdiff := wehey.CellularTDiff(rng)
 
-	session := wehey.NewCollectiveSimSession(rng, wehey.CollectiveConfig{
-		InputFactor: 1.5,              // offered load is 1.5x the collective rate
+	session := experiments.NewSpecSession(rng, experiments.SimSpec{
+		App:         experiments.TCPBulkApp,
+		InputFactor: 2.5,              // Table 2's severe end (offered/rate at the limiter)
 		Duration:    45 * time.Second, // the paper's minimum replay length
 	})
 

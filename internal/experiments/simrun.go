@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -143,9 +144,31 @@ type SimResult struct {
 	BgFlows int64
 }
 
+// Validate reports a spec no simulation can run: an App that is neither
+// TCPBulkApp nor a trace profile, or a Placement out of range.
+func (s SimSpec) Validate() error {
+	if s.App != TCPBulkApp {
+		if _, err := trace.ProfileByName(s.App); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+	}
+	if s.Placement != LimiterCommon && s.Placement != LimiterNonCommon {
+		return fmt.Errorf("experiments: unknown limiter placement %d", s.Placement)
+	}
+	return nil
+}
+
 // RunSim executes the simultaneous replay described by spec and returns
 // the measurements Alg. 1 and the tomography baselines consume.
 func RunSim(spec SimSpec) SimResult {
+	return run(spec, 2, netsim.ClassDifferentiated)
+}
+
+// run builds the Figure-1 scenario of spec with n replay flows (1 or 2)
+// of the given class and replays them; the result's second path is empty
+// when n is 1. The common limiter is sized for the n replays, so
+// InputFactor holds in every phase of a SpecSession.
+func run(spec SimSpec, n int, class netsim.Class) SimResult {
 	spec.fill()
 	var eng netsim.Engine
 	// The run stops at a fixed horizon with timers still queued; Release
@@ -153,22 +176,19 @@ func RunSim(spec SimSpec) SimResult {
 	// trial.
 	defer eng.Release()
 
-	maxRTT := spec.RTT1
-	if spec.RTT2 > maxRTT {
-		maxRTT = spec.RTT2
-	}
+	maxRTT := max(spec.RTT1, spec.RTT2)
 
 	// Replay rates.
 	var replayRate float64
-	var udpTraces [2]*trace.Trace
+	udpTraces := make([]*trace.Trace, n)
 	isTCP := spec.App == TCPBulkApp
 	if isTCP {
 		replayRate = tcpReplayRate
 	} else {
-		for i := 0; i < 2; i++ {
+		for i := range udpTraces {
 			tr, err := trace.Generate(spec.App, rand.New(rand.NewSource(spec.Seed+int64(i))), 12*time.Second)
 			if err != nil {
-				panic(err) // unknown app: programmer error in the harness
+				panic(err) // unknown app: callers Validate the spec first
 			}
 			tr = trace.ExtendTo(tr, spec.Duration)
 			if !spec.Unmodified {
@@ -192,7 +212,7 @@ func RunSim(spec SimSpec) SimResult {
 	paths := []netsim.PathSpec{
 		{RTT: spec.RTT1},
 		{RTT: spec.RTT2},
-	}
+	}[:n]
 
 	// InputFactor → bottleneck utilization. The paper's input/rate factor
 	// describes the *natural* (pre-adaptation) input of a mostly TCP mix;
@@ -220,7 +240,7 @@ func RunSim(spec SimSpec) SimResult {
 			paths[i].BgModSpread = 0.9
 		}
 	default: // LimiterCommon
-		offered := 2*replayRate + bgDiff
+		offered := float64(n)*replayRate + bgDiff
 		rate := offered / util
 		burst := netsim.BurstForRTT(rate, maxRTT)
 		common.Limiter = &netsim.LimiterSpec{
@@ -242,7 +262,7 @@ func RunSim(spec SimSpec) SimResult {
 	// crossing traffic slightly exceeds (or approaches) its bandwidth.
 	if spec.CongestionFactor > 0 {
 		const crossBgRate = 6e6
-		for i := range paths[:2] {
+		for i := range paths[:n] {
 			// Steady class-default cross traffic congests the non-common
 			// link; the knob is the link's sustained utilization
 			// input/bandwidth. (Volatile or heavy-tailed cross traffic
@@ -271,9 +291,9 @@ func RunSim(spec SimSpec) SimResult {
 	// population dynamics drive per-flow fluid contributions instead.
 	var churnPaths []int
 	if spec.Placement == LimiterNonCommon {
-		churnPaths = []int{0, 1} // share the replay paths' limiters
+		churnPaths = []int{0, 1}[:n] // share the replay paths' limiters
 	} else {
-		churnPaths = []int{2, 3} // dedicated background paths into l_c
+		churnPaths = []int{n, n + 1} // dedicated background paths into l_c
 	}
 	churnCfg := netsim.ChurnConfig{
 		MeanRate:    elasticBg,
@@ -299,12 +319,13 @@ func RunSim(spec SimSpec) SimResult {
 	}
 
 	res := SimResult{}
+	ms := [2]*measure.Path{&res.M1, &res.M2}
 	if isTCP {
-		flows := [2]*netsim.TCPFlow{}
-		for i := 0; i < 2; i++ {
+		flows := make([]*netsim.TCPFlow, n)
+		for i := range flows {
 			cfg := netsim.TCPConfig{
 				Pacing:  !spec.Unmodified,
-				Class:   netsim.ClassDifferentiated,
+				Class:   class,
 				AppRate: replayRate,
 				Stop:    spec.Duration,
 			}
@@ -318,33 +339,29 @@ func RunSim(spec SimSpec) SimResult {
 		}
 		sc.StartBackground(0, spec.Duration)
 		res.Events = int64(eng.Run(spec.Duration + 2*time.Second))
-		ms := [2]measure.Path{}
 		for i, f := range flows {
-			ms[i] = f.Measurements(0, spec.Duration, sc.RTT(i))
+			*ms[i] = f.Measurements(0, spec.Duration, sc.RTT(i))
 			res.RetransRate[i] = f.RetransmissionRate()
 			res.QueueDelay[i] = f.AvgQueuingDelay()
 			res.LossRate[i] = f.RetransmissionRate()
 			res.Tput[i] = measure.WeHeThroughput(f.Deliveries(0), 0, spec.Duration)
 		}
-		res.M1, res.M2 = ms[0], ms[1]
 	} else {
-		flows := [2]*netsim.UDPFlow{}
-		for i := 0; i < 2; i++ {
-			f := netsim.NewUDPFlow(&eng, i+1, netsim.ClassDifferentiated, sc.Entry(i))
+		flows := make([]*netsim.UDPFlow, n)
+		for i := range flows {
+			f := netsim.NewUDPFlow(&eng, i+1, class, sc.Entry(i))
 			flows[i] = f
 			sc.Register(i+1, f.Receiver())
 			f.Start(udpTraces[i], 0)
 		}
 		sc.StartBackground(0, spec.Duration)
 		res.Events = int64(eng.Run(spec.Duration + 2*time.Second))
-		ms := [2]measure.Path{}
 		for i, f := range flows {
 			f.Finish(spec.Duration)
-			ms[i] = f.Measurements(0, spec.Duration, sc.RTT(i))
+			*ms[i] = f.Measurements(0, spec.Duration, sc.RTT(i))
 			res.LossRate[i] = f.LossRate()
 			res.Tput[i] = measure.WeHeThroughput(f.Deliveries(0), 0, spec.Duration)
 		}
-		res.M1, res.M2 = ms[0], ms[1]
 	}
 	if mode == netsim.BGFluid {
 		// Settle the analytic state and fold fluid loss into the drop log

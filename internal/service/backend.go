@@ -43,6 +43,30 @@ func (b *SimBackend) CacheStats() simcache.Stats { return b.cache.Stats() }
 // computation — so ctx is checked around it: a canceled attempt never
 // reports success.
 func (b *SimBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
+	simSpec, err := simSpecOf(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// internal/fleet's direct harness evaluates campaigns through the same
+	// Config.Localize, so an in-process campaign and one driven through
+	// this backend report bit-identical verdicts per spec.
+	v, err := experiments.Config{Cache: b.cache}.Localize(simSpec)
+	if err != nil {
+		return nil, fmt.Errorf("service: sim detection: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return resultOf(BackendSim, v), nil
+}
+
+// simSpecOf is the experiments.SimSpec a sim job runs: SimJob's defaults
+// filled in, validated, so Spec.Validate rejects at admission what the
+// backend could not run.
+func simSpecOf(spec Spec) (experiments.SimSpec, error) {
 	p := spec.Sim
 	simSpec := experiments.SimSpec{
 		App:         p.App,
@@ -61,22 +85,12 @@ func (b *SimBackend) Run(ctx context.Context, spec Spec) (*Result, error) {
 	case "noncommon":
 		simSpec.Placement = experiments.LimiterNonCommon
 	default:
-		return nil, fmt.Errorf("service: unknown sim placement %q", p.Placement)
+		return simSpec, fmt.Errorf("service: unknown sim placement %q", p.Placement)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err := simSpec.Validate(); err != nil {
+		return simSpec, fmt.Errorf("service: sim job: %w", err)
 	}
-	// internal/fleet's direct harness evaluates campaigns through the same
-	// Config.Localize, so an in-process campaign and one driven through
-	// this backend report bit-identical verdicts per spec.
-	v, err := experiments.Config{Cache: b.cache}.Localize(simSpec)
-	if err != nil {
-		return nil, fmt.Errorf("service: sim detection: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return resultOf(BackendSim, v), nil
+	return simSpec, nil
 }
 
 // resultOf is the job result for a localization verdict: every backend

@@ -149,6 +149,29 @@ func TestHTTPJournalFailureIs500(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsUnrunnableSimJob: a sim job no simulation can run — an
+// unknown application or limiter placement — answers 400 at admission
+// instead of being journaled and failing every attempt at run time.
+func TestHTTPRejectsUnrunnableSimJob(t *testing.T) {
+	c, s := newHTTPFixture(t)
+	for _, body := range []string{
+		`{"backend":"sim","seed":1,"sim":{"app":"myspace"}}`,
+		`{"backend":"sim","seed":1,"sim":{"placement":"diagonal"}}`,
+	} {
+		resp, err := c.HTTPClient.Post(c.BaseURL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("%d unrunnable jobs admitted", len(jobs))
+	}
+}
+
 // TestHTTPSimJobsHitCache proves the cache hit-through satellite end to
 // end: two identical sim jobs over the admin plane compute one simulation,
 // and /metrics shows the second landing as a cache hit.

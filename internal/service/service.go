@@ -235,6 +235,9 @@ func (s *Spec) Validate() error {
 		if s.Sim == nil {
 			return fmt.Errorf("service: backend %q needs a sim payload", s.Backend)
 		}
+		if _, err := simSpecOf(*s); err != nil {
+			return err
+		}
 	case BackendTestbed:
 		if s.Testbed == nil {
 			return fmt.Errorf("service: backend %q needs a testbed payload", s.Backend)

@@ -37,16 +37,3 @@ func TestSimSessionExtraReplaysReturnsP1P2(t *testing.T) {
 		t.Error("the third flow did not change p1's throughput")
 	}
 }
-
-func TestCollectiveSimSessionUnknownApp(t *testing.T) {
-	s := NewCollectiveSimSession(rand.New(rand.NewSource(1)), CollectiveConfig{App: "myspace", Duration: time.Second})
-	if _, err := s.SingleReplay(true); err == nil {
-		t.Error("SingleReplay accepted an unknown app")
-	}
-	if _, err := s.SimultaneousReplay(true); err == nil {
-		t.Error("SimultaneousReplay accepted an unknown app")
-	}
-	if _, err := (&Localizer{Rand: rand.New(rand.NewSource(1))}).Localize(s, nil); err == nil {
-		t.Error("Localize accepted an unknown app")
-	}
-}

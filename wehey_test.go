@@ -127,29 +127,6 @@ func TestLocalizeConditionalTriggerTiming(t *testing.T) {
 	}
 }
 
-func TestLocalizeCollectiveThrottling(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	l := testLocalizer(rng)
-	tdiff := l.TDiff("", "netflix", "carrier-1")
-	session := NewCollectiveSimSession(rng, CollectiveConfig{
-		InputFactor: 1.5,
-		Duration:    30 * time.Second,
-	})
-	v, err := l.Localize(session, tdiff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.WeHeDetected {
-		t.Fatal("WeHe missed collective throttling")
-	}
-	if !v.LocalizedToISP {
-		t.Fatalf("not localized: %s", v)
-	}
-	if v.Evidence != core.EvidenceShared {
-		t.Errorf("evidence = %v, want shared (loss-trend correlation)", v.Evidence)
-	}
-}
-
 func TestLocalizeNeutralNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := testLocalizer(rng)
@@ -209,22 +186,6 @@ func TestLocalizerRequiresRand(t *testing.T) {
 	}
 }
 
-func TestLocalizeWithoutTDiffFallsBackToLossTrend(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l := &Localizer{Rand: rng}
-	session := NewCollectiveSimSession(rng, CollectiveConfig{Duration: 30 * time.Second})
-	v, err := l.Localize(session, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Detail.Throughput != nil {
-		t.Error("throughput comparison ran without T_diff")
-	}
-	if !v.LocalizedToISP || v.Evidence != core.EvidenceShared {
-		t.Errorf("loss-trend fallback failed: %s", v)
-	}
-}
-
 // verifyingSession wraps a ReplaySession with a canned topology verdict.
 type verifyingSession struct {
 	ReplaySession
@@ -258,25 +219,6 @@ func TestLocalizeTopologyVerification(t *testing.T) {
 	// Verification errors propagate.
 	if _, err := l.Localize(&verifyingSession{ReplaySession: base, err: ErrNoTopology}, tdiff); err == nil {
 		t.Error("verification error swallowed")
-	}
-}
-
-func TestLocalizeCollectiveUDP(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	l := testLocalizer(rng)
-	session := NewCollectiveSimSession(rng, CollectiveConfig{
-		App:      "zoom",
-		Duration: 30 * time.Second,
-	})
-	v, err := l.Localize(session, l.TDiff("", "netflix", "carrier-1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.WeHeDetected {
-		t.Fatal("WeHe missed UDP collective throttling")
-	}
-	if !v.LocalizedToISP || v.Evidence != core.EvidenceShared {
-		t.Fatalf("UDP collective not localized: %s", v)
 	}
 }
 
