@@ -15,10 +15,12 @@
 //
 // -cache memoizes simulations in-process (identical trials across
 // experiments — e.g. the shared ablation pool — simulate once);
-// -cache-dir additionally persists results, so rerunning after an
-// analysis- or report-layer change skips every simulation. Reports are
-// byte-identical with the cache off, cold, or warm; a `cache:` counter
-// line goes to stderr, never into the report stream.
+// -cache-dir additionally persists results and their verdicts, so
+// rerunning after a report-layer change skips every simulation and every
+// detection (after a detector change, only the detection reruns). Reports
+// are byte-identical with the cache off, cold, or warm; a `cache:` counter
+// line, ending in the number of verdicts decided, goes to stderr, never
+// into the report stream.
 //
 // -cpuprofile, -memprofile, and -trace write stdlib runtime/pprof and
 // runtime/trace output for paper-scale perf work:
@@ -158,7 +160,7 @@ func realMain() int {
 	if cfg.Cache != nil {
 		// Stderr, not stdout: the report stream must stay byte-identical
 		// whether the cache is off, cold, or warm.
-		fmt.Fprintf(os.Stderr, "cache: %s\n", cfg.Cache.Stats())
+		fmt.Fprintf(os.Stderr, "cache: %s decided=%d\n", cfg.Cache.Stats(), cfg.Cache.Decided())
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", clock.Since(start).Round(time.Millisecond))
 	return 0

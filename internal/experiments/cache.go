@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	wehey "github.com/nal-epfl/wehey"
+	"github.com/nal-epfl/wehey/internal/core"
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
@@ -18,6 +22,8 @@ import (
 // through the exact binary codec of internal/measure: a result served
 // from disk is bit-for-bit the result a recompute would produce,
 // including map-valued fields (Drops) and nil-vs-empty slice identity.
+// The verdict decided on the result travels with it under its own stamp
+// (verdictStamp), so a disk hit is a decided trial too.
 
 // simCacheSchema stamps every cache key. Bump it whenever anything that
 // RunSim's output depends on changes meaning: a SimSpec or SimResult
@@ -29,30 +35,42 @@ import (
 // Events/BgEvents/BgFlows (PR 8's hybrid fluid background).
 // v3: the wire encoding changed — measure's duration slices (Path.Tx,
 // Path.Loss) are delta-coded (PR 16).
-const simCacheSchema = "wehey/simcache/v3"
+// v4: the entry carries the trial's verdict after the result (encodeTrial).
+const simCacheSchema = "wehey/simcache/v4"
+
+// verdictStamp heads the verdict an entry persists. Bump it whenever
+// decide's output on a fixed SimResult changes: internal/core,
+// internal/stats, measure.LossSweep, the Localizer{} defaults, or the
+// verdict blob's layout (appendVerdict). An entry whose verdict carries
+// another stamp keeps its result and decides again, once per process; the
+// simulation is not rerun. TestVerdictStampGuards fails when the bytes
+// move and this stamp does not.
+const verdictStamp = "wehey/verdict/v1"
 
 // SimCache memoizes trials: each entry is one SimSpec's RunSim result
-// plus the verdict Config.Localize reaches on it, decided at most once
-// per entry. Results and verdicts handed out are shared: callers must
-// not mutate them (the experiment generators and the service only read;
-// a Verdict's Detail holds pointers into the entry).
+// plus the verdict Config.Localize reaches on it, decided once, when the
+// entry is computed. Results and verdicts handed out are shared: callers
+// must not mutate them (the experiment generators and the service only
+// read; a Verdict's Detail holds pointers into the entry).
 //
 // The verdict is as pure as the result: decide reads nothing but the
 // result, which is a function of the filled SimSpec (Config.BackgroundMode
 // is folded into the spec before keying, as Sim folds it). A Config field
-// that ever changes the decision must enter the key too. Only the result
-// goes to disk: a persisted verdict would need a stamp for the detector's
-// behaviour as well, so a disk hit decides again, once per process.
+// that ever changes the decision must enter the key too. A disk entry
+// stores the verdict under verdictStamp, so a disk hit decides nothing
+// unless the detectors changed since the entry was written.
 type SimCache struct {
-	inner *simcache.Cache[*trial]
+	inner   *simcache.Cache[*trial]
+	decided atomic.Int64 // verdicts decided: one per miss, plus lazy ones
 }
 
-// trial is one cache entry: a simulation's result and, once a caller has
-// asked for it, the verdict decided on it. mu serializes deciders, so
-// concurrent callers get one decision; a panic in decide unlocks mu with
-// decided still false, and the next caller decides again.
+// trial is one cache entry: a simulation's result and, once decided, the
+// verdict decide reaches on it. mu serializes deciders, so concurrent
+// callers get one decision; a panic in decide unlocks mu with decided
+// still false, and the next caller decides again.
 type trial struct {
-	res SimResult
+	res     SimResult
+	counter *atomic.Int64 // counts each decision; nil outside a cache
 
 	mu      sync.Mutex
 	decided bool
@@ -67,6 +85,9 @@ func (t *trial) verdict() (wehey.Verdict, error) {
 	if !t.decided {
 		t.v, t.err = decide(&t.res)
 		t.decided = true
+		if t.counter != nil {
+			t.counter.Add(1)
+		}
 	}
 	return t.v, t.err
 }
@@ -77,34 +98,53 @@ func NewSimCache() *SimCache {
 }
 
 // NewDiskSimCache returns a simulation cache persisted under dir, so a
-// later process skips every simulation this one ran.
+// later process skips every simulation, and every decision, this one ran.
 func NewDiskSimCache(dir string) (*SimCache, error) {
+	return newDiskSimCache(dir, verdictStamp)
+}
+
+// newDiskSimCache is NewDiskSimCache writing and accepting verdicts under
+// stamp; a test opens one with another stamp to write what an older
+// binary would have.
+func newDiskSimCache(dir, stamp string) (*SimCache, error) {
+	sc := &SimCache{}
 	inner, err := simcache.NewDisk(dir, simcache.Codec[*trial]{
-		Encode: func(t *trial) []byte { return encodeResult(t.res) },
+		Encode: func(t *trial) []byte { return encodeTrial(t, stamp) },
 		Decode: func(b []byte) (*trial, error) {
-			res, err := decodeResult(b)
-			if err != nil {
-				return nil, err
+			t, err := decodeTrial(b, stamp)
+			if t != nil {
+				t.counter = &sc.decided
 			}
-			return &trial{res: res}, nil
+			return t, err
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SimCache{inner: inner}, nil
+	sc.inner = inner
+	return sc, nil
 }
 
-// trial returns spec's entry, simulating it on a miss: concurrent requests
-// for the same spec single-flight onto one simulation.
+// trial returns spec's entry, simulating and deciding it on a miss:
+// concurrent requests for the same spec single-flight onto one simulation.
+// Deciding before the entry is published puts the verdict on disk with
+// the result; a panic in either unpublishes the flight.
 func (sc *SimCache) trial(spec SimSpec) *trial {
 	spec.fill() // canonicalize before keying: defaulted == spelled out
 	key := simcache.KeyOf(simCacheSchema, appendSpec(nil, &spec))
-	return sc.inner.Get(key, func() *trial { return &trial{res: RunSim(spec)} })
+	return sc.inner.Get(key, func() *trial {
+		t := &trial{res: RunSim(spec), counter: &sc.decided}
+		t.verdict()
+		return t
+	})
 }
 
 // Stats snapshots the cache counters.
 func (sc *SimCache) Stats() simcache.Stats { return sc.inner.Stats() }
+
+// Decided counts the verdicts this cache has decided: one per miss, and
+// one per disk hit whose entry held no verdict under the current stamp.
+func (sc *SimCache) Decided() int64 { return sc.decided.Load() }
 
 // trial is spec's trial through the configured cache, or a fresh one when
 // none is set. Sim, Localize and the generators that read both a result
@@ -192,11 +232,127 @@ func encodeResult(r SimResult) []byte {
 	return measure.AppendInt64(b, r.BgFlows)
 }
 
-// decodeResult inverts encodeResult. Any framing problem — truncation,
-// trailing garbage, invalid tags — is an error (the cache treats it as a
-// miss and recomputes); it can never yield a wrong result silently.
-func decodeResult(b []byte) (SimResult, error) {
+// encodeTrial is a trial's cache value: encodeResult, then whether a
+// verdict follows, then the verdict (appendVerdict under stamp) as one
+// length-prefixed blob, so a reader expecting another stamp skips it
+// whole. Only a verdict decide reached without error, on loss trend alone
+// (a sim trial has no T_diff), is persisted; otherwise the reader decides.
+func encodeTrial(t *trial, stamp string) []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := encodeResult(t.res)
+	persist := t.decided && t.err == nil && t.v.Detail.Throughput == nil
+	b = measure.AppendBool(b, persist)
+	if !persist {
+		return b
+	}
+	return measure.AppendString(b, string(appendVerdict(nil, stamp, &t.v)))
+}
+
+// decodeTrial inverts encodeTrial. Any framing problem — truncation,
+// trailing garbage, invalid tags, a bad verdict under stamp — is an error
+// (the cache treats it as a miss and recomputes); it can never yield a
+// wrong result or verdict silently. A verdict under another stamp is
+// skipped: the trial comes back undecided and decides on first use.
+func decodeTrial(b []byte, stamp string) (*trial, error) {
 	r := measure.NewReader(b)
+	t := &trial{res: readResult(r)}
+	present := r.Bool()
+	var blob string
+	if present {
+		blob = r.Str()
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if !present {
+		return t, nil
+	}
+	br := measure.NewReader([]byte(blob))
+	if br.Str() != stamp {
+		return t, nil
+	}
+	v, err := decodeVerdict(br, &t.res)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: verdict %s: %w", stamp, err)
+	}
+	t.v, t.decided = v, true
+	return t, nil
+}
+
+// appendVerdict appends what decide computes on a sim trial, headed by
+// stamp: the evidence, then the loss-trend detail — presence, the vote,
+// and one row per interval size σ with ρ and p by bit pattern. The rest
+// of the Verdict follows from these and the result (decodeVerdict).
+func appendVerdict(b []byte, stamp string, v *wehey.Verdict) []byte {
+	b = measure.AppendString(b, stamp)
+	b = measure.AppendInt64(b, int64(v.Evidence))
+	lt := v.Detail.LossTrend
+	b = measure.AppendBool(b, lt != nil)
+	if lt == nil {
+		return b
+	}
+	b = measure.AppendBool(b, lt.CommonBottleneck)
+	b = measure.AppendInt64(b, int64(lt.Correlations))
+	b = measure.AppendInt64(b, int64(lt.Sizes))
+	b = measure.AppendUint64(b, uint64(len(lt.PerSize)))
+	for _, s := range lt.PerSize {
+		b = measure.AppendInt64(b, int64(s.Sigma))
+		b = measure.AppendInt64(b, int64(s.Intervals))
+		b = measure.AppendBool(b, s.Admissible)
+		b = measure.AppendFloat64(b, s.Rho)
+		b = measure.AppendFloat64(b, s.P)
+		b = measure.AppendBool(b, s.Correlated)
+	}
+	return b
+}
+
+// verdictRowSize is the size of one appendVerdict row.
+const verdictRowSize = 8 + 8 + 1 + 8 + 8 + 1
+
+// decodeVerdict reads an appendVerdict blob after its stamp and rebuilds
+// the Verdict decide returned on res: WeHe's detection and the
+// confirmation hold by construction, the headline follows the evidence,
+// and the loss rates are the result's.
+func decodeVerdict(r *measure.Reader, res *SimResult) (wehey.Verdict, error) {
+	ev := core.Evidence(r.Int64())
+	var lt *core.LossTrendResult
+	if r.Bool() {
+		lt = &core.LossTrendResult{
+			CommonBottleneck: r.Bool(),
+			Correlations:     int(r.Int64()),
+			Sizes:            int(r.Int64()),
+		}
+		lt.PerSize = make([]core.IntervalVerdict, r.Count(verdictRowSize))
+		for i := range lt.PerSize {
+			lt.PerSize[i] = core.IntervalVerdict{
+				Sigma:      r.Duration(),
+				Intervals:  int(r.Int64()),
+				Admissible: r.Bool(),
+				Rho:        r.Float64(),
+				P:          r.Float64(),
+				Correlated: r.Bool(),
+			}
+		}
+	}
+	if err := r.Done(); err != nil {
+		return wehey.Verdict{}, err
+	}
+	if ev != core.EvidenceNone && ev != core.EvidenceShared {
+		return wehey.Verdict{}, errors.New("evidence other than none or shared without a throughput comparison")
+	}
+	return wehey.Verdict{
+		WeHeDetected:   true,
+		Confirmed:      true,
+		Evidence:       ev,
+		LocalizedToISP: ev.Found(),
+		Detail:         core.DetectorResult{Evidence: ev, LossTrend: lt},
+		LossRates:      res.LossRate,
+	}, nil
+}
+
+// readResult reads an encodeResult value; the caller checks r.Done.
+func readResult(r *measure.Reader) SimResult {
 	res := SimResult{
 		M1: r.Path(),
 		M2: r.Path(),
@@ -224,8 +380,5 @@ func decodeResult(b []byte) (SimResult, error) {
 	res.Events = r.Int64()
 	res.BgEvents = r.Int64()
 	res.BgFlows = r.Int64()
-	if err := r.Done(); err != nil {
-		return SimResult{}, err
-	}
-	return res, nil
+	return res
 }

@@ -19,7 +19,7 @@ import (
 
 // TestSimCacheSchemaGuards pins the shapes simCacheSchema covers: if
 // SimSpec or SimResult grows, shrinks, or reorders fields, this fails
-// until appendSpec/encodeResult/decodeResult are extended AND
+// until appendSpec/encodeResult/readResult are extended AND
 // simCacheSchema is bumped (stale entries would otherwise alias the new
 // meaning).
 func TestSimCacheSchemaGuards(t *testing.T) {
@@ -27,9 +27,9 @@ func TestSimCacheSchemaGuards(t *testing.T) {
 		t.Errorf("SimSpec has %d fields, appendSpec encodes 15: extend appendSpec and bump simCacheSchema", n)
 	}
 	if n := reflect.TypeOf(SimResult{}).NumField(); n != 10 {
-		t.Errorf("SimResult has %d fields, the codec handles 10: extend encodeResult/decodeResult and bump simCacheSchema", n)
+		t.Errorf("SimResult has %d fields, the codec handles 10: extend encodeResult/readResult and bump simCacheSchema", n)
 	}
-	if simCacheSchema != "wehey/simcache/v3" {
+	if simCacheSchema != "wehey/simcache/v4" {
 		// Not an error — just force the author of a bump to also refresh
 		// the two counts above deliberately.
 		t.Log("simCacheSchema bumped; confirm the field counts in this test were revisited")
@@ -130,19 +130,19 @@ func randomResult(rng *rand.Rand) SimResult {
 	return r
 }
 
-// TestSimResultCodecRoundTripProperty: decode(encode(r)) must be
-// DeepEqual to r — the cached-equals-recomputed requirement — across
-// random result shapes.
+// TestSimResultCodecRoundTripProperty: an undecided trial's entry decodes
+// to a result DeepEqual to the original — the cached-equals-recomputed
+// requirement — across random result shapes, and to no verdict.
 func TestSimResultCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
+	for i := 0; i < 300; i++ {
 		r := randomResult(rng)
-		got, err := decodeResult(encodeResult(r))
+		got, err := decodeTrial(encodeTrial(&trial{res: r}, verdictStamp), verdictStamp)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("trial %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("trial %d: round trip mismatch:\n got %#v\nwant %#v", trial, got, r)
+		if got.decided || !reflect.DeepEqual(got.res, r) {
+			t.Fatalf("trial %d: round trip mismatch (decided %v):\n got %#v\nwant %#v", i, got.decided, got.res, r)
 		}
 	}
 }
@@ -178,9 +178,9 @@ func goldenResult() SimResult {
 	}
 }
 
-// goldenResultEntry is goldenResult's cache value, field by field. It
-// pins the layout: a change here changes the meaning of every entry on
-// disk and needs a simCacheSchema bump with it.
+// goldenResultEntry is goldenResult's undecided cache value, field by
+// field. It pins the layout: a change here changes the meaning of every
+// entry on disk and needs a simCacheSchema bump with it.
 var goldenResultEntry = hexBytes(
 	"c00e160200000000",             // M1.RTT 35ms
 	"0094357700000000",             // M1.Duration 2s
@@ -213,6 +213,7 @@ var goldenResultEntry = hexBytes(
 	"d204000000000000",             // Events 1234
 	"3800000000000000",             // BgEvents 56
 	"0700000000000000",             // BgFlows 7
+	"00",                           // no verdict follows
 )
 
 // hexBytes decodes the concatenation of hex strings.
@@ -225,53 +226,78 @@ func hexBytes(parts ...string) []byte {
 }
 
 // TestSimResultCodecTruncation: the golden result encodes to the golden
-// entry, and for it and two random results (one with escaped timestamps)
-// the entry decodes back to the value, every strict prefix is an error —
-// never a panic, never a result — and so is one trailing byte.
+// entry, and for it, two random results (one with escaped timestamps) and
+// two decided trials (one with NaN ρ) the entry decodes back to the
+// value, every strict prefix is an error — never a panic, never a result
+// — and so is one trailing byte.
 func TestSimResultCodecTruncation(t *testing.T) {
-	if got := encodeResult(goldenResult()); !bytes.Equal(got, goldenResultEntry) {
+	if got := encodeTrial(&trial{res: goldenResult()}, verdictStamp); !bytes.Equal(got, goldenResultEntry) {
 		t.Fatalf("golden result encodes as\n% x\nwant\n% x", got, goldenResultEntry)
 	}
 	rng := rand.New(rand.NewSource(12))
-	for _, r := range []SimResult{goldenResult(), randomResult(rng), escapeResult(rng)} {
-		full := encodeResult(r)
-		if got, err := decodeResult(full); err != nil || !reflect.DeepEqual(got, r) {
+	corpus := verdictCorpus()
+	for _, tr := range []*trial{
+		{res: goldenResult()}, {res: randomResult(rng)}, {res: escapeResult(rng)},
+		decidedTrial(t, corpus[0]), decidedTrial(t, corpus[len(corpus)-1]),
+	} {
+		full := encodeTrial(tr, verdictStamp)
+		got, err := decodeTrial(full, verdictStamp)
+		if err != nil || !reflect.DeepEqual(got.res, tr.res) || got.decided != tr.decided {
 			t.Fatalf("round trip: %v", err)
 		}
+		if again := encodeTrial(got, verdictStamp); !bytes.Equal(again, full) {
+			t.Fatal("the decoded trial re-encodes to other bytes")
+		}
 		for cut := 0; cut < len(full); cut++ {
-			if _, err := decodeResult(full[:cut]); err == nil {
+			if _, err := decodeTrial(full[:cut], verdictStamp); err == nil {
 				t.Fatalf("cut=%d of %d: truncated encoding decoded without error", cut, len(full))
 			}
 		}
-		if _, err := decodeResult(append(full, 0)); err == nil {
+		if _, err := decodeTrial(append(full, 0), verdictStamp); err == nil {
 			t.Error("trailing byte accepted")
 		}
 	}
 }
 
-// FuzzSimResultCodec: arbitrary bytes never panic the decoder, and an
+// FuzzSimResultCodec fuzzes the whole cache value: result, presence
+// byte, verdict blob. Arbitrary bytes never panic the decoder, and an
 // accepted entry is canonical after one round: e := encode(decode(x))
 // decodes and re-encodes to e again. (x itself may differ from e — a
-// Drops map listed out of key order, say — and DeepEqual cannot compare
-// NaN payloads, hence bytes.)
+// Drops map listed out of key order, or a verdict under another stamp,
+// which decodes to none — and DeepEqual cannot compare NaN payloads,
+// hence bytes.) A decided entry's verdict rewritten under another stamp
+// is skipped: the result survives, the verdict does not.
 func FuzzSimResultCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	f.Add([]byte{})
 	f.Add(goldenResultEntry)
-	f.Add(encodeResult(randomResult(rng)))
-	f.Add(encodeResult(escapeResult(rng)))
+	f.Add(encodeTrial(&trial{res: randomResult(rng)}, verdictStamp))
+	f.Add(encodeTrial(&trial{res: escapeResult(rng)}, verdictStamp))
+	corpus := verdictCorpus()
+	f.Add(encodeTrial(decidedTrial(f, corpus[0]), verdictStamp))
+	f.Add(encodeTrial(decidedTrial(f, corpus[len(corpus)-1]), verdictStamp)) // NaN ρ
 	f.Fuzz(func(t *testing.T, x []byte) {
-		r, err := decodeResult(x)
+		tr, err := decodeTrial(x, verdictStamp)
 		if err != nil {
 			return
 		}
-		e := encodeResult(r)
-		again, err := decodeResult(e)
+		e := encodeTrial(tr, verdictStamp)
+		again, err := decodeTrial(e, verdictStamp)
 		if err != nil {
 			t.Fatalf("re-encoded entry rejected: %v", err)
 		}
-		if got := encodeResult(again); !bytes.Equal(got, e) {
+		if got := encodeTrial(again, verdictStamp); !bytes.Equal(got, e) {
 			t.Fatalf("re-encoding is not stable:\n% x\n% x", e, got)
+		}
+		if !tr.decided {
+			return
+		}
+		skipped, err := decodeTrial(encodeTrial(tr, foreignStamp), verdictStamp)
+		if err != nil || skipped.decided {
+			t.Fatalf("a verdict under another stamp was not skipped (err %v)", err)
+		}
+		if got, want := encodeTrial(skipped, verdictStamp), encodeTrial(&trial{res: tr.res}, verdictStamp); !bytes.Equal(got, want) {
+			t.Fatal("skipping a foreign verdict changed the result")
 		}
 	})
 }
@@ -425,8 +451,8 @@ func TestCacheModesRenderByteIdentically(t *testing.T) {
 	if !bytes.Equal(off, cold) {
 		t.Error("cache-off and cold-cache renders differ")
 	}
-	if st := coldCache.Stats(); st.Misses == 0 {
-		t.Errorf("cold cache ran no simulations: %+v", st)
+	if st := coldCache.Stats(); st.Misses == 0 || coldCache.Decided() != st.Misses {
+		t.Errorf("cold cache ran no simulations, or did not decide each once: %+v, decided %d", st, coldCache.Decided())
 	}
 
 	warmCache, err := NewDiskSimCache(dir)
@@ -444,8 +470,8 @@ func TestCacheModesRenderByteIdentically(t *testing.T) {
 
 // TestLocalizeDecidesOnce: a verdict memoized in a cache entry is the one
 // a cache-less Config decides afresh — on the deciding call and on the
-// repeat, for concurrent callers, and from a fresh disk cache, which holds
-// only the result and so decides again.
+// repeat, for concurrent callers, and from a fresh disk cache, which reads
+// it back instead of deciding, unless it was written under another stamp.
 func TestLocalizeDecidesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -507,25 +533,50 @@ func TestLocalizeDecidesOnce(t *testing.T) {
 		}
 	}
 
-	// A fresh disk cache over a populated directory reads the result back
-	// undecided and decides it again.
+	// A fresh disk cache over a populated directory reads the verdict back
+	// with the result: decided, bit-equal, and nothing decided again.
 	dir := t.TempDir()
 	cold, err := NewDiskSimCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	localize(t, Config{Cache: cold}, spec)
+	if n := cold.Decided(); n != 1 {
+		t.Errorf("cold cache decided %d verdicts, want 1", n)
+	}
 	warm, err := NewDiskSimCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := warm.trial(spec); tr.decided {
-		t.Fatal("a disk hit came back decided: a verdict was persisted")
+	if tr := warm.trial(spec); !tr.decided {
+		t.Fatal("a disk hit came back undecided: the verdict was not persisted")
 	}
 	if v := localize(t, Config{Cache: warm}, spec); !reflect.DeepEqual(v, fresh) {
 		t.Errorf("verdict over a disk hit differs from the fresh one:\nfresh %v\ngot   %v", fresh, v)
 	}
-	if st := warm.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 0 {
-		t.Errorf("warm stats %+v, want one disk hit then one hit", st)
+	if st := warm.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 0 || warm.Decided() != 0 {
+		t.Errorf("warm stats %+v, decided %d: want one disk hit then one hit, nothing decided", st, warm.Decided())
+	}
+
+	// An entry whose verdict was written under another stamp keeps its
+	// result, and its verdict is decided again, once.
+	stale := t.TempDir()
+	old, err := newDiskSimCache(stale, foreignStamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localize(t, Config{Cache: old}, spec)
+	redecide, err := NewDiskSimCache(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := redecide.trial(spec); tr.decided {
+		t.Fatal("a verdict under another stamp was read as this one")
+	}
+	if v := localize(t, Config{Cache: redecide}, spec); !reflect.DeepEqual(v, fresh) {
+		t.Errorf("verdict redecided over a stale entry differs from the fresh one:\nfresh %v\ngot   %v", fresh, v)
+	}
+	if st := redecide.Stats(); st.DiskHits != 1 || st.Misses != 0 || st.Corrupt != 0 || redecide.Decided() != 1 {
+		t.Errorf("stale-verdict stats %+v, decided %d: want one disk hit and one decision", st, redecide.Decided())
 	}
 }

@@ -145,11 +145,18 @@ type SimResult struct {
 }
 
 // Validate reports a spec no simulation can run: an App that is neither
-// TCPBulkApp nor a trace profile, or a Placement out of range.
+// TCPBulkApp nor a UDP trace profile, or a Placement out of range. A TCP
+// video profile (netflix, …) is refused: run replays every trace but
+// TCPBulkApp open-loop over a UDP flow, so it would be simulated without
+// TCP.
 func (s SimSpec) Validate() error {
 	if s.App != TCPBulkApp {
-		if _, err := trace.ProfileByName(s.App); err != nil {
+		p, err := trace.ProfileByName(s.App)
+		if err != nil {
 			return fmt.Errorf("experiments: %w", err)
+		}
+		if p.Transport != trace.UDP {
+			return fmt.Errorf("experiments: app %q is a %v trace; simulate TCP as %q", s.App, p.Transport, TCPBulkApp)
 		}
 	}
 	if s.Placement != LimiterCommon && s.Placement != LimiterNonCommon {

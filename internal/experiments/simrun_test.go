@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"github.com/nal-epfl/wehey/internal/trace"
 )
 
 func TestRunSimFNRegimeTCP(t *testing.T) {
@@ -79,5 +81,21 @@ func TestRunSimCongestion(t *testing.T) {
 		CongestionFactor: 1.15, Seed: 3, Duration: 20 * time.Second})
 	if res.Drops["link_1"] == 0 && res.Drops["link_2"] == 0 {
 		t.Error("congested non-common links dropped nothing")
+	}
+}
+
+// TestSimSpecValidateRejectsTCPTraces: only TCPBulkApp and the UDP trace
+// profiles are runnable. run would replay a TCP video profile open-loop
+// over a UDP flow, so Validate refuses every one of them.
+func TestSimSpecValidateRejectsTCPTraces(t *testing.T) {
+	for _, app := range append([]string{TCPBulkApp}, trace.RTCApps()...) {
+		if err := (SimSpec{App: app}).Validate(); err != nil {
+			t.Errorf("%s: %v", app, err)
+		}
+	}
+	for _, app := range trace.VideoApps() {
+		if err := (SimSpec{App: app}).Validate(); err == nil {
+			t.Errorf("%s: a TCP trace profile was accepted", app)
+		}
 	}
 }

@@ -150,12 +150,15 @@ func TestHTTPJournalFailureIs500(t *testing.T) {
 }
 
 // TestHTTPRejectsUnrunnableSimJob: a sim job no simulation can run — an
-// unknown application or limiter placement — answers 400 at admission
-// instead of being journaled and failing every attempt at run time.
+// unknown application, a TCP video trace (which the simulator would
+// replay without TCP) or an unknown limiter placement — answers 400 at
+// admission instead of being journaled and failing every attempt at run
+// time.
 func TestHTTPRejectsUnrunnableSimJob(t *testing.T) {
 	c, s := newHTTPFixture(t)
 	for _, body := range []string{
 		`{"backend":"sim","seed":1,"sim":{"app":"myspace"}}`,
+		`{"backend":"sim","seed":1,"sim":{"app":"netflix"}}`,
 		`{"backend":"sim","seed":1,"sim":{"placement":"diagonal"}}`,
 	} {
 		resp, err := c.HTTPClient.Post(c.BaseURL+"/jobs", "application/json", strings.NewReader(body))

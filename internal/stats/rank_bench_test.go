@@ -49,3 +49,20 @@ func BenchmarkSpearman(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMannWhitneyU is the throughput comparison's test at WeHe's
+// size: 100 throughput intervals a side.
+func BenchmarkMannWhitneyU(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	x, y := make([]float64, 100), make([]float64, 100)
+	for i := range x {
+		x[i] = 5e6 + 1e6*rng.NormFloat64()
+		y[i] = 5.5e6 + 1e6*rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := MannWhitneyU(x, y, Less); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -314,3 +314,24 @@ func TestLocalizeStopsAfterWeHeMiss(t *testing.T) {
 		t.Errorf("LossRates = %v without a simultaneous replay", v.LossRates)
 	}
 }
+
+// BenchmarkThroughputComparison is the half of operation 4 a sim trial
+// never runs (it has no T_diff): §4.1 over WeHe's 100 throughput
+// intervals per replay against a CellularTDiff history, whose size is
+// reported as tdiff.
+func BenchmarkThroughputComparison(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tdiff := CellularTDiff(rng)
+	x, y := make([]float64, 100), make([]float64, 100)
+	for i := range x {
+		x[i] = 3e6 * (1 + 0.1*rng.NormFloat64())
+		y[i] = 3e6 * (1 + 0.1*rng.NormFloat64())
+	}
+	b.ReportMetric(float64(len(tdiff)), "tdiff")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ThroughputComparison(rng, x, y, tdiff, core.ThroughputCmpConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
