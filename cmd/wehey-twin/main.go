@@ -1,21 +1,19 @@
-// Command wehey-twin answers capacity and impairment questions from the
-// analytical queueing twin (internal/twin) — instantly, without running a
+// Command wehey-twin answers token-bucket impairment questions from the
+// analytical twin (internal/twin) — instantly, without running a
 // simulation — and validates the twin against simulation ground truth.
 //
 // Usage:
 //
 //	wehey-twin tbf -rate 2e6 -burst 12500 -queue 60000 -pkt 1000 -offered 3.6e6 -horizon 10s [-check]
-//	wehey-twin capacity -lambda 3 -mean 1 -scv 1 [-workers 4] [-p95 4]
 //	wehey-twin validate [-cache-dir .twincache] [-workers N] [-v]
 //
 // tbf prints the fluid token-bucket prediction (loss rate, mean queue
 // delay, time to first drop) for one configuration; -check also runs the
-// packet simulator on the same point and prints both. capacity prints the
-// M/G/c sojourn statistics for a worker pool, and with -p95 the smallest
-// pool meeting that target ("how many workers for X jobs/s at Y p95").
-// validate sweeps both models against simulation ground truth across the
-// standard grid and exits 1 on any tolerance violation; with a cache dir,
-// warm reruns answer from disk without resimulating.
+// packet simulator on the same point and prints both. validate sweeps the
+// TBF model and the hybrid fluid background against packet-simulation
+// ground truth across the standard grids and exits 1 on any tolerance
+// violation; with a cache dir, warm reruns answer from disk without
+// resimulating.
 package main
 
 import (
@@ -36,8 +34,6 @@ func main() {
 	switch os.Args[1] {
 	case "tbf":
 		tbfCmd(os.Args[2:])
-	case "capacity":
-		capacityCmd(os.Args[2:])
 	case "validate":
 		validateCmd(os.Args[2:])
 	default:
@@ -48,7 +44,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   wehey-twin tbf -rate R -burst B -queue Q -pkt P -offered A -horizon D [-check]
-  wehey-twin capacity -lambda L -mean M [-scv C] [-workers W] [-p95 T]
   wehey-twin validate [-cache-dir DIR] [-workers N] [-v]`)
 	os.Exit(2)
 }
@@ -88,34 +83,6 @@ func tbfCmd(args []string) {
 	}
 }
 
-func capacityCmd(args []string) {
-	fs := flag.NewFlagSet("capacity", flag.ExitOnError)
-	lambda := fs.Float64("lambda", 1, "arrival rate in jobs/s")
-	mean := fs.Float64("mean", 1, "mean service time in seconds")
-	scv := fs.Float64("scv", 1, "service-time squared coefficient of variation")
-	workers := fs.Int("workers", 4, "worker pool size to evaluate")
-	p95 := fs.Float64("p95", 0, "p95 sojourn target in seconds (0 = no sizing question)")
-	fs.Parse(args) // ExitOnError flag sets cannot return an error
-
-	m := twin.MGc{Lambda: *lambda, Servers: *workers, MeanService: *mean, SCV: *scv}
-	fmt.Printf("workers %d at λ=%.3g jobs/s, E[S]=%.3gs, SCV=%.3g: utilization %.3f\n",
-		*workers, *lambda, *mean, *scv, m.Utilization())
-	if m.Stable() {
-		fmt.Printf("  mean sojourn %.4gs  p50 %.4gs  p95 %.4gs  (wait prob %.3f)\n",
-			m.MeanSojourn(), m.SojournQuantile(0.50), m.SojournQuantile(0.95), m.WaitProb())
-	} else {
-		fmt.Println("  UNSTABLE: the queue grows without bound at this load")
-	}
-	if *p95 > 0 {
-		c := twin.MinServers(*lambda, *mean, *scv, 0.95, *p95, 1024)
-		if c == 0 {
-			fmt.Printf("  p95 ≤ %.3gs: infeasible at any pool size ≤ 1024 (service tail alone exceeds it)\n", *p95)
-			os.Exit(1)
-		}
-		fmt.Printf("  p95 ≤ %.3gs: %d workers suffice\n", *p95, c)
-	}
-}
-
 func validateCmd(args []string) {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
 	cacheDir := fs.String("cache-dir", "", "disk cache for simulation ground truth (\"\" = in-memory only)")
@@ -141,7 +108,7 @@ func validateCmd(args []string) {
 	}
 	st := cache.Stats()
 	fmt.Printf("points %d  cache hits=%d disk-hits=%d misses=%d\n",
-		len(report.TBF)+len(report.MG1)+len(report.Hybrid), st.Hits, st.DiskHits, st.Misses)
+		len(report.TBF)+len(report.Hybrid), st.Hits, st.DiskHits, st.Misses)
 	if n := report.ViolationCount(); n > 0 {
 		fmt.Fprintf(os.Stderr, "wehey-twin: %d tolerance violations\n", n)
 		os.Exit(1)

@@ -33,11 +33,11 @@ func (p RetryPolicy) fill() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 30 * time.Second
 	}
+	// A negative JitterFrac stays negative, so filling twice (Options.fill,
+	// then delay) keeps zero jitter; delay jitters only a positive one.
 	//lint:ignore floateq exact sentinel: 0 is the literal unset default
 	if p.JitterFrac == 0 {
 		p.JitterFrac = 0.5
-	} else if p.JitterFrac < 0 {
-		p.JitterFrac = 0
 	}
 	return p
 }

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-
-	"github.com/nal-epfl/wehey/internal/twin"
 )
 
 // The admin plane is a plain net/http JSON API over the scheduler:
@@ -23,7 +21,6 @@ import (
 //	GET    /jobs/{id}         -> one job
 //	DELETE /jobs/{id}         -> cancel (idempotent on terminal jobs)
 //	GET    /metrics           -> Metrics counter snapshot
-//	GET    /twin              -> M/G/c capacity prediction (see TwinAnswer)
 //
 // Errors travel as {"error": "..."} with the mapped status code.
 //
@@ -148,121 +145,7 @@ func Handler(s *Scheduler) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, job)
 	})
-	mux.HandleFunc("GET /twin", func(w http.ResponseWriter, r *http.Request) {
-		handleTwin(s, w, r)
-	})
 	return mux
-}
-
-// TwinAnswer is the /twin response: the analytical M/G/c view of this
-// scheduler at a hypothetical arrival rate, parameterized by the measured
-// service-time moments (or explicit overrides). Sojourn fields are absent
-// when the configuration is unstable (ρ ≥ 1).
-type TwinAnswer struct {
-	// Lambda echoes the asked arrival rate (jobs/s).
-	Lambda float64 `json:"lambda"`
-	// Workers is the evaluated pool size (query param, default: the
-	// scheduler's own pool).
-	Workers int `json:"workers"`
-	// MeanServiceS / SCV are the model inputs; MomentSource says whether
-	// they were measured from completed jobs or overridden in the query.
-	MeanServiceS float64 `json:"mean_service_s"`
-	SCV          float64 `json:"scv"`
-	MomentSource string  `json:"moment_source"`
-	SampleCount  int64   `json:"sample_count,omitempty"`
-
-	Utilization float64 `json:"utilization"`
-	Stable      bool    `json:"stable"`
-
-	MeanSojournS float64 `json:"mean_sojourn_s,omitempty"`
-	P50SojournS  float64 `json:"p50_sojourn_s,omitempty"`
-	P95SojournS  float64 `json:"p95_sojourn_s,omitempty"`
-
-	// TargetP95S/MinWorkers answer the sizing question when a p95 target
-	// was asked: the smallest pool meeting it (0 = infeasible ≤ 1024).
-	TargetP95S float64 `json:"target_p95_s,omitempty"`
-	MinWorkers int     `json:"min_workers,omitempty"`
-}
-
-// handleTwin serves GET /twin. Query parameters:
-//
-//	rate     arrival rate in jobs/s (required)
-//	workers  pool size to evaluate (default: the live pool)
-//	p95      target p95 sojourn in seconds (optional: adds MinWorkers)
-//	mean     mean service-time override in seconds
-//	scv      service-time SCV override (with mean; default 1)
-//
-// Without overrides the model runs on moments measured from completed
-// jobs; 422 when none exist yet.
-func handleTwin(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	lambda, err := strconv.ParseFloat(q.Get("rate"), 64)
-	if err != nil || lambda < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("twin: rate must be a non-negative number, got %q", q.Get("rate")))
-		return
-	}
-	ans := TwinAnswer{Lambda: lambda}
-
-	count, mean, scv := s.ServiceMoments()
-	ans.MomentSource = "measured"
-	ans.SampleCount = count
-	if mv := q.Get("mean"); mv != "" {
-		mean, err = strconv.ParseFloat(mv, 64)
-		if err != nil || mean <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("twin: mean must be a positive number, got %q", mv))
-			return
-		}
-		scv = 1
-		ans.MomentSource = "override"
-		ans.SampleCount = 0
-	}
-	if sv := q.Get("scv"); sv != "" {
-		if ans.MomentSource != "override" {
-			writeError(w, http.StatusBadRequest, errors.New("twin: scv override requires a mean override"))
-			return
-		}
-		scv, err = strconv.ParseFloat(sv, 64)
-		if err != nil || scv < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("twin: scv must be a non-negative number, got %q", sv))
-			return
-		}
-	}
-	if ans.MomentSource == "measured" && count == 0 {
-		writeError(w, http.StatusUnprocessableEntity,
-			errors.New("twin: no completed jobs to measure service moments from; pass mean= (and scv=) overrides"))
-		return
-	}
-	ans.MeanServiceS = mean
-	ans.SCV = scv
-
-	workers := s.opts.Workers
-	if wv := q.Get("workers"); wv != "" {
-		workers, err = strconv.Atoi(wv)
-		if err != nil || workers < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("twin: workers must be a positive integer, got %q", wv))
-			return
-		}
-	}
-	ans.Workers = workers
-
-	m := twin.MGc{Lambda: lambda, Servers: workers, MeanService: mean, SCV: scv}
-	ans.Utilization = m.Utilization()
-	ans.Stable = m.Stable()
-	if ans.Stable {
-		ans.MeanSojournS = m.MeanSojourn()
-		ans.P50SojournS = m.SojournQuantile(0.50)
-		ans.P95SojournS = m.SojournQuantile(0.95)
-	}
-	if tv := q.Get("p95"); tv != "" {
-		target, err := strconv.ParseFloat(tv, 64)
-		if err != nil || target <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("twin: p95 must be a positive number, got %q", tv))
-			return
-		}
-		ans.TargetP95S = target
-		ans.MinWorkers = twin.MinServers(lambda, mean, scv, 0.95, target, 1024)
-	}
-	writeJSON(w, http.StatusOK, ans)
 }
 
 // parseAfter resolves the /jobs `after` cursor: empty (start), a job ID

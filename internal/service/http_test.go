@@ -243,87 +243,3 @@ func TestClientAwaitHonorsContext(t *testing.T) {
 		t.Error("Await returned nil for a never-finishing job with an expiring context")
 	}
 }
-
-func getTwin(t *testing.T, c *Client, query string) (int, TwinAnswer) {
-	t.Helper()
-	resp, err := c.HTTPClient.Get(c.BaseURL + "/twin?" + query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var ans TwinAnswer
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode, ans
-}
-
-func TestTwinEndpointNeedsMomentsOrOverride(t *testing.T) {
-	c, _ := newHTTPFixture(t)
-	// No completed jobs and no override: the model has no service-time
-	// moments to run on.
-	if code, _ := getTwin(t, c, "rate=0.5"); code != http.StatusUnprocessableEntity {
-		t.Errorf("no-moments status = %d, want 422", code)
-	}
-	// Bad parameters are 400s.
-	for _, q := range []string{"rate=abc", "rate=-1", "rate=1&mean=0", "rate=1&scv=1", "rate=1&mean=2&workers=0", "rate=1&mean=2&p95=0"} {
-		if code, _ := getTwin(t, c, q); code != http.StatusBadRequest {
-			t.Errorf("query %q: status = %d, want 400", q, code)
-		}
-	}
-}
-
-func TestTwinEndpointOverridesAndSizing(t *testing.T) {
-	c, _ := newHTTPFixture(t)
-	code, ans := getTwin(t, c, "rate=0.5&mean=2&scv=1&p95=20")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d, want 200", code)
-	}
-	// Fixture pool is 2 workers: ρ = 0.5·2/2 = 0.5, comfortably stable.
-	if ans.MomentSource != "override" || ans.Workers != 2 || !ans.Stable {
-		t.Errorf("answer = %+v, want stable override on 2 workers", ans)
-	}
-	if ans.Utilization != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", ans.Utilization)
-	}
-	if !(ans.P95SojournS > ans.MeanSojournS && ans.MeanSojournS > ans.MeanServiceS) {
-		t.Errorf("sojourn ordering violated: %+v", ans)
-	}
-	if ans.MinWorkers < 1 {
-		t.Errorf("min workers = %d, want a feasible pool for a 20 s p95", ans.MinWorkers)
-	}
-
-	// Overload on one worker: unstable, sojourn fields suppressed.
-	code, ans = getTwin(t, c, "rate=5&mean=2&workers=1")
-	if code != http.StatusOK || ans.Stable || ans.MeanSojournS != 0 {
-		t.Errorf("overloaded answer = %+v (status %d), want unstable with no sojourns", ans, code)
-	}
-}
-
-func TestTwinEndpointUsesMeasuredMoments(t *testing.T) {
-	c, s := newHTTPFixture(t)
-	ctx := context.Background()
-	job, err := c.Submit(ctx, stubSpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Await(ctx, job.ID, 2*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	count, _, _ := s.ServiceMoments()
-	if count != 1 {
-		t.Fatalf("service moments count = %d, want 1", count)
-	}
-	code, ans := getTwin(t, c, "rate=0.0001")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d, want 200 with measured moments", code)
-	}
-	if ans.MomentSource != "measured" || ans.SampleCount != 1 {
-		t.Errorf("answer = %+v, want measured moments from 1 sample", ans)
-	}
-	if m := s.Metrics(); m.ServiceTimeCount != 1 {
-		t.Errorf("metrics service_time_count = %d, want 1", m.ServiceTimeCount)
-	}
-}

@@ -1,32 +1,6 @@
 package service
 
-import (
-	"math"
-	"sync/atomic"
-	"time"
-)
-
-// atomicFloat64 is a float64 accumulator over an atomic bit pattern,
-// giving the metrics path lock-free float adds (CAS loop) and reads.
-type atomicFloat64 struct {
-	bits atomic.Uint64
-}
-
-// Add accumulates delta with a compare-and-swap loop.
-func (f *atomicFloat64) Add(delta float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if f.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (f *atomicFloat64) Load() float64 {
-	return math.Float64frombits(f.bits.Load())
-}
+import "time"
 
 // Metrics is the expvar-style counter snapshot served at /metrics. All
 // counts are cumulative for the scheduler's lifetime except the gauges
@@ -66,13 +40,6 @@ type Metrics struct {
 	// started so far (scheduler-clock time).
 	QueueLatencyMean time.Duration `json:"queue_latency_mean_ns"`
 
-	// Service-time moments over successful attempts (started→done), the
-	// empirical inputs to the /twin capacity model: sample count, mean in
-	// seconds, and the second raw moment E[S²] in s².
-	ServiceTimeCount int64   `json:"service_time_count"`
-	ServiceTimeMeanS float64 `json:"service_time_mean_s,omitempty"`
-	ServiceTimeEx2S2 float64 `json:"service_time_ex2_s2,omitempty"`
-
 	// Journal health. JournalAppends and JournalBatchRecords both count
 	// records made durable (two keys, one counter: a finished job's record
 	// trails its visible state by up to one commit); JournalBatchCommits
@@ -90,26 +57,6 @@ type Metrics struct {
 	SimCacheHits     int64 `json:"sim_cache_hits"`
 	SimCacheDiskHits int64 `json:"sim_cache_disk_hits"`
 	SimCacheMisses   int64 `json:"sim_cache_misses"`
-}
-
-// ServiceMoments returns the empirical service-time moments over
-// successful attempts: sample count, mean seconds, and the squared
-// coefficient of variation (clamped at 0 against float cancellation).
-// These parameterize twin.MGc for live capacity answers.
-func (s *Scheduler) ServiceMoments() (count int64, mean, scv float64) {
-	count = s.c.svcCount.Load()
-	if count == 0 {
-		return 0, 0, 0
-	}
-	mean = s.c.svcTotalSec.Load() / float64(count)
-	ex2 := s.c.svcTotalSqSec.Load() / float64(count)
-	if mean > 0 {
-		scv = ex2/(mean*mean) - 1
-		if scv < 0 {
-			scv = 0
-		}
-	}
-	return count, mean, scv
 }
 
 // Metrics snapshots the scheduler counters.
@@ -135,11 +82,6 @@ func (s *Scheduler) Metrics() Metrics {
 	}
 	if n := s.c.latencyCount.Load(); n > 0 {
 		m.QueueLatencyMean = time.Duration(s.c.latencyTotalNs.Load() / n)
-	}
-	m.ServiceTimeCount = s.c.svcCount.Load()
-	if m.ServiceTimeCount > 0 {
-		m.ServiceTimeMeanS = s.c.svcTotalSec.Load() / float64(m.ServiceTimeCount)
-		m.ServiceTimeEx2S2 = s.c.svcTotalSqSec.Load() / float64(m.ServiceTimeCount)
 	}
 	if s.journal != nil {
 		js := s.journal.Stats()

@@ -142,15 +142,6 @@ type counters struct {
 	// the pair-serialization rule costs.
 	claimScans     atomic.Int64
 	claimPairSkips atomic.Int64
-
-	// Service-time moment accumulators over successful attempts
-	// (started→done on the scheduler clock). They feed the M/G/c capacity
-	// model behind GET /twin: count, Σs, and Σs² give the empirical mean
-	// and squared coefficient of variation. Canceled and interrupted
-	// attempts are excluded — their durations measure the operator, not
-	// the backend.
-	svcCount                   atomic.Int64
-	svcTotalSec, svcTotalSqSec atomicFloat64
 }
 
 // finished returns the counter of jobs that ended in terminal state st.
@@ -734,10 +725,6 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 	case j.refused:
 		// The journal refused the job's batch: the outcome is nobody's.
 	case err == nil:
-		sec := s.clk.Now().Sub(j.StartedAt).Seconds()
-		s.c.svcCount.Add(1)
-		s.c.svcTotalSec.Add(sec)
-		s.c.svcTotalSqSec.Add(sec * sec)
 		j.Result = res
 		rec = s.finishLocked(j, StateDone, res, "")
 		terminal = true
@@ -795,8 +782,14 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 		s.journal.post(frame, 1)
 	}
 	if pairFreed {
-		// The freed pair may unblock a queued same-pair sibling: post a
-		// wakeup.
+		// The freed pair makes at most one queued job newly claimable, and
+		// this worker's claim loop, which runs next, takes the best
+		// claimable job: that one, or a better one that was claimable
+		// already — and a job claimable while this worker ran either had
+		// no idle worker to take it or still has its enqueue's wakeup
+		// pending. So the greedy loop covers the freed pair, and this
+		// wakeup is a spare scan: TestSchedulerMatchesModel passes with
+		// it deleted.
 		s.signalReady()
 	}
 }

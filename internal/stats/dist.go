@@ -84,15 +84,6 @@ func StudentTCDF(t, df float64) float64 {
 	return half
 }
 
-// ChiSquaredCDF returns P(X <= x) for a chi-squared random variable with k
-// degrees of freedom.
-func ChiSquaredCDF(x, k float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return RegIncGammaLower(k/2, x/2)
-}
-
 // KolmogorovQ evaluates the Kolmogorov survival function
 //
 //	Q(λ) = 2 Σ_{j≥1} (-1)^{j-1} exp(-2 j² λ²),

@@ -93,19 +93,6 @@ func TestStudentTCDFSymmetry(t *testing.T) {
 	}
 }
 
-func TestChiSquaredCDF(t *testing.T) {
-	// k=2: F(x) = 1 - e^{-x/2}
-	for _, x := range []float64{0.5, 1, 2, 5, 10} {
-		want := 1 - math.Exp(-x/2)
-		if got := ChiSquaredCDF(x, 2); !almostEqual(got, want, 1e-12) {
-			t.Errorf("ChiSquaredCDF(%v, 2) = %v, want %v", x, got, want)
-		}
-	}
-	if got := ChiSquaredCDF(-1, 4); got != 0 {
-		t.Errorf("negative x: got %v", got)
-	}
-}
-
 func TestKolmogorovQ(t *testing.T) {
 	// Q(1.0) = 2(e^-2 - e^-8 + e^-18 - ...) ≈ 0.26999967...
 	want := 2 * (math.Exp(-2) - math.Exp(-8) + math.Exp(-18) - math.Exp(-32))

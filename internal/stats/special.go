@@ -94,75 +94,3 @@ func LnBeta(a, b float64) float64 {
 	lab, _ := math.Lgamma(a + b)
 	return la + lb - lab
 }
-
-// RegIncGammaLower computes the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x) / Γ(a), the CDF of the Gamma(a, 1) distribution. It is
-// used for chi-squared tail probabilities.
-func RegIncGammaLower(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 0
-	case a <= 0:
-		return math.NaN()
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// gammaSeries evaluates P(a,x) by its series representation (x < a+1).
-func gammaSeries(a, x float64) float64 {
-	const (
-		maxIter = 500
-		eps     = 3e-14
-	)
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for n := 0; n < maxIter; n++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*eps {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// gammaCF evaluates Q(a,x) = 1 - P(a,x) by continued fraction (x >= a+1).
-func gammaCF(a, x float64) float64 {
-	const (
-		maxIter = 500
-		eps     = 3e-14
-		fpMin   = 1e-300
-	)
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / fpMin
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpMin {
-			d = fpMin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpMin {
-			c = fpMin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}

@@ -91,26 +91,6 @@ func TestRegIncBetaMonotoneInX(t *testing.T) {
 	}
 }
 
-func TestRegIncGammaLowerClosedForms(t *testing.T) {
-	// P(1, x) = 1 - e^{-x}
-	for _, x := range []float64{0.1, 0.5, 1, 2, 5, 10} {
-		want := 1 - math.Exp(-x)
-		if got := RegIncGammaLower(1, x); !almostEqual(got, want, 1e-12) {
-			t.Errorf("P(1,%v) = %v, want %v", x, got, want)
-		}
-	}
-	// P(1/2, x) = erf(sqrt(x))
-	for _, x := range []float64{0.25, 1, 4} {
-		want := math.Erf(math.Sqrt(x))
-		if got := RegIncGammaLower(0.5, x); !almostEqual(got, want, 1e-12) {
-			t.Errorf("P(0.5,%v) = %v, want %v", x, got, want)
-		}
-	}
-	if got := RegIncGammaLower(2, 0); got != 0 {
-		t.Errorf("P(2,0) = %v, want 0", got)
-	}
-}
-
 func TestLnBeta(t *testing.T) {
 	// B(1,1)=1, B(2,3)=1/12, B(0.5,0.5)=π
 	cases := []struct{ a, b, want float64 }{

@@ -1,12 +1,10 @@
-// Package twin holds the analytical queueing twin: closed-form models that
-// predict what the packet-level simulator (internal/netsim) and the campaign
-// service (internal/service) will measure, without running them. The twin
-// serves two purposes: it answers capacity questions instantly ("how many
-// workers for X jobs/s at Y p95", "what loss rate will this policer show"),
-// and it acts as a second oracle — internal/twin/validate sweeps both models
-// against simulation ground truth, so a regression in either the sim or the
-// math shows up as a tolerance violation rather than silently shifting
-// results.
+// Package twin holds the analytical token-bucket twin: a closed-form fluid
+// model that predicts what the packet-level simulator (internal/netsim)
+// will measure at one policer or shaper, without running it. It answers
+// "what loss rate and queueing delay will this TBF show" instantly, and it
+// acts as a second oracle — internal/twin/validate sweeps the model against
+// simulation ground truth, so a regression in either the sim or the math
+// shows up as a tolerance violation rather than silently shifting results.
 package twin
 
 import (

@@ -10,17 +10,15 @@ import (
 // a fresh run.
 const (
 	tbfCacheSchema    = "wehey/twincache/tbf/v1"
-	mg1CacheSchema    = "wehey/twincache/mg1/v1"
 	hybridCacheSchema = "wehey/twincache/hybrid/v1"
 )
 
 // Cache memoizes validation-point ground truth, keyed by the full point
-// spec. Points are deterministic in their spec (seeded arrivals, seeded
-// service draws), so a cached measurement is exactly a rerun — warm
-// validation sweeps only pay for the analytical side.
+// spec. Points are deterministic in their spec (seeded arrivals), so a
+// cached measurement is exactly a rerun — warm validation sweeps only pay
+// for the analytical side.
 type Cache struct {
 	tbf    *simcache.Cache[TBFMeasurement]
-	mg1    *simcache.Cache[MG1Summary]
 	hybrid *simcache.Cache[HybridMeasurement]
 }
 
@@ -28,7 +26,6 @@ type Cache struct {
 func NewCache() *Cache {
 	return &Cache{
 		tbf:    simcache.New[TBFMeasurement](),
-		mg1:    simcache.New[MG1Summary](),
 		hybrid: simcache.New[HybridMeasurement](),
 	}
 }
@@ -40,24 +37,20 @@ func NewDiskCache(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	mg1, err := simcache.NewDisk(dir, mg1Codec())
-	if err != nil {
-		return nil, err
-	}
 	hybrid, err := simcache.NewDisk(dir, hybridCodec())
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{tbf: tbf, mg1: mg1, hybrid: hybrid}, nil
+	return &Cache{tbf: tbf, hybrid: hybrid}, nil
 }
 
 // Stats returns the combined counters over all point kinds.
 func (c *Cache) Stats() simcache.Stats {
-	t, m, h := c.tbf.Stats(), c.mg1.Stats(), c.hybrid.Stats()
+	t, h := c.tbf.Stats(), c.hybrid.Stats()
 	return simcache.Stats{
-		Hits:     t.Hits + m.Hits + h.Hits,
-		DiskHits: t.DiskHits + m.DiskHits + h.DiskHits,
-		Misses:   t.Misses + m.Misses + h.Misses,
+		Hits:     t.Hits + h.Hits,
+		DiskHits: t.DiskHits + h.DiskHits,
+		Misses:   t.Misses + h.Misses,
 	}
 }
 
@@ -66,14 +59,6 @@ func (c *Cache) tbfPoint(pt TBFPoint) TBFMeasurement {
 	key := simcache.KeyOf(tbfCacheSchema, encodeTBFPoint(pt))
 	return c.tbf.Get(key, func() TBFMeasurement {
 		return RunTBFPoint(pt.Params, pt.Proc, pt.Seed)
-	})
-}
-
-// mg1Point runs one service grid point through the cache.
-func (c *Cache) mg1Point(pt MG1Point) MG1Summary {
-	key := simcache.KeyOf(mg1CacheSchema, encodeMG1Point(pt))
-	return c.mg1.Get(key, func() MG1Summary {
-		return RunMG1Point(pt)
 	})
 }
 
@@ -180,50 +165,6 @@ func hybridCodec() simcache.Codec[HybridMeasurement] {
 				Events:     r.Int64(),
 			}
 			return m, r.Done()
-		},
-	}
-}
-
-// encodeMG1Point canonically serializes an MG1 point spec; like
-// encodeTBFPoint it deliberately excludes Name and Tol.
-//
-//lint:ignore cachekey Name and Tol do not affect simulated ground truth; see doc comment
-func encodeMG1Point(pt MG1Point) []byte {
-	b := make([]byte, 0, 64)
-	b = measure.AppendInt64(b, int64(pt.Servers))
-	b = measure.AppendFloat64(b, pt.Lambda)
-	b = measure.AppendFloat64(b, pt.MeanService)
-	b = measure.AppendFloat64(b, pt.SCV)
-	b = measure.AppendInt64(b, int64(pt.Jobs))
-	b = measure.AppendInt64(b, pt.Seed)
-	return b
-}
-
-func mg1Codec() simcache.Codec[MG1Summary] {
-	return simcache.Codec[MG1Summary]{
-		Encode: func(s MG1Summary) []byte {
-			b := make([]byte, 0, 40)
-			b = measure.AppendInt64(b, int64(s.Jobs))
-			exact := int64(0)
-			if s.ExactSchedule {
-				exact = 1
-			}
-			b = measure.AppendInt64(b, exact)
-			b = measure.AppendFloat64(b, s.MeanSojourn)
-			b = measure.AppendFloat64(b, s.P50)
-			b = measure.AppendFloat64(b, s.P95)
-			return b
-		},
-		Decode: func(b []byte) (MG1Summary, error) {
-			r := measure.NewReader(b)
-			s := MG1Summary{
-				Jobs:          int(r.Int64()),
-				ExactSchedule: r.Int64() != 0,
-				MeanSojourn:   r.Float64(),
-				P50:           r.Float64(),
-				P95:           r.Float64(),
-			}
-			return s, r.Done()
 		},
 	}
 }

@@ -19,7 +19,7 @@ func hexBytes(parts ...string) []byte {
 	return b
 }
 
-// TestCacheValueGoldens pins the three measurement layouts, field by
+// TestCacheValueGoldens pins the two measurement layouts, field by
 // field: each value encodes to its golden entry and the entry decodes to
 // it, while every strict prefix and one trailing byte are rejected. A
 // change here changes the meaning of every entry on disk and needs the
@@ -35,19 +35,6 @@ func TestCacheValueGoldens(t *testing.T) {
 		"001bb70000000000", // MeanQueueDelay 12ms
 		"0100000000000000", // Drops true, as an int64
 		"80b2e60e00000000", // FirstDrop 250ms
-	))
-	checkGolden(t, "mg1", mg1Codec(), MG1Summary{
-		Jobs:          300,
-		ExactSchedule: true,
-		MeanSojourn:   0.75,
-		P50:           0.5,
-		P95:           2.25,
-	}, hexBytes(
-		"2c01000000000000", // Jobs 300
-		"0100000000000000", // ExactSchedule true, as an int64
-		"000000000000e83f", // MeanSojourn 0.75
-		"000000000000e03f", // P50 0.5
-		"0000000000000240", // P95 2.25
 	))
 	checkGolden(t, "hybrid", hybridCodec(), HybridMeasurement{
 		BgLossRate: 0.0625,

@@ -19,18 +19,9 @@ type TBFReport struct {
 	Violations []string
 }
 
-// MG1Report is one service-model point's verdict.
-type MG1Report struct {
-	Point                      MG1Point
-	PredMean, PredP50, PredP95 float64
-	Meas                       MG1Summary
-	Violations                 []string
-}
-
 // Report is a full sweep's outcome.
 type Report struct {
 	TBF    []TBFReport
-	MG1    []MG1Report
 	Hybrid []HybridReport
 }
 
@@ -38,9 +29,6 @@ type Report struct {
 func (r Report) ViolationCount() int {
 	n := 0
 	for _, p := range r.TBF {
-		n += len(p.Violations)
-	}
-	for _, p := range r.MG1 {
 		n += len(p.Violations)
 	}
 	for _, p := range r.Hybrid {
@@ -113,84 +101,14 @@ func durBand(pred, meas time.Duration, rel float64, abs time.Duration) string {
 	return fmt.Sprintf("model %v, sim %v (|Δ| %v > %v)", pred, meas, diff, allowed)
 }
 
-// EvalMG1Point measures one service point (through the cache when one is
-// given) and checks it against the M/G/c model.
-func EvalMG1Point(pt MG1Point, cache *Cache) MG1Report {
-	var meas MG1Summary
-	if cache != nil {
-		meas = cache.mg1Point(pt)
-	} else {
-		meas = RunMG1Point(pt)
-	}
-	m := twin.MGc{Lambda: pt.Lambda, Servers: pt.Servers, MeanService: pt.MeanService, SCV: pt.SCV}
-	r := MG1Report{
-		Point:    pt,
-		PredMean: m.MeanSojourn(),
-		PredP50:  m.SojournQuantile(0.50),
-		PredP95:  m.SojournQuantile(0.95),
-		Meas:     meas,
-	}
-	if !meas.ExactSchedule {
-		r.Violations = append(r.Violations,
-			"scheduler sojourns diverged from the FIFO reference schedule")
-	}
-	check := func(name string, pred, got, tol float64) {
-		if pred <= 0 {
-			return
-		}
-		if d := math.Abs(pred-got) / pred; d > tol {
-			r.Violations = append(r.Violations,
-				fmt.Sprintf("%s: model %.4fs, sim %.4fs (rel Δ %.3f > %.3f)", name, pred, got, d, tol))
-		}
-	}
-	check("mean sojourn", r.PredMean, meas.MeanSojourn, pt.Tol.MeanRel)
-	check("p50 sojourn", r.PredP50, meas.P50, pt.Tol.P50Rel)
-	check("p95 sojourn", r.PredP95, meas.P95, pt.Tol.P95Rel)
-	return r
-}
-
-// DefaultMG1Points returns the standard service-model validation points:
-// M/M/1 at three utilizations, an M/M/4 pool, and a deterministic-service
-// M/D/1 — each a few thousand jobs, enough for stable p95s under the
-// stated bands.
-func DefaultMG1Points() []MG1Point {
-	// Queue waits are heavily autocorrelated (busy periods), so the
-	// effective sample size is far below the job count; high-ρ points get
-	// more jobs AND wider bands — at ρ = 0.85 even 25k jobs leave several
-	// percent of quantile noise. The M/D/1 p50 band is the widest: the
-	// exponential-tail wait approximation is exact for M/M/c but
-	// mis-shapes the distribution body under deterministic service (a
-	// documented model limitation, see DESIGN.md), so its band covers the
-	// ~14% structural bias plus sampling noise.
-	low := MG1Tolerance{MeanRel: 0.08, P50Rel: 0.08, P95Rel: 0.08}
-	high := MG1Tolerance{MeanRel: 0.15, P50Rel: 0.12, P95Rel: 0.18}
-	return []MG1Point{
-		{Name: "mm1/rho0.3", Servers: 1, Lambda: 0.3, MeanService: 1, SCV: 1,
-			Jobs: 8000, Seed: 101, Tol: low},
-		{Name: "mm1/rho0.6", Servers: 1, Lambda: 0.6, MeanService: 1, SCV: 1,
-			Jobs: 12000, Seed: 102, Tol: low},
-		{Name: "mm1/rho0.85", Servers: 1, Lambda: 0.85, MeanService: 1, SCV: 1,
-			Jobs: 25000, Seed: 103, Tol: high},
-		{Name: "mm4/rho0.85", Servers: 4, Lambda: 3.4, MeanService: 1, SCV: 1,
-			Jobs: 20000, Seed: 104, Tol: high},
-		{Name: "md1/rho0.6", Servers: 1, Lambda: 0.6, MeanService: 1, SCV: 0,
-			Jobs: 12000, Seed: 105,
-			Tol: MG1Tolerance{MeanRel: 0.08, P50Rel: 0.25, P95Rel: 0.12}},
-	}
-}
-
-// Run sweeps the default TBF grid and MG1 points with the given worker
+// Run sweeps the default TBF and hybrid grids with the given worker
 // parallelism, caching ground truth through cache when it is non-nil.
 func Run(cache *Cache, workers int) Report {
 	grid := DefaultTBFGrid()
-	points := DefaultMG1Points()
 	hybrid := DefaultHybridGrid()
 	return Report{
 		TBF: experiments.ForEach(len(grid), workers, func(i int) TBFReport {
 			return EvalTBFPoint(grid[i], cache)
-		}),
-		MG1: experiments.ForEach(len(points), workers, func(i int) MG1Report {
-			return EvalMG1Point(points[i], cache)
 		}),
 		Hybrid: experiments.ForEach(len(hybrid), workers, func(i int) HybridReport {
 			return EvalHybridPoint(hybrid[i], cache)
@@ -213,19 +131,6 @@ func (r Report) Render() string {
 			p.Point.Name, status, p.Pred.LossRate, p.Meas.LossRate,
 			p.Pred.MeanQueueDelay.Round(time.Microsecond),
 			p.Meas.MeanQueueDelay.Round(time.Microsecond))
-		for _, v := range p.Violations {
-			fmt.Fprintf(&b, "      violation: %s\n", v)
-		}
-	}
-	fmt.Fprintf(&b, "M/G/c model vs service scheduler (%d points)\n", len(r.MG1))
-	for _, p := range r.MG1 {
-		status := "ok"
-		if len(p.Violations) > 0 {
-			status = "FAIL"
-		}
-		fmt.Fprintf(&b, "  %-34s %-4s mean %.3f/%.3f  p50 %.3f/%.3f  p95 %.3f/%.3f\n",
-			p.Point.Name, status, p.PredMean, p.Meas.MeanSojourn,
-			p.PredP50, p.Meas.P50, p.PredP95, p.Meas.P95)
 		for _, v := range p.Violations {
 			fmt.Fprintf(&b, "      violation: %s\n", v)
 		}

@@ -1,10 +1,10 @@
 // Package validate is the equivalence harness between the analytical twin
-// (internal/twin) and the simulators it models: every model prediction is
-// swept against packet-level (internal/netsim) or scheduler-level
-// (internal/service) ground truth under per-point tolerance bands. A band
-// violation means one of the two sides regressed — the twin's math or the
-// simulator's mechanics — which is the point: two independent oracles
-// disagreeing is a much louder failure than either one drifting alone.
+// (internal/twin) and the simulator it models: every model prediction is
+// swept against packet-level (internal/netsim) ground truth under
+// per-point tolerance bands. A band violation means one of the two sides
+// regressed — the twin's math or the simulator's mechanics — which is the
+// point: two independent oracles disagreeing is a much louder failure than
+// either one drifting alone.
 package validate
 
 import (

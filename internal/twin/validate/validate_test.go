@@ -1,20 +1,15 @@
 package validate
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/twin"
 )
 
-// TestTwinMatchesSimAcrossGrid is the acceptance sweep: every analytical
-// prediction must land inside its tolerance band against simulation ground
-// truth — the fluid TBF model across the full rate×load×device grid, and
-// the M/G/c model against a real scheduler at three utilizations. In
-// -short mode (used by the race-detector CI lane) the expensive MG1 points
-// shrink to the cheapest one; the full grid runs in the default lane and
-// in the wehey-twin CLI.
+// TestTwinMatchesSimAcrossGrid is the acceptance sweep: every fluid TBF
+// prediction must land inside its tolerance band against packet-sim ground
+// truth across the full rate×load×device grid.
 func TestTwinMatchesSimAcrossGrid(t *testing.T) {
 	cache, err := NewDiskCache(t.TempDir())
 	if err != nil {
@@ -25,34 +20,12 @@ func TestTwinMatchesSimAcrossGrid(t *testing.T) {
 	if len(grid) < 20 {
 		t.Fatalf("TBF grid has %d points, want >= 20", len(grid))
 	}
-	points := DefaultMG1Points()
-	utils := map[string]bool{}
-	for _, pt := range points {
-		m := twin.MGc{Lambda: pt.Lambda, Servers: pt.Servers, MeanService: pt.MeanService, SCV: pt.SCV}
-		utils[fmt.Sprintf("%.2f", m.Utilization())] = true
-	}
-	if len(utils) < 3 {
-		t.Fatalf("MG1 points cover %d utilization levels, want >= 3", len(utils))
-	}
-	if testing.Short() {
-		points = points[:1]
-	}
-
 	var report Report
 	for _, pt := range grid {
 		report.TBF = append(report.TBF, EvalTBFPoint(pt, cache))
 	}
-	for _, pt := range points {
-		report.MG1 = append(report.MG1, EvalMG1Point(pt, cache))
-	}
-
 	if n := report.ViolationCount(); n != 0 {
 		t.Errorf("%d tolerance violations:\n%s", n, report.Render())
-	}
-	for _, p := range report.MG1 {
-		if !p.Meas.ExactSchedule {
-			t.Errorf("%s: scheduler sojourns diverged from the FIFO reference", p.Point.Name)
-		}
 	}
 }
 
@@ -95,34 +68,6 @@ func TestWarmSweepHitsDiskCache(t *testing.T) {
 	}
 }
 
-// TestMG1CacheRoundTrip does the same for the service-model point codec,
-// on the smallest point.
-func TestMG1CacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	pt := MG1Point{Name: "tiny", Servers: 2, Lambda: 1.2, MeanService: 0.5, SCV: 1,
-		Jobs: 300, Seed: 9, Tol: MG1Tolerance{MeanRel: 1, P50Rel: 1, P95Rel: 1}}
-
-	cold, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := cold.mg1Point(pt)
-	if first.Jobs != 300 || !first.ExactSchedule {
-		t.Fatalf("cold point: %+v", first)
-	}
-
-	warm, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := warm.mg1Point(pt); got != first {
-		t.Errorf("decoded %+v, want %+v", got, first)
-	}
-	if st := warm.Stats(); st.Misses != 0 || st.DiskHits != 1 {
-		t.Errorf("warm stats: %+v", st)
-	}
-}
-
 // TestRunTBFPointZeroRateMirrorsNetsimFix pins the blackhole semantics the
 // twin's Rate=0 branch models — the same 3-forward/17-drop split the
 // netsim regression test (TestRateLimiterZeroRateTerminates) asserts.
@@ -139,26 +84,5 @@ func TestRunTBFPointZeroRateMirrorsNetsimFix(t *testing.T) {
 	pred := twin.PredictTBF(params)
 	if d := pred.LossRate - meas.LossRate; d > 0.02 || d < -0.02 {
 		t.Errorf("model %v vs sim %v disagree beyond band", pred.LossRate, meas.LossRate)
-	}
-}
-
-// TestMG1DriverExactness runs a small point and checks the driver's two
-// invariants directly: the scheduler reproduced the reference schedule to
-// the nanosecond, and every job completed.
-func TestMG1DriverExactness(t *testing.T) {
-	for _, servers := range []int{1, 3} {
-		s := RunMG1Point(MG1Point{Servers: servers, Lambda: 2, MeanService: 0.4,
-			SCV: 1, Jobs: 500, Seed: 42})
-		if s.Jobs != 500 {
-			t.Errorf("c=%d: %d jobs completed, want 500", servers, s.Jobs)
-		}
-		if !s.ExactSchedule {
-			t.Errorf("c=%d: scheduler diverged from FIFO reference", servers)
-		}
-		// Sanity only: the empirical mean of 500 exponential service draws
-		// fluctuates around 0.4, so just require a plausible magnitude.
-		if s.MeanSojourn < 0.3 || s.MeanSojourn > 5 {
-			t.Errorf("c=%d: implausible mean sojourn %v", servers, s.MeanSojourn)
-		}
 	}
 }
