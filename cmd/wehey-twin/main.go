@@ -5,22 +5,20 @@
 // Usage:
 //
 //	wehey-twin tbf -rate 2e6 -burst 12500 -queue 60000 -pkt 1000 -offered 3.6e6 -horizon 10s [-check]
-//	wehey-twin validate [-cache-dir .twincache] [-workers N] [-v]
+//	wehey-twin validate [-v]
 //
 // tbf prints the fluid token-bucket prediction (loss rate, mean queue
 // delay, time to first drop) for one configuration; -check also runs the
 // packet simulator on the same point and prints both. validate sweeps the
 // TBF model and the hybrid fluid background against packet-simulation
-// ground truth across the standard grids and exits 1 on any tolerance
-// violation; with a cache dir, warm reruns answer from disk without
-// resimulating.
+// ground truth across the standard grids, one worker per CPU, and exits 1
+// on any tolerance violation.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/nal-epfl/wehey/internal/twin"
@@ -44,7 +42,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   wehey-twin tbf -rate R -burst B -queue Q -pkt P -offered A -horizon D [-check]
-  wehey-twin validate [-cache-dir DIR] [-workers N] [-v]`)
+  wehey-twin validate [-v]`)
 	os.Exit(2)
 }
 
@@ -85,30 +83,14 @@ func tbfCmd(args []string) {
 
 func validateCmd(args []string) {
 	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	cacheDir := fs.String("cache-dir", "", "disk cache for simulation ground truth (\"\" = in-memory only)")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel sweep workers")
 	verbose := fs.Bool("v", false, "print every point, not just violations")
 	fs.Parse(args) // ExitOnError flag sets cannot return an error
 
-	var cache *validate.Cache
-	var err error
-	if *cacheDir != "" {
-		cache, err = validate.NewDiskCache(*cacheDir)
-	} else {
-		cache = validate.NewCache()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wehey-twin:", err)
-		os.Exit(1)
-	}
-
-	report := validate.Run(cache, *workers)
+	report := validate.Run()
 	if *verbose || report.ViolationCount() > 0 {
 		fmt.Print(report.Render())
 	}
-	st := cache.Stats()
-	fmt.Printf("points %d  cache hits=%d disk-hits=%d misses=%d\n",
-		len(report.TBF)+len(report.Hybrid), st.Hits, st.DiskHits, st.Misses)
+	fmt.Printf("points %d\n", len(report.TBF)+len(report.Hybrid))
 	if n := report.ViolationCount(); n > 0 {
 		fmt.Fprintf(os.Stderr, "wehey-twin: %d tolerance violations\n", n)
 		os.Exit(1)

@@ -7,23 +7,19 @@ import "strings"
 // package itself and everything below it ("internal/netsim" also covers
 // "internal/netsim/foo").
 type Config struct {
-	// DetRandScope lists the deterministic layers in which calls to the
-	// global math/rand source are forbidden: all randomness there must
-	// flow through an injected *rand.Rand so experiment seeds fully
-	// determine behaviour.
-	DetRandScope []string
+	// DetScope lists the deterministic layers. There, calls to the global
+	// math/rand source are forbidden (randomness flows through an injected
+	// *rand.Rand so experiment seeds fully determine behaviour), and the
+	// detrand and walltime taint passes report call sites whose callee
+	// reaches either sink through helper packages or locally suppressed
+	// sinks. Direct wall-clock reads are reported everywhere outside
+	// WalltimeAllow by the syntactic walltime pass.
+	DetScope []string
 	// WalltimeAllow lists the real-clock layers (and only those) allowed
 	// to call time.Now / time.Since. Everything else in the module — the
 	// simulator, experiments, stats, and the top-level binaries — runs in
 	// simulated or injected time.
 	WalltimeAllow []string
-	// WalltimeScope lists the layers where taint-mode walltime reports
-	// call sites whose callee transitively reaches the wall clock. The
-	// syntactic pass already covers direct reads everywhere outside
-	// WalltimeAllow; the taint pass additionally polices the deterministic
-	// core against indirect reads through helper packages or locally
-	// suppressed sinks.
-	WalltimeScope []string
 	// PktLifeScope lists the packages whose functions are checked for
 	// packet lifecycle violations (use-after-free, double-free, leaked
 	// drop paths) against the netsim Engine freelist.
@@ -44,7 +40,7 @@ type Config struct {
 // layers.
 func DefaultConfig() *Config {
 	return &Config{
-		DetRandScope: []string{
+		DetScope: []string{
 			"internal/core",
 			"internal/experiments",
 			"internal/fleet",
@@ -63,21 +59,6 @@ func DefaultConfig() *Config {
 			"internal/clock",
 			"internal/testbed",
 			"internal/transport",
-		},
-		WalltimeScope: []string{
-			"internal/core",
-			"internal/experiments",
-			"internal/fleet",
-			"internal/isp",
-			"internal/measure",
-			"internal/netsim",
-			"internal/service",
-			"internal/stats",
-			"internal/tomo",
-			"internal/topology",
-			"internal/trace",
-			"internal/twin",
-			"internal/wehe",
 		},
 		PktLifeScope:   []string{"internal/netsim"},
 		LockHeldScope:  []string{"internal/service"},

@@ -46,7 +46,7 @@ var AnalyzerDetRand = &Analyzer{
 }
 
 func runDetRand(p *Pass) {
-	if !pathIn(p.RelPath, p.Config.DetRandScope) {
+	if !pathIn(p.RelPath, p.Config.DetScope) {
 		return
 	}
 	p.walkFiles(func(n ast.Node) bool {

@@ -123,7 +123,7 @@ func TestDetRandFixture(t *testing.T) {
 	runFixture(t, AnalyzerDetRand, "internal/netsim", "detrand.go")
 }
 
-// Out of scope: global-rand code under a layer outside DetRandScope
+// Out of scope: global-rand code under a layer outside DetScope
 // reports nothing — detrand only binds the simulated/experiment packages.
 func TestDetRandOutOfScope(t *testing.T) {
 	runFixtureExpectClean(t, AnalyzerDetRand, "cmd/wehey-lint", "detrand_scope.go")
@@ -139,7 +139,7 @@ func TestWalltimeAllowlist(t *testing.T) {
 	runFixtureExpectClean(t, AnalyzerWalltime, "internal/transport", "walltime_allow.go")
 }
 
-// Service layer: internal/service sits inside DetRandScope and outside
+// Service layer: internal/service sits inside DetScope and outside
 // WalltimeAllow. The sanctioned scheduler patterns — injected clock,
 // per-job seeded jitter — pass both analyzers clean, and the matching
 // violations are caught.
@@ -159,7 +159,7 @@ func TestServiceDetRandViolation(t *testing.T) {
 	runFixture(t, AnalyzerDetRand, "internal/service", "service_detrand.go")
 }
 
-// Fleet layer: internal/fleet sits inside DetRandScope and outside
+// Fleet layer: internal/fleet sits inside DetScope and outside
 // WalltimeAllow. The follower's sanctioned patterns — injected clock
 // timers, count-pure posteriors — pass both analyzers clean, and the
 // matching violations are caught.

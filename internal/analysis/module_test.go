@@ -77,8 +77,7 @@ func runModuleFixture(t *testing.T, name string, analyzers []*Analyzer, cfg *Con
 // rt is the sanctioned real-time layer, util is unscoped helper territory.
 func taintFixtureConfig() *Config {
 	return &Config{
-		DetRandScope:  []string{"sim"},
-		WalltimeScope: []string{"sim"},
+		DetScope:      []string{"sim"},
 		WalltimeAllow: []string{"rt"},
 	}
 }

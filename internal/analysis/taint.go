@@ -30,9 +30,6 @@ type taintSpec struct {
 	analyzer string
 	// facts selects the direct sinks of a node.
 	facts func(*FuncNode) []SinkFact
-	// scope is where tainted call sites are reported, and where
-	// propagation stops.
-	scope func(*Config) []string
 	// sanctioned packages neither sink nor propagate (may be empty).
 	sanctioned func(*Config) []string
 	// syntacticallyVisible reports whether a sink in pkg rel would be
@@ -41,12 +38,13 @@ type taintSpec struct {
 	what                 string // human phrase: "the global math/rand source"
 }
 
-// runTaint reports, for every call site in a scoped package, a callee that
-// transitively reaches an invisible sink.
+// runTaint reports, for every call site in a DetScope package, a callee
+// that transitively reaches an invisible sink. DetScope is also where
+// propagation stops.
 func runTaint(mp *ModulePass, spec taintSpec) {
 	m := mp.Module
 	cfg := mp.Config
-	scope := spec.scope(cfg)
+	scope := cfg.DetScope
 	sanctioned := spec.sanctioned(cfg)
 
 	invisibleFacts := func(n *FuncNode) []SinkFact {
@@ -102,10 +100,9 @@ func runDetRandTaint(mp *ModulePass) {
 	runTaint(mp, taintSpec{
 		analyzer:   "detrand",
 		facts:      func(n *FuncNode) []SinkFact { return n.RandSinks },
-		scope:      func(c *Config) []string { return c.DetRandScope },
 		sanctioned: func(c *Config) []string { return nil },
 		syntacticallyVisible: func(c *Config, rel string) bool {
-			return pathIn(rel, c.DetRandScope)
+			return pathIn(rel, c.DetScope)
 		},
 		what: "the global math/rand source",
 	})
@@ -115,7 +112,6 @@ func runWalltimeTaint(mp *ModulePass) {
 	runTaint(mp, taintSpec{
 		analyzer:   "walltime",
 		facts:      func(n *FuncNode) []SinkFact { return n.WallSinks },
-		scope:      func(c *Config) []string { return c.WalltimeScope },
 		sanctioned: func(c *Config) []string { return c.WalltimeAllow },
 		syntacticallyVisible: func(c *Config, rel string) bool {
 			return !pathIn(rel, c.WalltimeAllow)

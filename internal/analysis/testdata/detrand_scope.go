@@ -1,5 +1,5 @@
 // Fixture for detrand scoping: this file is checked as if it lived under
-// cmd/wehey-lint, outside DetRandScope, so nothing is reported.
+// cmd/wehey-lint, outside DetScope, so nothing is reported.
 package fixture
 
 import (

@@ -1,5 +1,5 @@
 // Fixture for the fleet-layer determinism contract, checked as if under
-// internal/fleet (inside DetRandScope, outside WalltimeAllow): the
+// internal/fleet (inside DetScope, outside WalltimeAllow): the
 // follower's sanctioned patterns — polling paced by an injected clock,
 // posteriors as pure functions of integer counts — pass both walltime
 // and detrand with nothing reported.

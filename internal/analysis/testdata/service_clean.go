@@ -1,5 +1,5 @@
 // Fixture for the service-layer determinism contract, checked as if under
-// internal/service (inside DetRandScope, outside WalltimeAllow): the
+// internal/service (inside DetScope, outside WalltimeAllow): the
 // sanctioned scheduler patterns — an injected clock and per-job seeded
 // jitter — pass both walltime and detrand with nothing reported.
 package fixture
@@ -29,6 +29,6 @@ func retryJitter(rng *rand.Rand, base time.Duration) time.Duration {
 }
 
 func jobGenerator(seed int64) *rand.Rand {
-	// Deterministic literal-derived seed: legal even inside DetRandScope.
+	// Deterministic literal-derived seed: legal even inside DetScope.
 	return rand.New(rand.NewSource(seed ^ 0x5eed))
 }

@@ -1,6 +1,24 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
+
+// BenchmarkRunSim is one cold 10 s trial of the Figure-1 scenario: two
+// paced TCP replays through the common token-bucket limiter, with the
+// packet-mode background on every link. It is the simulator's whole cost
+// per trial (engine, TCP, TBF, links and background), without a cache or
+// detection in front of it.
+func BenchmarkRunSim(b *testing.B) {
+	spec := SimSpec{App: TCPBulkApp, Placement: LimiterCommon, Duration: 10 * time.Second, Seed: 1}
+	var events int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		events += RunSim(spec).Events
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
 
 // BenchmarkLocalize is a session's detection cost over a 45 s trial.
 // `decide` is the verdict computed on a memory hit (what every repeat paid

@@ -15,9 +15,6 @@ import (
 // control (independent identical devices on the non-common links).
 func perFlowRun(seed int64, merged bool, placement LimiterPlacement, dur time.Duration) (m1, m2 measure.Path, d1, d2 []measure.Delivery) {
 	var eng netsim.Engine
-	// Stops at a fixed horizon with timers still queued; Release recycles
-	// the in-flight packets and the packet freelist for the next trial.
-	defer eng.Release()
 	const (
 		rtt1      = 35 * time.Millisecond
 		rtt2      = 42 * time.Millisecond // real paths are never twins

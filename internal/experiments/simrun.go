@@ -178,10 +178,6 @@ func RunSim(spec SimSpec) SimResult {
 func run(spec SimSpec, n int, class netsim.Class) SimResult {
 	spec.fill()
 	var eng netsim.Engine
-	// The run stops at a fixed horizon with timers still queued; Release
-	// recycles the in-flight packets and the packet freelist for the next
-	// trial.
-	defer eng.Release()
 
 	maxRTT := max(spec.RTT1, spec.RTT2)
 

@@ -139,9 +139,6 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	}
 }
 
-// Cells is the number of populated (ISP, app) cells.
-func (a *Aggregator) Cells() int { return len(a.cells) }
-
 // Entry is one scored cell of the differentiation map.
 type Entry struct {
 	Cell

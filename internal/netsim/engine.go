@@ -18,18 +18,8 @@ package netsim
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
-
-// Experiments build one short-lived Engine per trial, so the packet
-// freelist — the one backing array that grows with the trial's traffic — is
-// recycled across engines through a sync.Pool. This is pure storage reuse:
-// packets come back fully reset on AllocPacket, so event order and packet
-// contents are unaffected. The pool is goroutine-safe; the parallel
-// experiment runner shares it across workers. (The event queue is not
-// pooled: it holds ~100 entries, see DESIGN.md §8.)
-var freelistPool sync.Pool // *[]*Packet, every element recycled (dead)
 
 // Engine is the discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
@@ -363,11 +353,6 @@ func (e *Engine) Run(until time.Duration) int {
 	if e.now < until {
 		e.now = until
 	}
-	// The queue drained: the simulation is over or quiescent, so hand the
-	// packet freelist to the cross-engine pool. A freed packet is by
-	// contract unreferenced, so the buffer pins no live object. A later
-	// AllocPacket simply re-acquires.
-	e.recycleFreelist()
 	return processed
 }
 
@@ -385,46 +370,12 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// Release recycles the packets of still-pending deliveries, hands the
-// packet freelist to the cross-engine pool and drops the queue. Trial
-// runners stop at a fixed horizon with events (churn, background,
-// retransmission timers) still queued, so Run's drained-queue recycling
-// never fires for them; calling Release when a trial's results have been
-// read closes that gap. The engine must not be used again afterwards.
-func (e *Engine) Release() {
-	for _, k := range e.keys {
-		if p := &e.slab[k.slot]; p.kind == evDeliver && p.pkt != nil {
-			e.FreePacket(p.pkt)
-		}
-	}
-	e.keys, e.slab, e.freeSlots, e.streams = nil, nil, nil, nil
-	e.recycleFreelist()
-}
-
-// recycleFreelist hands the packet freelist to the cross-engine pool.
-func (e *Engine) recycleFreelist() {
-	if len(e.free) > 0 {
-		fl := e.free
-		e.free = nil
-		freelistPool.Put(&fl)
-	}
-}
-
 // AllocPacket returns a zeroed packet, recycling one from the freelist
 // when available. Sources inside the simulation must allocate through this
 // so steady-state traffic reuses a bounded working set instead of
 // allocating per send.
 func (e *Engine) AllocPacket() *Packet {
 	e.allocCount++
-	if e.free == nil {
-		// First allocation: adopt a recycled freelist (packets and all)
-		// from an earlier engine, or start a fresh one.
-		if fl, _ := freelistPool.Get().(*[]*Packet); fl != nil {
-			e.free = *fl
-		} else {
-			e.free = make([]*Packet, 0, 8)
-		}
-	}
 	if n := len(e.free); n > 0 {
 		p := e.free[n-1]
 		e.free[n-1] = nil

@@ -71,7 +71,6 @@ func BenchmarkUDPReplayTrial(b *testing.B) {
 		flow = NewUDPFlow(&eng, 1, ClassDifferentiated, rl)
 		flow.Start(tr, 0)
 		events += eng.Run(47 * time.Second)
-		eng.Release()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

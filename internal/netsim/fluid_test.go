@@ -142,7 +142,6 @@ func TestTBFFluidForegroundExactness(t *testing.T) {
 			})
 		}
 		eng.Run(10 * time.Second)
-		eng.Release()
 		return got, rl.Dropped
 	}
 
@@ -188,7 +187,6 @@ func TestLinkFluidForegroundExactness(t *testing.T) {
 			})
 		}
 		eng.Run(5 * time.Second)
-		eng.Release()
 		return got, l.Dropped
 	}
 	pkt, pktDrops := run(false)
@@ -222,7 +220,6 @@ func TestFluidScenarioSmoke(t *testing.T) {
 	sc.StartBackground(0, 10*time.Second)
 	events := eng.Run(12 * time.Second)
 	sc.FinishFluid(12 * time.Second)
-	eng.Release()
 
 	if sc.DropLog["tbf_c"] == 0 {
 		t.Error("fluid overload produced no folded drops at tbf_c")
@@ -255,7 +252,6 @@ func TestFluidChurnPopulation(t *testing.T) {
 	}
 	fc.Start(0)
 	eng.Run(70 * time.Second)
-	eng.Release()
 
 	if fc.MaxActive < 60 || fc.MaxActive > 220 {
 		t.Errorf("peak population %d, want near 100", fc.MaxActive)

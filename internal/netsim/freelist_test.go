@@ -118,17 +118,17 @@ func TestFreelistScenarioBackgroundRecycles(t *testing.T) {
 	}
 }
 
-// releaseTrial is a lossy replay cut off at a horizon that leaves
+// freelistTrial is a lossy replay cut off at a horizon that leaves
 // deliveries in flight on the link and a stream part-way through its
-// schedule — the state trial runners call Release in.
-type releaseTrial struct {
+// schedule, the state a trial runner stops in.
+type freelistTrial struct {
 	Events          int
 	Tx, Loss        []time.Duration
 	Delivered       []DeliveryEvent
 	Allocs, Pending int64
 }
 
-func runReleaseTrial(t *testing.T, eng *Engine) releaseTrial {
+func runFreelistTrial(t *testing.T, eng *Engine) freelistTrial {
 	t.Helper()
 	tr, err := trace.Generate("zoom", rand.New(rand.NewSource(7)), 4*time.Second)
 	if err != nil {
@@ -141,53 +141,10 @@ func runReleaseTrial(t *testing.T, eng *Engine) releaseTrial {
 	flow = NewUDPFlow(eng, 1, ClassDifferentiated, rl)
 	flow.Start(tr, 0)
 	allocs := eng.allocCount
-	out := releaseTrial{Events: eng.Run(2 * time.Second)}
+	out := freelistTrial{Events: eng.Run(2 * time.Second)}
 	out.Tx, out.Loss, out.Delivered = flow.TxLog, flow.LossLog, flow.Delivered
 	out.Allocs, out.Pending = eng.allocCount-allocs, int64(eng.Pending())
 	return out
-}
-
-// TestReleaseFreesPendingDeliveriesOnce: Release recycles the packet of every
-// still-queued delivery exactly once, ignores stream entries, and leaves the
-// engine holding no queue storage at all.
-func TestReleaseFreesPendingDeliveriesOnce(t *testing.T) {
-	var eng Engine
-	runReleaseTrial(t, &eng)
-	var inFlight []*Packet
-	streams := 0
-	for _, k := range eng.keys {
-		switch p := &eng.slab[k.slot]; p.kind {
-		case evDeliver:
-			inFlight = append(inFlight, p.pkt)
-		case evStream:
-			streams++
-		}
-	}
-	if unqueued := eng.Pending() - len(eng.keys); len(inFlight) == 0 || streams != 1 || unqueued == 0 {
-		t.Fatalf("trial left %d deliveries, %d stream entries, %d unqueued stream items; want all > 0",
-			len(inFlight), streams, unqueued)
-	}
-	for _, p := range inFlight {
-		if p.recycled {
-			t.Fatal("a queued delivery holds a recycled packet before Release")
-		}
-	}
-	eng.Release()
-	for _, p := range inFlight {
-		if !p.recycled {
-			t.Fatal("Release left a pending delivery's packet unrecycled")
-		}
-	}
-	if eng.keys != nil || eng.slab != nil || eng.freeSlots != nil || eng.streams != nil || eng.Pending() != 0 {
-		t.Errorf("Release left queue storage behind: %d keys, %d slab slots, %d streams, Pending %d",
-			len(eng.keys), cap(eng.slab), len(eng.streams), eng.Pending())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("freeing a packet Release already recycled did not panic")
-		}
-	}()
-	eng.FreePacket(inFlight[0])
 }
 
 // TestRecycledFreelistReproducesTrial: an engine that adopts another
@@ -195,8 +152,7 @@ func TestReleaseFreesPendingDeliveriesOnce(t *testing.T) {
 // bit for bit, drawing on the freelist instead of allocating.
 func TestRecycledFreelistReproducesTrial(t *testing.T) {
 	var first Engine
-	want := runReleaseTrial(t, &first)
-	first.Release()
+	want := runFreelistTrial(t, &first)
 
 	var donor, second Engine
 	for i := 0; i < 64; i++ {
@@ -205,11 +161,10 @@ func TestRecycledFreelistReproducesTrial(t *testing.T) {
 			Retransmission: true, PolicyKey: "stale", QueuedFor: time.Second}
 		second.FreePacket(p)
 	}
-	got := runReleaseTrial(t, &second)
+	got := runFreelistTrial(t, &second)
 	if second.reuseCount == 0 {
 		t.Fatal("second engine never drew on the adopted freelist")
 	}
-	second.Release()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("trial on recycled packets differs: %d vs %d events, %d vs %d losses, %d vs %d deliveries",
 			got.Events, want.Events, len(got.Loss), len(want.Loss), len(got.Delivered), len(want.Delivered))

@@ -787,9 +787,12 @@ func (s *Scheduler) complete(j *job, res *Result, err error, overran bool) {
 		// claimable job: that one, or a better one that was claimable
 		// already — and a job claimable while this worker ran either had
 		// no idle worker to take it or still has its enqueue's wakeup
-		// pending. So the greedy loop covers the freed pair, and this
-		// wakeup is a spare scan: TestSchedulerMatchesModel passes with
-		// it deleted.
+		// pending. So the greedy loop covers the freed pair for
+		// correctness (TestSchedulerMatchesModel passes with the wakeup
+		// deleted), but the wakeup pays for speed: an idle worker can
+		// start the freed pair's job while this one is still returning.
+		// Without it the bench workload serve_arrivals lost ops_per_s in
+		// 5 of 5 parent/change pairs on 2 vCPUs (median 5 417 -> 4 862/s).
 		s.signalReady()
 	}
 }

@@ -222,8 +222,6 @@ var (
 	ErrClosed = errors.New("service: scheduler closed")
 	// ErrNotFound: no job with that ID.
 	ErrNotFound = errors.New("service: job not found")
-	// ErrCanceled marks an attempt ended by an operator cancel.
-	ErrCanceled = errors.New("service: job canceled")
 	// ErrDeadline marks an attempt that overran its per-attempt deadline.
 	ErrDeadline = errors.New("service: attempt deadline exceeded")
 )

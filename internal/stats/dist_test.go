@@ -22,21 +22,6 @@ func TestNormalCDFKnownValues(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	for _, p := range []float64{1e-10, 1e-4, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.9999, 1 - 1e-10} {
-		z := NormalQuantile(p)
-		if got := NormalCDF(z); !almostEqual(got, p, 1e-10) {
-			t.Errorf("NormalCDF(NormalQuantile(%v)) = %v", p, got)
-		}
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("NormalQuantile boundaries should be ±Inf")
-	}
-	if !math.IsNaN(NormalQuantile(-0.1)) || !math.IsNaN(NormalQuantile(1.1)) {
-		t.Error("NormalQuantile outside [0,1] should be NaN")
-	}
-}
-
 // Closed-form Student-t CDFs for small degrees of freedom.
 func tCDF1(t float64) float64 { return 0.5 + math.Atan(t)/math.Pi }
 func tCDF2(t float64) float64 { return 0.5 + t/(2*math.Sqrt(2+t*t)) }

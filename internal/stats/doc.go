@@ -1,8 +1,7 @@
 // Package stats implements the statistical machinery WeHeY is built on:
 // rank-based hypothesis tests (Mann-Whitney U, Spearman correlation,
 // Kolmogorov-Smirnov), the special functions backing their p-values,
-// empirical distributions, Monte-Carlo subsampling, and bootstrap/jackknife
-// resampling.
+// empirical distributions, and Monte-Carlo subsampling.
 //
 // Everything is implemented from scratch on top of the standard library and
 // is fully deterministic: every randomized routine takes an explicit

@@ -68,29 +68,3 @@ func TestODiffCentersNearRelMeanDiff(t *testing.T) {
 		t.Errorf("ODiff mean = %v, want ≈%v", got, want)
 	}
 }
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = 3 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapCI(rng, xs, 400, 0.95, Mean)
-	if !(lo < 3 && 3 < hi) {
-		t.Errorf("95%% CI [%v, %v] should contain the true mean 3", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI too wide: [%v, %v]", lo, hi)
-	}
-}
-
-func TestJackknife(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	got := Jackknife(xs, Mean)
-	want := []float64{2.5, 2, 1.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("Jackknife = %v, want %v", got, want)
-		}
-	}
-}

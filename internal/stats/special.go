@@ -86,11 +86,3 @@ func betaCF(a, b, x float64) float64 {
 	}
 	return h
 }
-
-// LnBeta returns the natural log of the complete beta function B(a, b).
-func LnBeta(a, b float64) float64 {
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	lab, _ := math.Lgamma(a + b)
-	return la + lb - lab
-}

@@ -90,17 +90,3 @@ func TestRegIncBetaMonotoneInX(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLnBeta(t *testing.T) {
-	// B(1,1)=1, B(2,3)=1/12, B(0.5,0.5)=π
-	cases := []struct{ a, b, want float64 }{
-		{1, 1, 0},
-		{2, 3, math.Log(1.0 / 12)},
-		{0.5, 0.5, math.Log(math.Pi)},
-	}
-	for _, c := range cases {
-		if got := LnBeta(c.a, c.b); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("LnBeta(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}

@@ -67,8 +67,7 @@ func poissonTol() TBFTolerance {
 
 // DefaultTBFGrid returns the standard validation grid: 26 points covering
 // rate × load × device-character × arrival-process, plus the degenerate
-// corners. Seeds are fixed so Poisson points are reproducible and
-// cacheable.
+// corners. Seeds are fixed so Poisson points are reproducible.
 func DefaultTBFGrid() []TBFPoint {
 	var pts []TBFPoint
 	seed := int64(1)

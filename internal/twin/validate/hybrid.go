@@ -189,7 +189,6 @@ func RunHybridPoint(pt HybridPoint, fluid bool) HybridMeasurement {
 	} else if bgOffered > 0 {
 		m.BgLossRate = float64(bgDropped) / float64(bgOffered)
 	}
-	eng.Release()
 
 	if fgSent > 0 {
 		m.FgLossRate = float64(fgDropped) / float64(fgSent)
@@ -223,17 +222,10 @@ type HybridReport struct {
 	Violations []string
 }
 
-// EvalHybridPoint measures one grid point in both modes (through the cache
-// when one is given) and checks the fluid run against packet ground truth.
-func EvalHybridPoint(pt HybridPoint, cache *Cache) HybridReport {
-	var packet, fl HybridMeasurement
-	if cache != nil {
-		packet = cache.hybridPoint(pt, false)
-		fl = cache.hybridPoint(pt, true)
-	} else {
-		packet = RunHybridPoint(pt, false)
-		fl = RunHybridPoint(pt, true)
-	}
+// EvalHybridPoint simulates one grid point in both modes and checks the
+// fluid run against packet ground truth.
+func EvalHybridPoint(pt HybridPoint) HybridReport {
+	packet, fl := RunHybridPoint(pt, false), RunHybridPoint(pt, true)
 	r := HybridReport{Point: pt, Packet: packet, Fluid: fl}
 	if fl.Events > 0 {
 		r.EventRatio = float64(packet.Events) / float64(fl.Events)
@@ -332,23 +324,4 @@ func DefaultHybridGrid() []HybridPoint {
 			DelayAbs: 10 * time.Millisecond, MinEventRatio: 50},
 	}
 	return append(pts, full)
-}
-
-// ReducedHybridGrid is the -short / race-lane subset: one point per regime
-// (underload, shaper overload, modulated coupling) plus the full-rate
-// event-ratio gate.
-func ReducedHybridGrid() []HybridPoint {
-	keep := map[string]bool{
-		"under/shaper/cbr":     true,
-		"over/shaper/cbr":      true,
-		"modulated/shaper/cbr": true,
-		"fullrate/shaper/cbr":  true,
-	}
-	var pts []HybridPoint
-	for _, pt := range DefaultHybridGrid() {
-		if keep[pt.Name] {
-			pts = append(pts, pt)
-		}
-	}
-	return pts
 }

@@ -3,6 +3,7 @@ package validate
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -37,15 +38,10 @@ func (r Report) ViolationCount() int {
 	return n
 }
 
-// EvalTBFPoint measures one grid point (through the cache when one is
-// given) and checks it against the fluid model.
-func EvalTBFPoint(pt TBFPoint, cache *Cache) TBFReport {
-	var meas TBFMeasurement
-	if cache != nil {
-		meas = cache.tbfPoint(pt)
-	} else {
-		meas = RunTBFPoint(pt.Params, pt.Proc, pt.Seed)
-	}
+// EvalTBFPoint simulates one grid point and checks it against the fluid
+// model.
+func EvalTBFPoint(pt TBFPoint) TBFReport {
+	meas := RunTBFPoint(pt.Params, pt.Proc, pt.Seed)
 	pred := twin.PredictTBF(pt.Params)
 	r := TBFReport{Point: pt, Pred: pred, Meas: meas}
 
@@ -101,17 +97,17 @@ func durBand(pred, meas time.Duration, rel float64, abs time.Duration) string {
 	return fmt.Sprintf("model %v, sim %v (|Δ| %v > %v)", pred, meas, diff, allowed)
 }
 
-// Run sweeps the default TBF and hybrid grids with the given worker
-// parallelism, caching ground truth through cache when it is non-nil.
-func Run(cache *Cache, workers int) Report {
+// Run sweeps the default TBF and hybrid grids, one worker per CPU.
+func Run() Report {
 	grid := DefaultTBFGrid()
 	hybrid := DefaultHybridGrid()
+	workers := runtime.NumCPU()
 	return Report{
 		TBF: experiments.ForEach(len(grid), workers, func(i int) TBFReport {
-			return EvalTBFPoint(grid[i], cache)
+			return EvalTBFPoint(grid[i])
 		}),
 		Hybrid: experiments.ForEach(len(hybrid), workers, func(i int) HybridReport {
-			return EvalHybridPoint(hybrid[i], cache)
+			return EvalHybridPoint(hybrid[i])
 		}),
 	}
 }

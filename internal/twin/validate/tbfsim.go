@@ -82,7 +82,6 @@ func RunTBFPoint(params twin.TBFParams, proc Arrivals, seed int64) TBFMeasuremen
 		drain += time.Duration(float64(params.QueueLimit) / (params.Rate / 8) * float64(time.Second))
 	}
 	eng.Run(params.Horizon + drain)
-	eng.Release()
 
 	m := TBFMeasurement{}
 	if offeredBytes > 0 {

@@ -11,60 +11,16 @@ import (
 // prediction must land inside its tolerance band against packet-sim ground
 // truth across the full rate×load×device grid.
 func TestTwinMatchesSimAcrossGrid(t *testing.T) {
-	cache, err := NewDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	grid := DefaultTBFGrid()
 	if len(grid) < 20 {
 		t.Fatalf("TBF grid has %d points, want >= 20", len(grid))
 	}
 	var report Report
 	for _, pt := range grid {
-		report.TBF = append(report.TBF, EvalTBFPoint(pt, cache))
+		report.TBF = append(report.TBF, EvalTBFPoint(pt))
 	}
 	if n := report.ViolationCount(); n != 0 {
 		t.Errorf("%d tolerance violations:\n%s", n, report.Render())
-	}
-}
-
-// TestWarmSweepHitsDiskCache locks in the "warm runs are free" property the
-// CI job relies on: a second process (fresh in-memory state, same cache
-// dir) must answer the whole TBF grid from disk without running a single
-// simulation, and byte-identically.
-func TestWarmSweepHitsDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	grid := DefaultTBFGrid()
-
-	cold, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []TBFReport
-	for _, pt := range grid {
-		first = append(first, EvalTBFPoint(pt, cold))
-	}
-	if st := cold.Stats(); st.Misses != int64(len(grid)) {
-		t.Fatalf("cold run: %d misses, want %d", st.Misses, len(grid))
-	}
-
-	warm, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range grid {
-		got := EvalTBFPoint(pt, warm)
-		if got.Meas != first[i].Meas {
-			t.Errorf("%s: warm measurement %+v != cold %+v", pt.Name, got.Meas, first[i].Meas)
-		}
-	}
-	st := warm.Stats()
-	if st.Misses != 0 {
-		t.Errorf("warm run recomputed %d points, want 0", st.Misses)
-	}
-	if st.DiskHits != int64(len(grid)) {
-		t.Errorf("warm run: %d disk hits, want %d", st.DiskHits, len(grid))
 	}
 }
 
