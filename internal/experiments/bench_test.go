@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"testing"
 	"time"
 )
@@ -22,11 +23,13 @@ func BenchmarkRunSim(b *testing.B) {
 
 // BenchmarkLocalize is a session's detection cost over a 45 s trial.
 // `decide` is the verdict computed on a memory hit (what every repeat paid
-// before entries kept their verdict), `memoized` a repeat of that trial,
-// which reuses the entry's verdict. `disk` is a rerun's trial: a fresh
-// disk cache over a populated directory, whose entry holds the verdict;
-// `disk-redecide` the same entry with its verdict under another stamp, so
-// the rerun decides again — the ablation of persisting the verdict.
+// before the cache kept verdicts), `memoized` a repeat of that trial,
+// which reuses the cached verdict. `disk` is a rerun's trial: a fresh
+// disk cache over a populated directory, which reads the trial's verdict
+// entry alone; `disk-redecide` the same directory with that entry gone
+// (what a verdictStamp bump leaves), so the rerun reads the result entry,
+// decides and stores the verdict again — the ablation of persisting the
+// verdict as an entry of its own.
 func BenchmarkLocalize(b *testing.B) {
 	for _, app := range []string{TCPBulkApp, "zoom"} {
 		spec := SimSpec{App: app, Seed: 1}
@@ -37,8 +40,8 @@ func BenchmarkLocalize(b *testing.B) {
 		b.Run(app+"/decide", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr := &trial{res: cfg.Sim(spec)}
-				if _, err := tr.verdict(); err != nil {
+				res := cfg.Sim(spec)
+				if _, err := decide(&res); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,22 +54,30 @@ func BenchmarkLocalize(b *testing.B) {
 				}
 			}
 		})
+		dir := b.TempDir()
+		cold, err := NewDiskSimCache(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := (Config{Cache: cold}).Localize(spec); err != nil {
+			b.Fatal(err)
+		}
+		_, vkey := cacheKeys(&spec)
+		verdictEntry := entryFile(b, dir, vkey)
 		for _, d := range []struct {
 			name    string
-			stamp   string
 			decided int64
-		}{{"disk", verdictStamp, 0}, {"disk-redecide", foreignStamp, 1}} {
-			dir := b.TempDir()
-			cold, err := newDiskSimCache(dir, d.stamp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := (Config{Cache: cold}).Localize(spec); err != nil {
-				b.Fatal(err)
-			}
+		}{{"disk", 0}, {"disk-redecide", 1}} {
 			b.Run(app+"/"+d.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
+					if d.decided != 0 {
+						b.StopTimer()
+						if err := os.Remove(verdictEntry); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
 					warm, err := NewDiskSimCache(dir)
 					if err != nil {
 						b.Fatal(err)

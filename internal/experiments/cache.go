@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	wehey "github.com/nal-epfl/wehey"
@@ -22,8 +21,9 @@ import (
 // through the exact binary codec of internal/measure: a result served
 // from disk is bit-for-bit the result a recompute would produce,
 // including map-valued fields (Drops) and nil-vs-empty slice identity.
-// The verdict decided on the result travels with it under its own stamp
-// (verdictStamp), so a disk hit is a decided trial too.
+// The verdict decided on the result is an entry of its own, keyed by the
+// result's key under verdictStamp (verdictKey), so a rerun that needs
+// only the verdict reads a few hundred bytes, not the whole trial.
 
 // simCacheSchema stamps every cache key. Bump it whenever anything that
 // RunSim's output depends on changes meaning: a SimSpec or SimResult
@@ -35,131 +35,208 @@ import (
 // Events/BgEvents/BgFlows (PR 8's hybrid fluid background).
 // v3: the wire encoding changed — measure's duration slices (Path.Tx,
 // Path.Loss) are delta-coded (PR 16).
-// v4: the entry carries the trial's verdict after the result (encodeTrial).
-const simCacheSchema = "wehey/simcache/v4"
+// v4: the entry carried the trial's verdict after the result.
+// v5: the verdict left the result's entry for its own (verdictKey).
+const simCacheSchema = "wehey/simcache/v5"
 
-// verdictStamp heads the verdict an entry persists. Bump it whenever
+// verdictStamp keys and heads a trial's verdict entry. Bump it whenever
 // decide's output on a fixed SimResult changes: internal/core,
 // internal/stats, measure.LossSweep, the Localizer{} defaults, or the
-// verdict blob's layout (appendVerdict). An entry whose verdict carries
-// another stamp keeps its result and decides again, once per process; the
+// entry's layout (appendVerdictEntry). Every verdict entry is then
+// orphaned, and each trial decides again, once, on its result entry; the
 // simulation is not rerun. TestVerdictStampGuards fails when the bytes
 // move and this stamp does not.
 const verdictStamp = "wehey/verdict/v1"
 
-// SimCache memoizes trials: each entry is one SimSpec's RunSim result
-// plus the verdict Config.Localize reaches on it, decided once, when the
-// entry is computed. Results and verdicts handed out are shared: callers
-// must not mutate them (the experiment generators and the service only
-// read; a Verdict's Detail holds pointers into the entry).
+// SimCache memoizes trials in two content-addressed tables: each
+// SimSpec's RunSim result, and the verdict Config.Localize reaches on it.
+// A result miss simulates and decides at once, and the verdict is
+// published (and stored) before the result is. Results and verdicts
+// handed out are shared: callers must not mutate them (the experiment
+// generators and the service only read; a Verdict's Detail holds pointers
+// into the entry).
 //
 // The verdict is as pure as the result: decide reads nothing but the
 // result, which is a function of the filled SimSpec (Config.BackgroundMode
 // is folded into the spec before keying, as Sim folds it). A Config field
-// that ever changes the decision must enter the key too. A disk entry
-// stores the verdict under verdictStamp, so a disk hit decides nothing
-// unless the detectors changed since the entry was written.
+// that ever changes the decision must enter the key too.
 type SimCache struct {
-	inner   *simcache.Cache[*trial]
-	decided atomic.Int64 // verdicts decided: one per miss, plus lazy ones
+	results  *simcache.Cache[*trial]
+	verdicts *simcache.Cache[*decision]
+	decided  atomic.Int64 // verdicts decided: one per simulation, plus one per verdict miss over a result read from disk
 }
 
-// trial is one cache entry: a simulation's result and, once decided, the
-// verdict decide reaches on it. mu serializes deciders, so concurrent
-// callers get one decision; a panic in decide unlocks mu with decided
-// still false, and the next caller decides again.
+// decision is what decide returned on one trial's result.
+type decision struct {
+	v   wehey.Verdict
+	err error
+}
+
+// trial is a result-table entry: a simulation's result and, when it was
+// simulated in this process, the decision reached on it at once. A result
+// read from disk carries none; its verdict is the verdict table's.
 type trial struct {
-	res     SimResult
-	counter *atomic.Int64 // counts each decision; nil outside a cache
-
-	mu      sync.Mutex
-	decided bool
-	v       wehey.Verdict
-	err     error
-}
-
-// verdict returns decide(&t.res), computing it on the first call only.
-func (t *trial) verdict() (wehey.Verdict, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.decided {
-		t.v, t.err = decide(&t.res)
-		t.decided = true
-		if t.counter != nil {
-			t.counter.Add(1)
-		}
-	}
-	return t.v, t.err
+	res SimResult
+	d   *decision
 }
 
 // NewSimCache returns an in-process (memory-only) simulation cache.
 func NewSimCache() *SimCache {
-	return &SimCache{inner: simcache.New[*trial]()}
+	return &SimCache{results: simcache.New[*trial](), verdicts: simcache.New[*decision]()}
 }
 
 // NewDiskSimCache returns a simulation cache persisted under dir, so a
 // later process skips every simulation, and every decision, this one ran.
+// Results and verdicts are separate entries in the one directory tree.
 func NewDiskSimCache(dir string) (*SimCache, error) {
-	return newDiskSimCache(dir, verdictStamp)
-}
-
-// newDiskSimCache is NewDiskSimCache writing and accepting verdicts under
-// stamp; a test opens one with another stamp to write what an older
-// binary would have.
-func newDiskSimCache(dir, stamp string) (*SimCache, error) {
-	sc := &SimCache{}
-	inner, err := simcache.NewDisk(dir, simcache.Codec[*trial]{
-		Encode: func(t *trial) []byte { return encodeTrial(t, stamp) },
+	results, err := simcache.NewDisk(dir, simcache.Codec[*trial]{
+		Encode: func(t *trial) []byte { return encodeResult(t.res) },
 		Decode: func(b []byte) (*trial, error) {
-			t, err := decodeTrial(b, stamp)
-			if t != nil {
-				t.counter = &sc.decided
+			res, err := decodeResult(b)
+			if err != nil {
+				return nil, err
 			}
-			return t, err
+			return &trial{res: res}, nil
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	sc.inner = inner
-	return sc, nil
+	verdicts, err := simcache.NewDisk(dir, simcache.Codec[*decision]{
+		Encode: encodeVerdictEntry,
+		Decode: func(b []byte) (*decision, error) {
+			v, err := decodeVerdictEntry(b)
+			if err != nil {
+				return nil, err
+			}
+			return &decision{v: v}, nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &SimCache{results: results, verdicts: verdicts}, nil
 }
 
-// trial returns spec's entry, simulating and deciding it on a miss:
-// concurrent requests for the same spec single-flight onto one simulation.
-// Deciding before the entry is published puts the verdict on disk with
-// the result; a panic in either unpublishes the flight.
-func (sc *SimCache) trial(spec SimSpec) *trial {
-	spec.fill() // canonicalize before keying: defaulted == spelled out
-	key := simcache.KeyOf(simCacheSchema, appendSpec(nil, &spec))
-	return sc.inner.Get(key, func() *trial {
-		t := &trial{res: RunSim(spec), counter: &sc.decided}
-		t.verdict()
+// cacheKeys fills spec and returns the keys of its result and of its
+// verdict. Filling canonicalizes before keying: defaulted == spelled out.
+func cacheKeys(spec *SimSpec) (rkey, vkey simcache.Key) {
+	spec.fill()
+	rkey = simcache.KeyOf(simCacheSchema, appendSpec(nil, spec))
+	return rkey, verdictKey(rkey)
+}
+
+// verdictKey addresses the verdict on the result under rkey. A
+// simCacheSchema bump moves rkey, so it orphans the verdicts with the
+// results; a verdictStamp bump orphans the verdicts alone.
+func verdictKey(rkey simcache.Key) simcache.Key {
+	return simcache.KeyOf(verdictStamp, rkey.Bytes())
+}
+
+// decide is the package-level decide, counted.
+func (sc *SimCache) decide(res *SimResult) *decision {
+	v, err := decide(res)
+	sc.decided.Add(1)
+	return &decision{v, err}
+}
+
+// result returns spec's result-table entry. A miss simulates and decides
+// at once, and offers the decision to the verdict table before the result
+// is published; concurrent requests single-flight onto one simulation. A
+// panic in either unpublishes the flight.
+func (sc *SimCache) result(spec SimSpec, rkey, vkey simcache.Key) *trial {
+	return sc.results.Get(rkey, func() *trial {
+		t := &trial{res: RunSim(spec)}
+		t.d = sc.decide(&t.res)
+		// A no-op when a Localize of this spec leads the verdict's flight
+		// and is waiting for this result: it takes t.d and stores it.
+		sc.verdicts.Put(vkey, t.d)
 		return t
 	})
 }
 
-// Stats snapshots the cache counters.
-func (sc *SimCache) Stats() simcache.Stats { return sc.inner.Stats() }
+// localize is spec's verdict. A verdict hit reads nothing else; a miss
+// takes the result (memory, disk or a simulation) and the decision made
+// with it, and decides only a result read from disk.
+func (sc *SimCache) localize(spec SimSpec) (wehey.Verdict, error) {
+	rkey, vkey := cacheKeys(&spec)
+	d := sc.verdicts.Get(vkey, func() *decision {
+		t := sc.result(spec, rkey, vkey)
+		if t.d != nil {
+			return t.d
+		}
+		return sc.decide(&t.res)
+	})
+	return d.v, d.err
+}
 
-// Decided counts the verdicts this cache has decided: one per miss, and
-// one per disk hit whose entry held no verdict under the current stamp.
+// Stats snapshots both tables' counters as one cache's: each Sim,
+// Localize or trial call is one request, served by the first table that
+// holds its answer, so Misses counts simulations. A verdict miss is no
+// request of its own: the result request that answers it counts. A
+// trial whose result was read from disk, and whose verdict is then asked
+// for, reads the verdict table too, and that lookup counts as well.
+func (sc *SimCache) Stats() simcache.Stats {
+	r, v := sc.results.Stats(), sc.verdicts.Stats()
+	return simcache.Stats{
+		Hits:         r.Hits + v.Hits,
+		DiskHits:     r.DiskHits + v.DiskHits,
+		Misses:       r.Misses,
+		Corrupt:      r.Corrupt + v.Corrupt,
+		BytesRead:    r.BytesRead + v.BytesRead,
+		BytesWritten: r.BytesWritten + v.BytesWritten,
+		WriteErrors:  r.WriteErrors + v.WriteErrors,
+		ReadErrors:   r.ReadErrors + v.ReadErrors,
+	}
+}
+
+// Decided counts the verdicts this cache has decided: one per
+// simulation, and one per verdict miss over a result read from disk.
 func (sc *SimCache) Decided() int64 { return sc.decided.Load() }
 
-// trial is spec's trial through the configured cache, or a fresh one when
-// none is set. Sim, Localize and the generators that read both a result
-// and its verdict start here, so each call counts one cache request.
-func (c Config) trial(spec SimSpec) *trial {
+// trialRef is what Config.trial hands the generators that read both a
+// result and its verdict: the result, and the road to the verdict.
+type trialRef struct {
+	*trial
+	sc   *SimCache // nil without a cache
+	vkey simcache.Key
+}
+
+// verdict returns the trial's verdict: the decision made with the
+// simulation when there was one in this process, else the verdict
+// table's (its entry, or one decision on the result, single-flighted),
+// else — without a cache — a decision made now.
+func (r trialRef) verdict() (wehey.Verdict, error) {
+	d := r.d
+	switch {
+	case d != nil:
+	case r.sc != nil:
+		d = r.sc.verdicts.Get(r.vkey, func() *decision { return r.sc.decide(&r.res) })
+	default:
+		return decide(&r.res)
+	}
+	return d.v, d.err
+}
+
+// withMode folds the config-level background mode into spec. It is a
+// default for specs that don't pin one; experiments explicitly about the
+// mode (ablation-scale) set it per spec and win.
+func (c Config) withMode(spec SimSpec) SimSpec {
 	if c.BackgroundMode != "" && spec.BackgroundMode == "" {
-		// The config-level mode is a default for specs that don't pin one;
-		// experiments explicitly about the mode (ablation-scale) set it per
-		// spec and win.
 		spec.BackgroundMode = c.BackgroundMode
 	}
-	if c.Cache != nil {
-		return c.Cache.trial(spec)
+	return spec
+}
+
+// trial is spec's trial through the configured cache, or a fresh one when
+// none is set: one cache request, the verdict asked for only when read.
+func (c Config) trial(spec SimSpec) trialRef {
+	spec = c.withMode(spec)
+	if c.Cache == nil {
+		return trialRef{trial: &trial{res: RunSim(spec)}}
 	}
-	return &trial{res: RunSim(spec)}
+	rkey, vkey := cacheKeys(&spec)
+	return trialRef{trial: c.Cache.result(spec, rkey, vkey), sc: c.Cache, vkey: vkey}
 }
 
 // Sim runs one simulation through the configured cache, or directly when
@@ -232,52 +309,13 @@ func encodeResult(r SimResult) []byte {
 	return measure.AppendInt64(b, r.BgFlows)
 }
 
-// encodeTrial is a trial's cache value: encodeResult, then whether a
-// verdict follows, then the verdict (appendVerdict under stamp) as one
-// length-prefixed blob, so a reader expecting another stamp skips it
-// whole. Only a verdict decide reached without error, on loss trend alone
-// (a sim trial has no T_diff), is persisted; otherwise the reader decides.
-func encodeTrial(t *trial, stamp string) []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := encodeResult(t.res)
-	persist := t.decided && t.err == nil && t.v.Detail.Throughput == nil
-	b = measure.AppendBool(b, persist)
-	if !persist {
-		return b
-	}
-	return measure.AppendString(b, string(appendVerdict(nil, stamp, &t.v)))
-}
-
-// decodeTrial inverts encodeTrial. Any framing problem — truncation,
-// trailing garbage, invalid tags, a bad verdict under stamp — is an error
-// (the cache treats it as a miss and recomputes); it can never yield a
-// wrong result or verdict silently. A verdict under another stamp is
-// skipped: the trial comes back undecided and decides on first use.
-func decodeTrial(b []byte, stamp string) (*trial, error) {
+// decodeResult inverts encodeResult. Any framing problem — truncation,
+// trailing garbage, invalid tags — is an error (the cache treats it as a
+// miss and recomputes); it can never yield a wrong result silently.
+func decodeResult(b []byte) (SimResult, error) {
 	r := measure.NewReader(b)
-	t := &trial{res: readResult(r)}
-	present := r.Bool()
-	var blob string
-	if present {
-		blob = r.Str()
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if !present {
-		return t, nil
-	}
-	br := measure.NewReader([]byte(blob))
-	if br.Str() != stamp {
-		return t, nil
-	}
-	v, err := decodeVerdict(br, &t.res)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: verdict %s: %w", stamp, err)
-	}
-	t.v, t.decided = v, true
-	return t, nil
+	res := readResult(r)
+	return res, r.Done()
 }
 
 // appendVerdict appends what decide computes on a sim trial, headed by
@@ -307,14 +345,36 @@ func appendVerdict(b []byte, stamp string, v *wehey.Verdict) []byte {
 	return b
 }
 
+// appendVerdictEntry appends a verdict entry's value: appendVerdict's
+// blob under stamp, then the two loss rates.
+func appendVerdictEntry(b []byte, stamp string, v *wehey.Verdict) []byte {
+	b = appendVerdict(b, stamp, v)
+	b = measure.AppendFloat64(b, v.LossRates[0])
+	return measure.AppendFloat64(b, v.LossRates[1])
+}
+
+// encodeVerdictEntry is the verdict table's encoder. Only a verdict
+// decide reached without error, on loss trend alone (a sim trial has no
+// T_diff), is persisted; for any other it returns nil, and the next
+// process decides that trial again.
+func encodeVerdictEntry(d *decision) []byte {
+	if d.err != nil || d.v.Detail.Throughput != nil {
+		return nil
+	}
+	return appendVerdictEntry(nil, verdictStamp, &d.v)
+}
+
 // verdictRowSize is the size of one appendVerdict row.
 const verdictRowSize = 8 + 8 + 1 + 8 + 8 + 1
 
-// decodeVerdict reads an appendVerdict blob after its stamp and rebuilds
-// the Verdict decide returned on res: WeHe's detection and the
-// confirmation hold by construction, the headline follows the evidence,
-// and the loss rates are the result's.
-func decodeVerdict(r *measure.Reader, res *SimResult) (wehey.Verdict, error) {
+// decodeVerdictEntry inverts appendVerdictEntry under verdictStamp and
+// rebuilds the Verdict decide returned: WeHe's detection and the
+// confirmation hold by construction, and the headline follows the
+// evidence. An entry under another stamp, or with any framing problem, is
+// an error: the cache counts it corrupt and decides again.
+func decodeVerdictEntry(b []byte) (wehey.Verdict, error) {
+	r := measure.NewReader(b)
+	stamp := r.Str()
 	ev := core.Evidence(r.Int64())
 	var lt *core.LossTrendResult
 	if r.Bool() {
@@ -335,11 +395,15 @@ func decodeVerdict(r *measure.Reader, res *SimResult) (wehey.Verdict, error) {
 			}
 		}
 	}
+	loss := [2]float64{r.Float64(), r.Float64()}
 	if err := r.Done(); err != nil {
 		return wehey.Verdict{}, err
 	}
+	if stamp != verdictStamp {
+		return wehey.Verdict{}, fmt.Errorf("experiments: verdict under stamp %q, want %s", stamp, verdictStamp)
+	}
 	if ev != core.EvidenceNone && ev != core.EvidenceShared {
-		return wehey.Verdict{}, errors.New("evidence other than none or shared without a throughput comparison")
+		return wehey.Verdict{}, errors.New("experiments: evidence other than none or shared without a throughput comparison")
 	}
 	return wehey.Verdict{
 		WeHeDetected:   true,
@@ -347,7 +411,7 @@ func decodeVerdict(r *measure.Reader, res *SimResult) (wehey.Verdict, error) {
 		Evidence:       ev,
 		LocalizedToISP: ev.Found(),
 		Detail:         core.DetectorResult{Evidence: ev, LossTrend: lt},
-		LossRates:      res.LossRate,
+		LossRates:      loss,
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -29,7 +31,7 @@ func TestSimCacheSchemaGuards(t *testing.T) {
 	if n := reflect.TypeOf(SimResult{}).NumField(); n != 10 {
 		t.Errorf("SimResult has %d fields, the codec handles 10: extend encodeResult/readResult and bump simCacheSchema", n)
 	}
-	if simCacheSchema != "wehey/simcache/v4" {
+	if simCacheSchema != "wehey/simcache/v5" {
 		// Not an error — just force the author of a bump to also refresh
 		// the two counts above deliberately.
 		t.Log("simCacheSchema bumped; confirm the field counts in this test were revisited")
@@ -130,19 +132,19 @@ func randomResult(rng *rand.Rand) SimResult {
 	return r
 }
 
-// TestSimResultCodecRoundTripProperty: an undecided trial's entry decodes
-// to a result DeepEqual to the original — the cached-equals-recomputed
-// requirement — across random result shapes, and to no verdict.
+// TestSimResultCodecRoundTripProperty: a result entry decodes to a result
+// DeepEqual to the original — the cached-equals-recomputed requirement —
+// across random result shapes.
 func TestSimResultCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
 		r := randomResult(rng)
-		got, err := decodeTrial(encodeTrial(&trial{res: r}, verdictStamp), verdictStamp)
+		got, err := decodeResult(encodeResult(r))
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}
-		if got.decided || !reflect.DeepEqual(got.res, r) {
-			t.Fatalf("trial %d: round trip mismatch (decided %v):\n got %#v\nwant %#v", i, got.decided, got.res, r)
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("trial %d: round trip mismatch:\n got %#v\nwant %#v", i, got, r)
 		}
 	}
 }
@@ -178,8 +180,7 @@ func goldenResult() SimResult {
 	}
 }
 
-// goldenResultEntry is goldenResult's undecided cache value, field by
-// field. It pins the layout: a change here changes the meaning of every
+// goldenResultEntry is goldenResult's result entry, field by field. It pins the layout: a change here changes the meaning of every
 // entry on disk and needs a simCacheSchema bump with it.
 var goldenResultEntry = hexBytes(
 	"c00e160200000000",             // M1.RTT 35ms
@@ -213,7 +214,6 @@ var goldenResultEntry = hexBytes(
 	"d204000000000000",             // Events 1234
 	"3800000000000000",             // BgEvents 56
 	"0700000000000000",             // BgFlows 7
-	"00",                           // no verdict follows
 )
 
 // hexBytes decodes the concatenation of hex strings.
@@ -226,80 +226,91 @@ func hexBytes(parts ...string) []byte {
 }
 
 // TestSimResultCodecTruncation: the golden result encodes to the golden
-// entry, and for it, two random results (one with escaped timestamps) and
-// two decided trials (one with NaN ρ) the entry decodes back to the
-// value, every strict prefix is an error — never a panic, never a result
-// — and so is one trailing byte.
+// entry, and for it and two random results (one with escaped timestamps)
+// the entry decodes back to the value, every strict prefix is an error —
+// never a panic, never a result — and so is one trailing byte.
 func TestSimResultCodecTruncation(t *testing.T) {
-	if got := encodeTrial(&trial{res: goldenResult()}, verdictStamp); !bytes.Equal(got, goldenResultEntry) {
+	if got := encodeResult(goldenResult()); !bytes.Equal(got, goldenResultEntry) {
 		t.Fatalf("golden result encodes as\n% x\nwant\n% x", got, goldenResultEntry)
 	}
 	rng := rand.New(rand.NewSource(12))
-	corpus := verdictCorpus()
-	for _, tr := range []*trial{
-		{res: goldenResult()}, {res: randomResult(rng)}, {res: escapeResult(rng)},
-		decidedTrial(t, corpus[0]), decidedTrial(t, corpus[len(corpus)-1]),
-	} {
-		full := encodeTrial(tr, verdictStamp)
-		got, err := decodeTrial(full, verdictStamp)
-		if err != nil || !reflect.DeepEqual(got.res, tr.res) || got.decided != tr.decided {
+	for _, res := range []SimResult{goldenResult(), randomResult(rng), escapeResult(rng)} {
+		full := encodeResult(res)
+		got, err := decodeResult(full)
+		if err != nil || !reflect.DeepEqual(got, res) {
 			t.Fatalf("round trip: %v", err)
 		}
-		if again := encodeTrial(got, verdictStamp); !bytes.Equal(again, full) {
-			t.Fatal("the decoded trial re-encodes to other bytes")
-		}
 		for cut := 0; cut < len(full); cut++ {
-			if _, err := decodeTrial(full[:cut], verdictStamp); err == nil {
+			if _, err := decodeResult(full[:cut]); err == nil {
 				t.Fatalf("cut=%d of %d: truncated encoding decoded without error", cut, len(full))
 			}
 		}
-		if _, err := decodeTrial(append(full, 0), verdictStamp); err == nil {
+		if _, err := decodeResult(append(full, 0)); err == nil {
 			t.Error("trailing byte accepted")
 		}
 	}
 }
 
-// FuzzSimResultCodec fuzzes the whole cache value: result, presence
-// byte, verdict blob. Arbitrary bytes never panic the decoder, and an
-// accepted entry is canonical after one round: e := encode(decode(x))
-// decodes and re-encodes to e again. (x itself may differ from e — a
-// Drops map listed out of key order, or a verdict under another stamp,
-// which decodes to none — and DeepEqual cannot compare NaN payloads,
-// hence bytes.) A decided entry's verdict rewritten under another stamp
-// is skipped: the result survives, the verdict does not.
+// FuzzSimResultCodec fuzzes the result entry's decoder. Arbitrary bytes
+// never panic it, and an accepted entry is canonical after one round:
+// e := encode(decode(x)) decodes and re-encodes to e again. (x itself may
+// differ from e — a Drops map listed out of key order — and DeepEqual
+// cannot compare NaN payloads, hence bytes.)
 func FuzzSimResultCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	f.Add([]byte{})
 	f.Add(goldenResultEntry)
-	f.Add(encodeTrial(&trial{res: randomResult(rng)}, verdictStamp))
-	f.Add(encodeTrial(&trial{res: escapeResult(rng)}, verdictStamp))
-	corpus := verdictCorpus()
-	f.Add(encodeTrial(decidedTrial(f, corpus[0]), verdictStamp))
-	f.Add(encodeTrial(decidedTrial(f, corpus[len(corpus)-1]), verdictStamp)) // NaN ρ
+	f.Add(encodeResult(randomResult(rng)))
+	f.Add(encodeResult(escapeResult(rng)))
+	corpus := verdictCorpus() // loss logs of measure.SynthPair, one lossless
+	f.Add(encodeResult(corpus[0].res))
+	f.Add(encodeResult(corpus[len(corpus)-1].res))
 	f.Fuzz(func(t *testing.T, x []byte) {
-		tr, err := decodeTrial(x, verdictStamp)
+		res, err := decodeResult(x)
 		if err != nil {
 			return
 		}
-		e := encodeTrial(tr, verdictStamp)
-		again, err := decodeTrial(e, verdictStamp)
+		e := encodeResult(res)
+		again, err := decodeResult(e)
 		if err != nil {
 			t.Fatalf("re-encoded entry rejected: %v", err)
 		}
-		if got := encodeTrial(again, verdictStamp); !bytes.Equal(got, e) {
+		if got := encodeResult(again); !bytes.Equal(got, e) {
 			t.Fatalf("re-encoding is not stable:\n% x\n% x", e, got)
 		}
-		if !tr.decided {
-			return
-		}
-		skipped, err := decodeTrial(encodeTrial(tr, foreignStamp), verdictStamp)
-		if err != nil || skipped.decided {
-			t.Fatalf("a verdict under another stamp was not skipped (err %v)", err)
-		}
-		if got, want := encodeTrial(skipped, verdictStamp), encodeTrial(&trial{res: tr.res}, verdictStamp); !bytes.Equal(got, want) {
-			t.Fatal("skipping a foreign verdict changed the result")
-		}
 	})
+}
+
+// entryFile is the file under dir that holds key's entry.
+func entryFile(tb testing.TB, dir string, key simcache.Key) string {
+	tb.Helper()
+	var found []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.Contains(strings.ReplaceAll(path, string(filepath.Separator), ""), key.String()) {
+			found = append(found, path)
+		}
+		return err
+	})
+	if err != nil || len(found) != 1 {
+		tb.Fatalf("want one entry for %s under %s, have %v (err %v)", key, dir, found, err)
+	}
+	return found[0]
+}
+
+// countEntries counts the files under dir.
+func countEntries(tb testing.TB, dir string) int {
+	tb.Helper()
+	n := 0
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
 }
 
 // shortSpec is a fast (2 s) but real simulation for cache-behaviour tests.
@@ -352,7 +363,7 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sc.inner.Get(oddKey, func() *trial { return &trial{res: odd} }); !reflect.DeepEqual(got.res, odd) {
+		if got := sc.results.Get(oddKey, func() *trial { return &trial{res: odd} }); !reflect.DeepEqual(got.res, odd) {
 			t.Fatalf("pass %d: escape-bearing result changed on its way through the cache", pass)
 		}
 		if st := sc.Stats(); st.Misses != want.Misses || st.DiskHits != want.DiskHits || st.Corrupt != 0 {
@@ -360,24 +371,19 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 		}
 	}
 
-	// Corrupt every byte-flipped entry under dir: the next cache must
-	// recompute the identical result.
-	var entries []string
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			entries = append(entries, path)
-		}
-		return err
-	})
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("want exactly 1 cache entry, have %d (err=%v)", len(entries), err)
+	// Flip a byte of the result's entry (the trial's other entry is its
+	// verdict): the next cache must recompute the identical result.
+	if n := countEntries(t, dir); n != 2 {
+		t.Fatalf("want 2 cache entries (result and verdict), have %d", n)
 	}
-	raw, err := os.ReadFile(entries[0])
+	rkey, _ := cacheKeys(&spec)
+	entry := entryFile(t, dir, rkey)
+	raw, err := os.ReadFile(entry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
+	if err := os.WriteFile(entry, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	repaired, err := NewDiskSimCache(dir)
@@ -468,10 +474,10 @@ func TestCacheModesRenderByteIdentically(t *testing.T) {
 	}
 }
 
-// TestLocalizeDecidesOnce: a verdict memoized in a cache entry is the one
-// a cache-less Config decides afresh — on the deciding call and on the
+// TestLocalizeDecidesOnce: a verdict memoized in the cache is the one a
+// cache-less Config decides afresh — on the deciding call and on the
 // repeat, for concurrent callers, and from a fresh disk cache, which reads
-// it back instead of deciding, unless it was written under another stamp.
+// it back from the verdict's entry instead of deciding.
 func TestLocalizeDecidesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -534,7 +540,9 @@ func TestLocalizeDecidesOnce(t *testing.T) {
 	}
 
 	// A fresh disk cache over a populated directory reads the verdict back
-	// with the result: decided, bit-equal, and nothing decided again.
+	// from its own entry: bit-equal, and nothing decided again. A trial of
+	// the same spec then reads the result's entry too (a second disk hit)
+	// and takes the verdict already in memory (a hit).
 	dir := t.TempDir()
 	cold, err := NewDiskSimCache(dir)
 	if err != nil {
@@ -548,35 +556,153 @@ func TestLocalizeDecidesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := warm.trial(spec); !tr.decided {
-		t.Fatal("a disk hit came back undecided: the verdict was not persisted")
-	}
 	if v := localize(t, Config{Cache: warm}, spec); !reflect.DeepEqual(v, fresh) {
 		t.Errorf("verdict over a disk hit differs from the fresh one:\nfresh %v\ngot   %v", fresh, v)
 	}
-	if st := warm.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 0 || warm.Decided() != 0 {
-		t.Errorf("warm stats %+v, decided %d: want one disk hit then one hit, nothing decided", st, warm.Decided())
+	if st := warm.Stats(); st.DiskHits != 1 || st.Hits != 0 || st.Misses != 0 || warm.Decided() != 0 {
+		t.Errorf("warm stats %+v, decided %d: want one disk hit, nothing decided", st, warm.Decided())
+	}
+	tr := Config{Cache: warm}.trial(spec)
+	if v, err := tr.verdict(); err != nil || !reflect.DeepEqual(v, fresh) || !reflect.DeepEqual(tr.res, Config{}.Sim(spec)) {
+		t.Errorf("trial over two disk entries differs from a fresh one (err %v)", err)
+	}
+	if st := warm.Stats(); st.DiskHits != 2 || st.Hits != 1 || st.Misses != 0 || warm.Decided() != 0 {
+		t.Errorf("warm stats after the trial %+v, decided %d: want two disk hits and one hit, nothing decided", st, warm.Decided())
+	}
+}
+
+// TestVerdictEntryStandsAlone: a rerun's Localize reads the verdict's
+// entry and nothing else, so it answers with the result's entry gone; a
+// damaged verdict entry is corrupt, deleted, and decided again from the
+// result's entry, never simulated; and a missing one (what a verdictStamp
+// bump leaves) is decided again once and stored for the next process.
+func TestVerdictEntryStandsAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	spec := shortSpec(43)
+	fresh, err := Config{}.Localize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rkey, vkey := cacheKeys(&spec)
+	populate := func(t *testing.T) string {
+		t.Helper()
+		dir := t.TempDir()
+		cold, err := NewDiskSimCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Config{Cache: cold}).Localize(spec); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	// rerun opens a fresh cache over dir, localizes spec and checks the
+	// verdict and the counters.
+	rerun := func(t *testing.T, dir string, want simcache.Stats, decided int64) simcache.Stats {
+		t.Helper()
+		sc, err := NewDiskSimCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := Config{Cache: sc}.Localize(spec)
+		if err != nil || !reflect.DeepEqual(v, fresh) {
+			t.Fatalf("verdict differs from the fresh one (err %v):\nfresh %v\ngot   %v", err, fresh, v)
+		}
+		st := sc.Stats()
+		if st.Hits != want.Hits || st.DiskHits != want.DiskHits || st.Misses != want.Misses || st.Corrupt != want.Corrupt || sc.Decided() != decided {
+			t.Fatalf("stats %+v, decided %d: want %+v, decided %d", st, sc.Decided(), want, decided)
+		}
+		return st
 	}
 
-	// An entry whose verdict was written under another stamp keeps its
-	// result, and its verdict is decided again, once.
-	stale := t.TempDir()
-	old, err := newDiskSimCache(stale, foreignStamp)
+	t.Run("result entry gone", func(t *testing.T) {
+		dir := populate(t)
+		if err := os.Remove(entryFile(t, dir, rkey)); err != nil {
+			t.Fatal(err)
+		}
+		if st := rerun(t, dir, simcache.Stats{DiskHits: 1}, 0); st.BytesRead >= 1024 {
+			t.Errorf("a verdict read %d bytes, want under 1 KiB", st.BytesRead)
+		}
+	})
+	t.Run("verdict entry flipped", func(t *testing.T) {
+		dir := populate(t)
+		path := entryFile(t, dir, vkey)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-1] ^= 0x01
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rerun(t, dir, simcache.Stats{DiskHits: 1, Corrupt: 1}, 1)
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0) // the entry was rewritten
+	})
+	t.Run("verdict entry gone", func(t *testing.T) {
+		dir := populate(t)
+		if err := os.Remove(entryFile(t, dir, vkey)); err != nil {
+			t.Fatal(err)
+		}
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 1)
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0)
+	})
+}
+
+// TestConcurrentCallersShareOneTrial: Sim, Localize and a trial's verdict
+// racing on one spec — a Localize may lead the verdict's flight while a
+// Sim leads the simulation it waits for — simulate once, decide once and
+// agree, cold in memory, cold on disk, and warm off disk (no decision).
+// Run it under -race.
+func TestConcurrentCallersShareOneTrial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	spec := shortSpec(44)
+	fresh, err := Config{}.Localize(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localize(t, Config{Cache: old}, spec)
-	redecide, err := NewDiskSimCache(stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := redecide.trial(spec); tr.decided {
-		t.Fatal("a verdict under another stamp was read as this one")
-	}
-	if v := localize(t, Config{Cache: redecide}, spec); !reflect.DeepEqual(v, fresh) {
-		t.Errorf("verdict redecided over a stale entry differs from the fresh one:\nfresh %v\ngot   %v", fresh, v)
-	}
-	if st := redecide.Stats(); st.DiskHits != 1 || st.Misses != 0 || st.Corrupt != 0 || redecide.Decided() != 1 {
-		t.Errorf("stale-verdict stats %+v, decided %d: want one disk hit and one decision", st, redecide.Decided())
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name            string
+		open            func() (*SimCache, error)
+		misses, decided int64
+	}{
+		{"memory", func() (*SimCache, error) { return NewSimCache(), nil }, 1, 1},
+		{"disk cold", func() (*SimCache, error) { return NewDiskSimCache(dir) }, 1, 1},
+		{"disk warm", func() (*SimCache, error) { return NewDiskSimCache(dir) }, 0, 0},
+	} {
+		sc, err := tc.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Cache: sc, Workers: 12}
+		errs := ForEach(12, cfg.Workers, func(i int) error {
+			var v wehey.Verdict
+			var err error
+			switch i % 3 {
+			case 0:
+				cfg.Sim(spec)
+				return nil
+			case 1:
+				v, err = cfg.Localize(spec)
+			default:
+				v, err = cfg.trial(spec).verdict()
+			}
+			if err == nil && !reflect.DeepEqual(v, fresh) {
+				err = errors.New("verdict differs from a fresh one")
+			}
+			return err
+		})
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%s: caller %d: %v", tc.name, i, err)
+			}
+		}
+		if st := sc.Stats(); st.Misses != tc.misses || sc.Decided() != tc.decided || st.Corrupt != 0 {
+			t.Errorf("%s: stats %+v, decided %d: want %d misses and %d decided", tc.name, st, sc.Decided(), tc.misses, tc.decided)
+		}
 	}
 }

@@ -43,9 +43,13 @@ type SimVerdict struct {
 // session has no historical T_diff). The verdict is a deterministic
 // function of the spec and exactly the one the service's sim backend
 // reports. Through a cache it is decided once per entry and shared
-// (SimCache): a repeated spec costs one cache hit.
+// (SimCache): a repeated spec costs one cache hit, and a rerun off the
+// disk reads the verdict's entry alone.
 func (c Config) Localize(spec SimSpec) (wehey.Verdict, error) {
-	return c.trial(spec).verdict()
+	if c.Cache == nil {
+		return c.trial(spec).verdict()
+	}
+	return c.Cache.localize(c.withMode(spec))
 }
 
 // decide is operation 4 on a simulated trial. The trial is throttled by

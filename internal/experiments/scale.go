@@ -71,7 +71,7 @@ func runScaleArms(cfg Config) []scaleStats {
 			})
 		}
 	}
-	runs := ForEach(len(specs), cfg.workers(), func(i int) *trial { return cfg.trial(specs[i]) })
+	runs := ForEach(len(specs), cfg.workers(), func(i int) trialRef { return cfg.trial(specs[i]) })
 	stats := make([]scaleStats, len(arms))
 	for ai := range arms {
 		st := &stats[ai]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/measure"
 )
 
@@ -64,14 +66,14 @@ func verdictCorpus() []verdictCase {
 	return out
 }
 
-// decidedTrial is a trial over c's logs with its verdict decided.
-func decidedTrial(tb testing.TB, c verdictCase) *trial {
+// decided is decide's verdict on c's logs.
+func decided(tb testing.TB, c verdictCase) wehey.Verdict {
 	tb.Helper()
-	tr := &trial{res: c.res}
-	if _, err := tr.verdict(); err != nil {
+	v, err := decide(&c.res)
+	if err != nil {
 		tb.Fatalf("%s: %v", c.name, err)
 	}
-	return tr
+	return v
 }
 
 // verdictGolden renders the corpus's verdict blobs as the golden file
@@ -81,8 +83,8 @@ func verdictGolden(t *testing.T) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, verdictStamp)
 	for i, c := range verdictCorpus() {
-		tr := decidedTrial(t, c)
-		blob := appendVerdict(nil, verdictStamp, &tr.v)
+		v := decided(t, c)
+		blob := appendVerdict(nil, verdictStamp, &v)
 		val := hex.EncodeToString(blob)
 		if i > 0 {
 			sum := sha256.Sum256(blob)
@@ -124,56 +126,86 @@ func TestVerdictStampGuards(t *testing.T) {
 	t.Logf("rewrote %s under %s", verdictGoldenPath, verdictStamp)
 }
 
-// TestVerdictBlobUnderStamp: over the corpus, a persisted verdict decodes
-// to exactly what decide returned (bit patterns for ρ and p, NaN
-// included), one under another stamp is skipped, and a bad blob under
-// this stamp rejects the entry.
+// TestVerdictBlobUnderStamp: over the corpus, a verdict entry decodes to
+// exactly what decide returned (bit patterns for ρ and p, NaN included),
+// every strict prefix is rejected, and so is one under another stamp; an
+// erred verdict is never encoded; and a bad entry under this stamp is
+// rejected.
 func TestVerdictBlobUnderStamp(t *testing.T) {
 	for _, c := range verdictCorpus() {
-		tr := decidedTrial(t, c)
-		entry := encodeTrial(tr, verdictStamp)
-		got, err := decodeTrial(entry, verdictStamp)
-		if err != nil || !got.decided {
-			t.Fatalf("%s: persisted verdict not read back (err %v)", c.name, err)
+		v := decided(t, c)
+		entry := encodeVerdictEntry(&decision{v: v})
+		got, err := decodeVerdictEntry(entry)
+		if err != nil {
+			t.Fatalf("%s: persisted verdict not read back: %v", c.name, err)
 		}
-		if !sameVerdict(got, tr) {
-			t.Errorf("%s: decoded verdict differs from the decided one:\n got %+v\nwant %+v", c.name, got.v, tr.v)
+		if !sameVerdict(got, v) {
+			t.Errorf("%s: decoded verdict differs from the decided one:\n got %+v\nwant %+v", c.name, got, v)
 		}
-		skipped, err := decodeTrial(encodeTrial(tr, foreignStamp), verdictStamp)
-		if err != nil || skipped.decided || !reflect.DeepEqual(skipped.res, tr.res) {
-			t.Errorf("%s: a verdict under another stamp was not skipped (err %v)", c.name, err)
+		for cut := 0; cut < len(entry); cut++ {
+			if _, err := decodeVerdictEntry(entry[:cut]); err == nil {
+				t.Fatalf("%s: cut=%d of %d: truncated entry accepted", c.name, cut, len(entry))
+			}
+		}
+		if _, err := decodeVerdictEntry(appendVerdictEntry(nil, foreignStamp, &v)); err == nil {
+			t.Errorf("%s: a verdict under another stamp was accepted", c.name)
+		}
+		if e := encodeVerdictEntry(&decision{v: v, err: errors.New("detector failed")}); e != nil {
+			t.Errorf("%s: an erred verdict encodes to %d bytes, want none", c.name, len(e))
 		}
 	}
 
-	// Each corruption keeps the blob under this stamp and its outer
-	// framing intact; only its content is wrong.
-	tr := decidedTrial(t, verdictCorpus()[0])
-	blob := appendVerdict(nil, verdictStamp, &tr.v)
+	// Each corruption keeps the entry under this stamp; only its content
+	// is wrong.
+	v := decided(t, verdictCorpus()[0])
+	entry := appendVerdictEntry(nil, verdictStamp, &v)
 	evidenceAt := len(measure.AppendString(nil, verdictStamp))
 	for name, bad := range map[string][]byte{
 		"evidence out of range": func() []byte {
-			b := append([]byte(nil), blob...)
+			b := append([]byte(nil), entry...)
 			b[evidenceAt] = 7
 			return b
 		}(),
-		"trailing byte":   append(append([]byte(nil), blob...), 0),
-		"row cut short":   blob[:len(blob)-1],
+		"trailing byte":   append(append([]byte(nil), entry...), 0),
 		"stamp only":      measure.AppendString(nil, verdictStamp),
 		"invalid bool":    append(measure.AppendInt64(measure.AppendString(nil, verdictStamp), 0), 2),
-		"rows over-claim": measure.AppendUint64(append([]byte(nil), blob[:evidenceAt+8+1+1+8+8]...), math.MaxUint64),
+		"rows over-claim": measure.AppendUint64(append([]byte(nil), entry[:evidenceAt+8+1+1+8+8]...), math.MaxUint64),
 	} {
-		entry := measure.AppendString(measure.AppendBool(encodeResult(tr.res), true), string(bad))
-		if _, err := decodeTrial(entry, verdictStamp); err == nil {
+		if _, err := decodeVerdictEntry(bad); err == nil {
 			t.Errorf("%s: a bad verdict under this stamp was accepted", name)
 		}
 	}
 }
 
-// sameVerdict compares two trials' verdicts: the loss-trend detail by
-// its persisted bytes (reflect.DeepEqual calls a NaN ρ unequal to
-// itself), every other field by value.
-func sameVerdict(a, b *trial) bool {
-	av, bv := a.v, b.v
-	av.Detail.LossTrend, bv.Detail.LossTrend = nil, nil
-	return bytes.Equal(encodeTrial(a, verdictStamp), encodeTrial(b, verdictStamp)) && reflect.DeepEqual(av, bv)
+// FuzzVerdictEntry fuzzes the verdict entry's decoder: arbitrary bytes
+// never panic it, an accepted entry re-encodes to exactly its bytes, and
+// the same verdict under another stamp is rejected.
+func FuzzVerdictEntry(f *testing.F) {
+	f.Add([]byte{})
+	corpus := verdictCorpus()
+	for _, c := range []verdictCase{corpus[0], corpus[len(corpus)-1]} { // the last has NaN ρ
+		v := decided(f, c)
+		f.Add(appendVerdictEntry(nil, verdictStamp, &v))
+	}
+	f.Fuzz(func(t *testing.T, x []byte) {
+		v, err := decodeVerdictEntry(x)
+		if err != nil {
+			return
+		}
+		if e := appendVerdictEntry(nil, verdictStamp, &v); !bytes.Equal(e, x) {
+			t.Fatalf("accepted entry re-encodes to other bytes:\n% x\n% x", x, e)
+		}
+		if _, err := decodeVerdictEntry(appendVerdictEntry(nil, foreignStamp, &v)); err == nil {
+			t.Fatal("a verdict under another stamp was accepted")
+		}
+	})
+}
+
+// sameVerdict compares two verdicts: the loss-trend detail by its
+// persisted bytes (reflect.DeepEqual calls a NaN ρ unequal to itself),
+// every other field by value.
+func sameVerdict(a, b wehey.Verdict) bool {
+	ea, eb := appendVerdictEntry(nil, verdictStamp, &a), appendVerdictEntry(nil, verdictStamp, &b)
+	a.Detail.LossTrend, b.Detail.LossTrend = nil, nil
+	return bytes.Equal(ea, eb) && reflect.DeepEqual(a, b)
 }

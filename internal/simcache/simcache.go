@@ -58,11 +58,17 @@ func KeyOf(stamp string, spec []byte) Key {
 // String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
+// Bytes returns the key's bytes, so one key can be the spec of another:
+// KeyOf(stamp, k.Bytes()) addresses a value derived from k's.
+func (k Key) Bytes() []byte { return k[:] }
+
 // Codec round-trips values through the disk layer. Encode must be
 // deterministic and Decode(Encode(v)) must reproduce v exactly — a cached
 // result has to be indistinguishable from a recomputed one. Decode must
 // not retain its argument or return anything that aliases it: the bytes
-// live in a buffer that the next disk read reuses.
+// live in a buffer that the next disk read reuses. Encode may return nil
+// to keep a value off the disk: nothing is written, no write error is
+// counted, and the next process computes the value again.
 type Codec[V any] struct {
 	Encode func(V) []byte
 	Decode func([]byte) (V, error)
@@ -197,6 +203,25 @@ func (c *Cache[V]) Get(key Key, compute func() V) V {
 	}
 }
 
+// Put publishes v under key, and persists it, as if a request for key
+// had computed it — unless key already has a value or a computation in
+// flight in this process, in which case it does nothing. Put counts no
+// request: the caller accounted for the work that produced v elsewhere.
+// It never waits on a flight, so a compute may call it for a key of
+// another cache whose leader is itself waiting on this compute.
+func (c *Cache[V]) Put(key Key, v V) {
+	c.mu.Lock()
+	if _, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		return
+	}
+	f := &flight[V]{done: make(chan struct{}), val: v}
+	c.flights[key] = f
+	c.mu.Unlock()
+	c.storeDisk(key, v)
+	close(f.done)
+}
+
 // lead runs the leader side of one flight: disk probe, compute, publish.
 func (c *Cache[V]) lead(key Key, f *flight[V], compute func() V) V {
 	completed := false
@@ -305,6 +330,9 @@ func (c *Cache[V]) storeDisk(key Key, v V) {
 		return
 	}
 	payload := c.codec.Encode(v)
+	if payload == nil {
+		return // the codec keeps this value off the disk
+	}
 	buf := make([]byte, 0, len(entryMagic)+framing.HeaderSize+len(payload))
 	buf = framing.Append(append(buf, entryMagic...), payload)
 	// Replacing the entry whole keeps concurrent processes (two cold runs

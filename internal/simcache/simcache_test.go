@@ -283,3 +283,77 @@ func TestEntryPathFansOut(t *testing.T) {
 		t.Fatalf("unexpected entry path layout: %s", p)
 	}
 }
+
+// TestDeclinedEncodeWritesNothing: a value the codec keeps off the disk
+// (Encode returning nil, as the simulation cache does for an erred
+// verdict) is served in process but writes no file and counts no write
+// error, so the next process computes it again.
+func TestDeclinedEncodeWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	key := KeyOf("v1", []byte("spec"))
+	declining := Codec[string]{
+		Encode: func(s string) []byte {
+			if s == "erred" {
+				return nil
+			}
+			return []byte(s)
+		},
+		Decode: stringCodec.Decode,
+	}
+	for pass := 0; pass < 2; pass++ {
+		c, err := NewDisk(dir, declining)
+		if err != nil {
+			t.Fatal(err)
+		}
+		computed := 0
+		for range 2 {
+			if got := c.Get(key, func() string { computed++; return "erred" }); got != "erred" {
+				t.Fatalf("pass %d: Get = %q", pass, got)
+			}
+		}
+		if st := c.Stats(); computed != 1 || st.Misses != 1 || st.Hits != 1 || st.DiskHits != 0 || st.WriteErrors != 0 || st.BytesWritten != 0 {
+			t.Fatalf("pass %d: computed %d, stats %+v: want one miss, one hit, nothing written", pass, computed, st)
+		}
+		if files, _ := filepath.Glob(filepath.Join(dir, "*", "*")); len(files) != 0 {
+			t.Fatalf("pass %d: a declined value left files %v", pass, files)
+		}
+	}
+}
+
+// TestPutPublishesUnlessPresent: Put publishes and persists a value
+// without counting a request, so the next Get is a hit and a new process
+// reads it from disk; over a key that already has a value, or a flight
+// in progress, it changes nothing and does not wait.
+func TestPutPublishesUnlessPresent(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDisk(dir, stringCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, got := KeyOf("v1", []byte("put")), KeyOf("v1", []byte("got"))
+	c.Put(put, "offered")
+	if st := c.Stats(); st.Requests() != 0 || st.BytesWritten != int64(len("offered")) {
+		t.Fatalf("Put stats = %+v, want no request and one write", st)
+	}
+	if v := c.Get(put, func() string { t.Fatal("computed a published key"); return "" }); v != "offered" {
+		t.Fatalf("Get after Put = %q", v)
+	}
+	c.Get(got, func() string {
+		c.Put(got, "offered") // the key's own flight is in progress: no-op, no wait
+		return "computed"
+	})
+	c.Put(got, "offered")
+	if v := c.Get(got, nil); v != "computed" {
+		t.Fatalf("Put replaced a published value: %q", v)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want one miss and two hits", st)
+	}
+	fresh, err := NewDisk(dir, stringCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := fresh.Get(put, nil); v != "offered" || fresh.Stats().DiskHits != 1 {
+		t.Fatalf("a new process read %q, stats %+v: want the put value from disk", v, fresh.Stats())
+	}
+}
