@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -123,20 +122,9 @@ type File interface {
 // OS is the operating system's file system.
 type OS struct{}
 
-// ReadFile sizes buf from Stat, so the common case is one read of the data
-// and one that reports EOF.
-func (OS) ReadFile(name string, buf *bytes.Buffer) error {
-	f, err := os.Open(name)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if info, err := f.Stat(); err == nil && info.Size() < math.MaxInt32 {
-		buf.Grow(int(info.Size()) + bytes.MinRead) // room for the read that finds EOF
-	}
-	_, err = buf.ReadFrom(f)
-	return err
-}
+// ReadFile appends the whole file to buf; a missing file is
+// fs.ErrNotExist, and every other failure an *fs.PathError.
+func (OS) ReadFile(name string, buf *bytes.Buffer) error { return readFile(name, buf) }
 
 func (OS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)

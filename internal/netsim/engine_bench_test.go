@@ -74,3 +74,55 @@ func BenchmarkUDPReplayTrial(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
+
+// cbrSource offers left packets of size bytes, one every gap, to next.
+type cbrSource struct {
+	eng  *Engine
+	next Hop
+	gap  time.Duration
+	size int
+	left int
+}
+
+func (s *cbrSource) handle(kind eventKind, _ uint64) {
+	if s.left <= 0 {
+		return
+	}
+	s.left--
+	pkt := s.eng.AllocPacket()
+	pkt.Size, pkt.Class = s.size, ClassDifferentiated
+	s.next.Send(pkt)
+	s.eng.afterCall(s.gap, s, kind, 0)
+}
+
+// BenchmarkTBFStep is the token bucket on its own: one RateLimiter fed a
+// constant-bit-rate series of 1000-byte packets at twice its 2 Mbit/s rate,
+// forwarding into a sink that frees every packet — no link, TCP or
+// background traffic. An op is one offered packet and its arrival event.
+// Either mode forwards about half of them: the policer (no queue) drops
+// the rest on arrival; the shaper (a 60 KB queue) queues them, spends a
+// drain event on each it releases, and drops once the queue is full.
+func BenchmarkTBFStep(b *testing.B) {
+	const rate = 2e6
+	for _, mode := range []struct {
+		name  string
+		queue int
+	}{{"policer", 0}, {"shaper", 60000}} {
+		b.Run("mode="+mode.name, func(b *testing.B) {
+			var eng Engine
+			sink := HopFunc(eng.FreePacket)
+			rl := NewRateLimiter(&eng, "tbf", rate, BurstForRTT(rate, 20*time.Millisecond), mode.queue, sink)
+			src := &cbrSource{eng: &eng, next: rl, gap: time.Duration(1000 * 8 / (2 * rate) * float64(time.Second)), size: 1000, left: b.N}
+			eng.scheduleCall(0, src, evUDPSend, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			events := eng.Run(1 << 62)
+			b.StopTimer()
+			if rl.Matched != int64(b.N) || rl.Forwarded+rl.Dropped != rl.Matched {
+				b.Fatalf("offered %d, matched %d, forwarded %d, dropped %d", b.N, rl.Matched, rl.Forwarded, rl.Dropped)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/packet")
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,28 +9,56 @@ import (
 )
 
 // BenchmarkDiskHit is one warm-rerun trial's cache cost: a fresh cache over
-// a populated directory (so the Get is a disk read, never a memory hit) and
-// one entry the size of a design trial's — ≈19 000 timestamps, ≈78 KB. The
-// read buffer is pooled, so B/op is the decoded value plus the cache.
+// a populated directory (so the Get is a disk read, never a memory hit).
+// size=result is an entry the size of a design trial's result — ≈19 000
+// timestamps, ≈78 KB — and size=verdict one the size of its verdict entry,
+// ≈0.4 KB, which is all a rerun reads. parallel runs GOMAXPROCS readers,
+// as the ledger's two clients do. The read buffer is pooled, so B/op is
+// the decoded value plus the cache.
 func BenchmarkDiskHit(b *testing.B) {
-	dir := b.TempDir()
-	key := KeyOf("v1", []byte("spec"))
-	cold, err := NewDisk(dir, pathCodec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cold.Get(key, func() measure.Path { return tracePath(19000, 2*time.Millisecond) })
-	b.SetBytes(cold.Stats().BytesWritten)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := NewDisk(dir, pathCodec)
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"verdict", 90}, {"result", 19000}} {
+		dir := b.TempDir()
+		key := KeyOf("v1", []byte("spec"))
+		cold, err := NewDisk(dir, pathCodec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if p := c.Get(key, nil); len(p.Tx) != 19000 || c.Stats().DiskHits != 1 {
-			b.Fatalf("not a disk hit: %d timestamps, %+v", len(p.Tx), c.Stats())
+		cold.Get(key, func() measure.Path { return tracePath(size.n, 2*time.Millisecond) })
+		written := cold.Stats().BytesWritten
+		hit := func() error {
+			c, err := NewDisk(dir, pathCodec)
+			if err != nil {
+				return err
+			}
+			if p := c.Get(key, nil); len(p.Tx) != size.n || c.Stats().DiskHits != 1 {
+				return fmt.Errorf("not a disk hit: %d timestamps, %+v", len(p.Tx), c.Stats())
+			}
+			return nil
 		}
+		b.Run("size="+size.name+"/serial", func(b *testing.B) {
+			b.SetBytes(written)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := hit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("size="+size.name+"/parallel", func(b *testing.B) {
+			b.SetBytes(written)
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := hit(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
 	}
 }
 

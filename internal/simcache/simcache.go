@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -162,7 +163,7 @@ func newDisk[V any](fsys framing.FS, dir string, codec Codec[V]) (*Cache[V], err
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
 	c := New[V]()
-	c.dir, c.fsys, c.codec = dir, fsys, codec
+	c.dir, c.fsys, c.codec = filepath.Clean(dir), fsys, codec
 	return c, nil
 }
 
@@ -262,10 +263,23 @@ func (c *Cache[V]) lead(key Key, f *flight[V], compute func() V) V {
 const entryMagic = "WHYSIMC1"
 
 // entryPath fans entries out over 256 subdirectories so huge grids don't
-// produce one enormous flat directory.
+// produce one enormous flat directory: it is filepath.Join(dir, hx[:2],
+// hx[2:]+".sim") for the key's hex hx, built in one allocation — dir is
+// cleaned once, in newDisk, so there is nothing left for Join to clean.
 func (c *Cache[V]) entryPath(key Key) string {
-	hx := key.String()
-	return filepath.Join(c.dir, hx[:2], hx[2:]+".sim")
+	var hx [2 * len(key)]byte
+	hex.Encode(hx[:], key[:])
+	var p strings.Builder
+	p.Grow(len(c.dir) + 1 + len(hx) + 1 + len(".sim"))
+	p.WriteString(c.dir)
+	if !strings.HasSuffix(c.dir, string(filepath.Separator)) { // the root
+		p.WriteByte(filepath.Separator)
+	}
+	p.Write(hx[:2])
+	p.WriteByte(filepath.Separator)
+	p.Write(hx[2:])
+	p.WriteString(".sim")
+	return p.String()
 }
 
 // diskProbe is what loadDisk found at a key's entry path.

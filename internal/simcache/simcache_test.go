@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/nal-epfl/wehey/internal/framing"
+	"github.com/nal-epfl/wehey/internal/framing/framingtest"
 )
 
 // stringCodec is the trivial identity codec used by the disk tests.
@@ -271,16 +272,38 @@ func TestPanickedLeaderReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestEntryPathFansOut: an entry sits at filepath.Join(dir, hx[:2],
+// hx[2:]+".sim") for its key's hex hx, whatever dir looks like, built in
+// one allocation; a cache opened at an unclean spelling of a directory
+// hits the entries stored under the clean one.
 func TestEntryPathFansOut(t *testing.T) {
-	c, err := NewDisk(t.TempDir(), stringCodec)
+	k := KeyOf("v1", []byte("x"))
+	hx := k.String()
+	tmp := t.TempDir()
+	for _, dir := range []string{tmp, "a/./b/", "cache", "../x//y", string(filepath.Separator), tmp + "/./"} {
+		c, err := newDisk(framingtest.New(nil), dir, stringCodec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.entryPath(k), filepath.Join(dir, hx[:2], hx[2:]+".sim"); got != want {
+			t.Errorf("dir %q: entry path %q, want %q", dir, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.entryPath(k) }); allocs != 1 {
+			t.Errorf("dir %q: entryPath makes %v allocations, want 1", dir, allocs)
+		}
+	}
+
+	clean, err := NewDisk(tmp, stringCodec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := KeyOf("v1", []byte("x"))
-	p := c.entryPath(k)
-	sub := filepath.Base(filepath.Dir(p))
-	if len(sub) != 2 || !strings.HasPrefix(filepath.Base(p), k.String()[2:]) {
-		t.Fatalf("unexpected entry path layout: %s", p)
+	clean.Get(k, func() string { return "stored" })
+	unclean, err := NewDisk(tmp+"/./", stringCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := unclean.Get(k, func() string { return "computed" }); got != "stored" || unclean.Stats().DiskHits != 1 {
+		t.Errorf("Get under %q = %q, stats %+v: want the stored entry", tmp+"/./", got, unclean.Stats())
 	}
 }
 
