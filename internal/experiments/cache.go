@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 
@@ -21,9 +22,10 @@ import (
 // through the exact binary codec of internal/measure: a result served
 // from disk is bit-for-bit the result a recompute would produce,
 // including map-valued fields (Drops) and nil-vs-empty slice identity.
-// The verdict decided on the result is an entry of its own, keyed by the
-// result's key under verdictStamp (verdictKey), so a rerun that needs
-// only the verdict reads a few hundred bytes, not the whole trial.
+// The verdict decided on the result is a record of the directory's
+// verdict log, keyed by the result's key under verdictStamp (verdictKey),
+// so a rerun that needs only verdicts reads one small file, not a trial's
+// result per trial.
 
 // simCacheSchema stamps every cache key. Bump it whenever anything that
 // RunSim's output depends on changes meaning: a SimSpec or SimResult
@@ -85,9 +87,14 @@ func NewSimCache() *SimCache {
 	return &SimCache{results: simcache.New[*trial](), verdicts: simcache.New[*decision]()}
 }
 
+// verdictLog is the file, in a disk cache's directory, that holds every
+// verdict as a record: a rerun reads it once instead of a file per trial.
+const verdictLog = "verdicts.log"
+
 // NewDiskSimCache returns a simulation cache persisted under dir, so a
 // later process skips every simulation, and every decision, this one ran.
-// Results and verdicts are separate entries in the one directory tree.
+// Each result is an entry file of its own; the verdicts are records of
+// one log in dir, read on the first verdict asked for, not here.
 func NewDiskSimCache(dir string) (*SimCache, error) {
 	results, err := simcache.NewDisk(dir, simcache.Codec[*trial]{
 		Encode: func(t *trial) []byte { return encodeResult(t.res) },
@@ -102,7 +109,7 @@ func NewDiskSimCache(dir string) (*SimCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	verdicts, err := simcache.NewDisk(dir, simcache.Codec[*decision]{
+	verdicts, err := simcache.NewLog(filepath.Join(dir, verdictLog), simcache.Codec[*decision]{
 		Encode: encodeVerdictEntry,
 		Decode: func(b []byte) (*decision, error) {
 			v, err := decodeVerdictEntry(b)
@@ -120,11 +127,18 @@ func NewDiskSimCache(dir string) (*SimCache, error) {
 
 // cacheKeys fills spec and returns the keys of its result and of its
 // verdict. Filling canonicalizes before keying: defaulted == spelled out.
+// The spec is encoded on the stack: 114 bytes plus its two strings, so
+// only a spec whose strings exceed specBufSize between them reaches the
+// heap.
 func cacheKeys(spec *SimSpec) (rkey, vkey simcache.Key) {
 	spec.fill()
-	rkey = simcache.KeyOf(simCacheSchema, appendSpec(nil, spec))
+	var buf [specBufSize]byte
+	rkey = simcache.KeyOf(simCacheSchema, appendSpec(buf[:0], spec))
 	return rkey, verdictKey(rkey)
 }
+
+// specBufSize is cacheKeys's stack buffer for a spec's encoding.
+const specBufSize = 256
 
 // verdictKey addresses the verdict on the result under rkey. A
 // simCacheSchema bump moves rkey, so it orphans the verdicts with the

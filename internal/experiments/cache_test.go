@@ -15,6 +15,7 @@ import (
 	"time"
 
 	wehey "github.com/nal-epfl/wehey"
+	"github.com/nal-epfl/wehey/internal/framing"
 	"github.com/nal-epfl/wehey/internal/measure"
 	"github.com/nal-epfl/wehey/internal/simcache"
 )
@@ -35,6 +36,27 @@ func TestSimCacheSchemaGuards(t *testing.T) {
 		// Not an error — just force the author of a bump to also refresh
 		// the two counts above deliberately.
 		t.Log("simCacheSchema bumped; confirm the field counts in this test were revisited")
+	}
+}
+
+// TestCacheKeysEncodeOnTheStack: cacheKeys keys a spec by KeyOf over
+// appendSpec's encoding, byte for byte, whether the encoding fits its
+// stack buffer or not, and keying a spec that fits allocates nothing.
+func TestCacheKeysEncodeOnTheStack(t *testing.T) {
+	for _, spec := range []SimSpec{
+		{App: TCPBulkApp, Seed: 7},
+		{App: "zoom", BackgroundMode: BgModeFluid, Placement: LimiterNonCommon, Seed: 1},
+		{App: strings.Repeat("x", specBufSize), Seed: 2},
+	} {
+		rkey, vkey := cacheKeys(&spec)
+		want := simcache.KeyOf(simCacheSchema, appendSpec(nil, &spec))
+		if rkey != want || vkey != simcache.KeyOf(verdictStamp, want.Bytes()) {
+			t.Errorf("%.12s: keys %s %s, want %s and its verdict's", spec.App, rkey, vkey, want)
+		}
+	}
+	spec := SimSpec{App: TCPBulkApp, Seed: 7}
+	if n := testing.AllocsPerRun(100, func() { cacheKeys(&spec) }); n != 0 {
+		t.Errorf("cacheKeys allocates %v times per spec, want 0", n)
 	}
 }
 
@@ -297,6 +319,16 @@ func entryFile(tb testing.TB, dir string, key simcache.Key) string {
 	return found[0]
 }
 
+// verdictLogImage is a verdict log holding one record per value, each
+// under key: the log's magic, then a frame of the key and the value.
+func verdictLogImage(key simcache.Key, values ...[]byte) []byte {
+	raw := []byte("WHYSIML1")
+	for _, v := range values {
+		raw = framing.Append(raw, append(key.Bytes(), v...))
+	}
+	return raw
+}
+
 // countEntries counts the files under dir.
 func countEntries(tb testing.TB, dir string) int {
 	tb.Helper()
@@ -371,12 +403,22 @@ func TestDiskSimCacheServesExactResult(t *testing.T) {
 		}
 	}
 
-	// Flip a byte of the result's entry (the trial's other entry is its
-	// verdict): the next cache must recompute the identical result.
+	// The directory holds the result's entry and the verdict log, which
+	// holds exactly the trial's verdict record.
 	if n := countEntries(t, dir); n != 2 {
-		t.Fatalf("want 2 cache entries (result and verdict), have %d", n)
+		t.Fatalf("want 2 files (the result's entry and the verdict log), have %d", n)
 	}
-	rkey, _ := cacheKeys(&spec)
+	rkey, vkey := cacheKeys(&spec)
+	v, err := decide(&truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, verdictLog)); err != nil || !bytes.Equal(raw, verdictLogImage(vkey, encodeVerdictEntry(&decision{v: v}))) {
+		t.Fatalf("the verdict log is not the trial's one record (err %v):\n% x", err, raw)
+	}
+
+	// Flip a byte of the result's entry: the next cache must recompute the
+	// identical result.
 	entry := entryFile(t, dir, rkey)
 	raw, err := os.ReadFile(entry)
 	if err != nil {
@@ -477,7 +519,7 @@ func TestCacheModesRenderByteIdentically(t *testing.T) {
 // TestLocalizeDecidesOnce: a verdict memoized in the cache is the one a
 // cache-less Config decides afresh — on the deciding call and on the
 // repeat, for concurrent callers, and from a fresh disk cache, which reads
-// it back from the verdict's entry instead of deciding.
+// it back from the verdict's record instead of deciding.
 func TestLocalizeDecidesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -540,7 +582,7 @@ func TestLocalizeDecidesOnce(t *testing.T) {
 	}
 
 	// A fresh disk cache over a populated directory reads the verdict back
-	// from its own entry: bit-equal, and nothing decided again. A trial of
+	// from its record: bit-equal, and nothing decided again. A trial of
 	// the same spec then reads the result's entry too (a second disk hit)
 	// and takes the verdict already in memory (a hit).
 	dir := t.TempDir()
@@ -571,11 +613,13 @@ func TestLocalizeDecidesOnce(t *testing.T) {
 	}
 }
 
-// TestVerdictEntryStandsAlone: a rerun's Localize reads the verdict's
-// entry and nothing else, so it answers with the result's entry gone; a
-// damaged verdict entry is corrupt, deleted, and decided again from the
-// result's entry, never simulated; and a missing one (what a verdictStamp
-// bump leaves) is decided again once and stored for the next process.
+// TestVerdictEntryStandsAlone: a rerun's Localize reads the verdict log
+// and nothing else, so it answers with the result's entry gone; a damaged
+// or undecodable verdict record is corrupt and decided again from the
+// result's entry, never simulated; and a missing log (what a directory
+// filled before the log, or a verdictStamp bump, leaves) has each verdict
+// decided again once and stored for the next process. Each repair leaves
+// the log holding exactly the records it should.
 func TestVerdictEntryStandsAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -586,9 +630,10 @@ func TestVerdictEntryStandsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rkey, vkey := cacheKeys(&spec)
-	populate := func(t *testing.T) string {
+	value := encodeVerdictEntry(&decision{v: fresh})
+	populate := func(t *testing.T) (dir, log string) {
 		t.Helper()
-		dir := t.TempDir()
+		dir = t.TempDir()
 		cold, err := NewDiskSimCache(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -596,11 +641,11 @@ func TestVerdictEntryStandsAlone(t *testing.T) {
 		if _, err := (Config{Cache: cold}).Localize(spec); err != nil {
 			t.Fatal(err)
 		}
-		return dir
+		return dir, filepath.Join(dir, verdictLog)
 	}
 	// rerun opens a fresh cache over dir, localizes spec and checks the
-	// verdict and the counters.
-	rerun := func(t *testing.T, dir string, want simcache.Stats, decided int64) simcache.Stats {
+	// verdict, the counters and what the log then holds.
+	rerun := func(t *testing.T, dir string, want simcache.Stats, decided int64, log []byte) simcache.Stats {
 		t.Helper()
 		sc, err := NewDiskSimCache(dir)
 		if err != nil {
@@ -614,39 +659,52 @@ func TestVerdictEntryStandsAlone(t *testing.T) {
 		if st.Hits != want.Hits || st.DiskHits != want.DiskHits || st.Misses != want.Misses || st.Corrupt != want.Corrupt || sc.Decided() != decided {
 			t.Fatalf("stats %+v, decided %d: want %+v, decided %d", st, sc.Decided(), want, decided)
 		}
+		if raw, err := os.ReadFile(filepath.Join(dir, verdictLog)); err != nil || !bytes.Equal(raw, log) {
+			t.Fatalf("the verdict log afterwards (err %v):\n% x\nwant\n% x", err, raw, log)
+		}
 		return st
 	}
+	one := verdictLogImage(vkey, value)
 
 	t.Run("result entry gone", func(t *testing.T) {
-		dir := populate(t)
+		dir, _ := populate(t)
 		if err := os.Remove(entryFile(t, dir, rkey)); err != nil {
 			t.Fatal(err)
 		}
-		if st := rerun(t, dir, simcache.Stats{DiskHits: 1}, 0); st.BytesRead >= 1024 {
-			t.Errorf("a verdict read %d bytes, want under 1 KiB", st.BytesRead)
+		if st := rerun(t, dir, simcache.Stats{DiskHits: 1}, 0, one); st.BytesRead != int64(len(value)) {
+			t.Errorf("a verdict read %d bytes, want the record's value, %d", st.BytesRead, len(value))
 		}
 	})
 	t.Run("verdict entry flipped", func(t *testing.T) {
-		dir := populate(t)
-		path := entryFile(t, dir, vkey)
-		raw, err := os.ReadFile(path)
+		dir, log := populate(t)
+		raw, err := os.ReadFile(log)
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw[len(raw)-1] ^= 0x01
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		if err := os.WriteFile(log, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rerun(t, dir, simcache.Stats{DiskHits: 1, Corrupt: 1}, 1)
-		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0) // the entry was rewritten
+		rerun(t, dir, simcache.Stats{DiskHits: 1, Corrupt: 1}, 1, one) // the log was cut to its magic, then appended to
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0, one)
+	})
+	t.Run("verdict entry under another stamp", func(t *testing.T) {
+		dir, log := populate(t)
+		foreign := appendVerdictEntry(nil, foreignStamp, &fresh)
+		if err := os.WriteFile(log, verdictLogImage(vkey, foreign), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		both := verdictLogImage(vkey, foreign, value)
+		rerun(t, dir, simcache.Stats{DiskHits: 1, Corrupt: 1}, 1, both)
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0, both) // the last record of a key wins
 	})
 	t.Run("verdict entry gone", func(t *testing.T) {
-		dir := populate(t)
-		if err := os.Remove(entryFile(t, dir, vkey)); err != nil {
+		dir, log := populate(t)
+		if err := os.Remove(log); err != nil {
 			t.Fatal(err)
 		}
-		rerun(t, dir, simcache.Stats{DiskHits: 1}, 1)
-		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0)
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 1, one)
+		rerun(t, dir, simcache.Stats{DiskHits: 1}, 0, one)
 	})
 }
 

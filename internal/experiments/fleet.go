@@ -44,7 +44,7 @@ type SimVerdict struct {
 // function of the spec and exactly the one the service's sim backend
 // reports. Through a cache it is decided once per entry and shared
 // (SimCache): a repeated spec costs one cache hit, and a rerun off the
-// disk reads the verdict's entry alone.
+// disk reads the verdict's record alone.
 func (c Config) Localize(spec SimSpec) (wehey.Verdict, error) {
 	if c.Cache == nil {
 		return c.trial(spec).verdict()

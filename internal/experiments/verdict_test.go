@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +19,7 @@ import (
 
 	wehey "github.com/nal-epfl/wehey"
 	"github.com/nal-epfl/wehey/internal/measure"
+	"github.com/nal-epfl/wehey/internal/simcache"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/verdict.golden (refused unless verdictStamp changed)")
@@ -208,4 +211,88 @@ func sameVerdict(a, b wehey.Verdict) bool {
 	ea, eb := appendVerdictEntry(nil, verdictStamp, &a), appendVerdictEntry(nil, verdictStamp, &b)
 	a.Detail.LossTrend, b.Detail.LossTrend = nil, nil
 	return bytes.Equal(ea, eb) && reflect.DeepEqual(a, b)
+}
+
+// FuzzVerdictLog puts arbitrary bytes in a disk cache's verdict log and
+// asks for the verdict under every key a record of it names, and one it
+// names nowhere. Nothing panics; a verdict is served exactly when the last
+// record of its key in the log's valid prefix decodes, and it re-encodes
+// to that record's value byte for byte; every other key is decided again.
+// The valid prefix is the test's own statement of the layout: the magic,
+// then frames of an 8-byte length, the SHA-256 and a payload of a key and
+// a value, up to the first frame that is short, fails its checksum or
+// holds no key.
+func FuzzVerdictLog(f *testing.F) {
+	corpus := verdictCorpus()
+	var values [][]byte
+	for _, c := range []verdictCase{corpus[0], corpus[len(corpus)-1]} { // the last has NaN ρ
+		v := decided(f, c)
+		values = append(values, appendVerdictEntry(nil, verdictStamp, &v))
+	}
+	k0, k1 := verdictKey(simcache.KeyOf(simCacheSchema, []byte{0})), verdictKey(simcache.KeyOf(simCacheSchema, []byte{1}))
+	two := append(verdictLogImage(k0, values[0]), verdictLogImage(k1, values[1])[8:]...)
+	f.Add([]byte{})
+	f.Add(two)
+	f.Add(two[:len(two)-1])
+	f.Add(verdictLogImage(k0, appendVerdictEntry(nil, foreignStamp, &wehey.Verdict{}), values[0]))
+	f.Add(verdictLogImage(k0, values[1], values[0][:len(values[0])-1]))
+
+	notServed := &decision{err: errors.New("decided again")}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, verdictLog), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		last := map[simcache.Key][]byte{}
+		var keys []simcache.Key
+		rest, torn := raw, len(raw) > 0
+		if bytes.HasPrefix(raw, []byte("WHYSIML1")) {
+			rest = raw[8:]
+			for len(rest) >= 8+sha256.Size {
+				n := binary.LittleEndian.Uint64(rest)
+				if n > uint64(len(rest)-8-sha256.Size) || n < uint64(len(simcache.Key{})) {
+					break
+				}
+				payload := rest[8+sha256.Size : 8+sha256.Size+int(n)]
+				if sha256.Sum256(payload) != [sha256.Size]byte(rest[8:]) {
+					break
+				}
+				k := simcache.Key(payload)
+				if _, seen := last[k]; !seen {
+					keys = append(keys, k)
+				}
+				last[k] = payload[len(k):]
+				rest = rest[8+sha256.Size+int(n):]
+			}
+			torn = len(rest) > 0
+		}
+		sc, err := NewDiskSimCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var undecodable int64
+		for _, k := range append(keys, verdictKey(simcache.KeyOf(simCacheSchema, []byte("absent")))) {
+			got := sc.verdicts.Get(k, func() *decision { return notServed })
+			value, ok := last[k]
+			if _, err := decodeVerdictEntry(value); ok && err == nil {
+				if got == notServed || !bytes.Equal(encodeVerdictEntry(got), value) {
+					t.Fatalf("key %s: the record's value\n% x\nwas not served as itself", k, value)
+				}
+				continue
+			}
+			if got != notServed {
+				t.Fatalf("key %s: a verdict was served without a decodable record", k)
+			}
+			if ok {
+				undecodable++
+			}
+		}
+		corrupt := undecodable
+		if torn {
+			corrupt++ // the read counts a torn tail once
+		}
+		if st := sc.Stats(); st.Corrupt != corrupt || st.ReadErrors != 0 || st.WriteErrors != 0 {
+			t.Fatalf("stats %+v: want %d undecodable records, torn tail %v", st, undecodable, torn)
+		}
+	})
 }

@@ -75,6 +75,33 @@ func BenchmarkUDPReplayTrial(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkTCPStep is the TCP flow on its own: one paced Reno sender over
+// one 10 Mbit/s link with 20 ms of propagation, into its receiver, its
+// ACKs back over the loss-free 20 ms return path — no limiter, no
+// background traffic. An op is one new segment: the flow sends b.N of
+// them and the run ends when the last is acknowledged. The link's 250 ms
+// tail-drop queue makes the flow cycle through slow start, loss inference,
+// retransmission and window cuts, so every sender path is timed.
+func BenchmarkTCPStep(b *testing.B) {
+	const mss = 1400
+	var eng Engine
+	var recv Hop
+	link := NewLink(&eng, "l", 10e6, 20*time.Millisecond, HopFunc(func(pkt *Packet) { recv.Send(pkt) }))
+	flow := NewTCPFlow(&eng, 1, TCPConfig{MSS: mss, Pacing: true, Class: ClassDifferentiated, Bytes: int64(b.N) * mss}, link, 20*time.Millisecond)
+	recv = flow.Receiver()
+	flow.Start(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := eng.Run(1 << 62)
+	b.StopTimer()
+	if len(flow.Delivered) != b.N || flow.DeliveredBytes() != int64(b.N)*mss {
+		b.Fatalf("%d segments delivered, want %d", len(flow.Delivered), b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/segment")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(flow.RtxCount)/float64(b.N), "rtx/segment")
+}
+
 // cbrSource offers left packets of size bytes, one every gap, to next.
 type cbrSource struct {
 	eng  *Engine

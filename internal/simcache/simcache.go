@@ -11,14 +11,19 @@
 // value (including any backing slices and maps) to every requester of a
 // key.
 //
+// A disk layer is either one file per entry (NewDisk), for large entries
+// read one at a time, or one append-only log of records (NewLog), for
+// small entries a process reads many of: the log is read whole on the
+// first probe.
+//
 // Invalidation is by key derivation, not by scanning: the schema stamp
 // participates in the key hash (KeyOf), so bumping the stamp orphans
 // every existing entry — a version mismatch is indistinguishable from a
 // miss. Corrupt or truncated disk entries are detected by checksum and
-// likewise degrade to a miss (and are deleted), never to a panic or a
-// wrong result. An entry that cannot be opened or read right now (EMFILE,
-// EACCES, EIO) is a miss too, but it is left alone: only bytes that were
-// read and found bad are deleted.
+// likewise degrade to a miss (an entry file is deleted, a log record
+// superseded), never to a panic or a wrong result. An entry that cannot be
+// opened or read right now (EMFILE, EACCES, EIO) is a miss too, but it is
+// left alone: only bytes that were read and found bad are deleted.
 package simcache
 
 import (
@@ -85,7 +90,8 @@ type Stats struct {
 	// Misses counts computations actually executed.
 	Misses int64
 	// Corrupt counts disk entries that were truncated, checksum-mismatched,
-	// or undecodable; each was deleted and treated as a miss.
+	// or undecodable, each treated as a miss — an entry file is deleted, a
+	// log record superseded — and logs read with a torn or damaged tail.
 	Corrupt int64
 	// BytesRead and BytesWritten count disk-layer payload traffic.
 	BytesRead    int64
@@ -93,9 +99,9 @@ type Stats struct {
 	// WriteErrors counts failed disk writes (non-fatal: the result is
 	// still returned, it just isn't persisted).
 	WriteErrors int64
-	// ReadErrors counts entries that exist but could not be opened or read
-	// (non-fatal: the result is computed instead, and the entry is neither
-	// deleted nor overwritten).
+	// ReadErrors counts entry files, or logs, that exist but could not be
+	// opened or read (non-fatal: the result is computed instead, and the
+	// file is neither deleted nor overwritten).
 	ReadErrors int64
 }
 
@@ -118,10 +124,11 @@ func (s Stats) String() string {
 }
 
 // Cache is a content-addressed memoization table for one value type.
-// The zero value is not usable; construct with New or NewDisk.
+// The zero value is not usable; construct with New, NewDisk or NewLog.
 type Cache[V any] struct {
-	dir   string // "" = memory only
-	fsys  framing.FS
+	fsys  framing.FS // nil = memory only
+	dir   string     // one file per entry under dir, or
+	log   *entryLog  // every entry a record of one file
 	codec Codec[V]
 
 	mu      sync.Mutex
@@ -302,8 +309,11 @@ var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // counts as a read error and is left in place.
 func (c *Cache[V]) loadDisk(key Key) (V, diskProbe) {
 	var zero V
-	if c.dir == "" {
+	if c.fsys == nil {
 		return zero, diskMiss
+	}
+	if c.log != nil {
+		return c.loadLog(key)
 	}
 	path := c.entryPath(key)
 	buf := readBufs.Get().(*bytes.Buffer)
@@ -340,19 +350,26 @@ func (c *Cache[V]) dropCorrupt(path string) {
 // storeDisk persists a computed value. Failures are counted, not fatal:
 // the caller already has the value.
 func (c *Cache[V]) storeDisk(key Key, v V) {
-	if c.dir == "" {
+	if c.fsys == nil {
 		return
 	}
 	payload := c.codec.Encode(v)
 	if payload == nil {
 		return // the codec keeps this value off the disk
 	}
-	buf := make([]byte, 0, len(entryMagic)+framing.HeaderSize+len(payload))
-	buf = framing.Append(append(buf, entryMagic...), payload)
-	// Replacing the entry whole keeps concurrent processes (two cold runs
-	// sharing a directory) from observing a torn one. It is not fsynced: a
-	// power loss can tear an entry, and the checksum turns that into a miss.
-	if err := framing.Replace(c.fsys, c.entryPath(key), buf, false); err != nil {
+	var err error
+	if c.log != nil {
+		err = c.appendLog(key, payload)
+	} else {
+		buf := make([]byte, 0, len(entryMagic)+framing.HeaderSize+len(payload))
+		buf = framing.Append(append(buf, entryMagic...), payload)
+		// Replacing the entry whole keeps concurrent processes (two cold
+		// runs sharing a directory) from observing a torn one. It is not
+		// fsynced: a power loss can tear an entry, and the checksum turns
+		// that into a miss.
+		err = framing.Replace(c.fsys, c.entryPath(key), buf, false)
+	}
+	if err != nil {
 		c.wErrors.Add(1)
 		return
 	}
