@@ -153,3 +153,33 @@ func BenchmarkTBFStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFluidStep is the fluid integrator on its own: one FluidQueue, a
+// 2 Mbit/s token bucket with a 60 KB queue, fed by one FluidBackground
+// whose rate walks around 1.2× the bucket's rate — no packets, no link,
+// no downstream queue. An op is one modulation step: the walk's draw, the
+// queue integrated in closed form to the step and its inflow set anew.
+// The walk spans 0.48–1.92× the rate, so steps land in every phase: tokens
+// filling and burning, the queue filling, draining and overflowing.
+func BenchmarkFluidStep(b *testing.B) {
+	const rate = 2e6
+	const period = 200 * time.Millisecond
+	var eng Engine
+	q := newFluidQueue(&eng, rate, float64(BurstForRTT(rate, 20*time.Millisecond)), 60000)
+	src, err := NewFluidBackground(&eng, BackgroundConfig{
+		MeanRate: 1.2 * rate, DiffFraction: 1, ModPeriod: period, Stop: time.Duration(b.N) * period,
+	}, rand.New(rand.NewSource(1)), q, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.Start(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := eng.Run(1 << 62)
+	b.StopTimer()
+	if src.Events < int64(b.N) {
+		b.Fatalf("%d rate steps, want at least %d", src.Events, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}

@@ -363,7 +363,7 @@ func (s *Scenario) FluidEntry(i int) *FluidQueue {
 func (s *Scenario) FinishFluid(at time.Duration) {
 	for _, nf := range s.fluidHops {
 		st := nf.q.Stats(at)
-		if n := int(st.DroppedBytes / meanBgPacketSize()); n > 0 {
+		if n := int(st.DroppedBytes / meanBgPacketSize); n > 0 {
 			s.DropLog[nf.name] += n
 		}
 	}

@@ -86,8 +86,7 @@ type TCPFlow struct {
 	lastAckAt   time.Duration
 	rtoArmed    bool
 	rtoGen      uint64
-	outstanding ring[*tcpPktState]
-	bySeq       map[int64]*tcpPktState
+	outstanding ring[*tcpPktState] // sent, not yet acked at the front: dense in seq
 	rtxQueue    ring[int64]
 	stPool      []*tcpPktState // recycled packet-state records
 	sendIdx     uint64
@@ -145,7 +144,6 @@ func NewTCPFlow(eng *Engine, id int, cfg TCPConfig, fwd Hop, backDelay time.Dura
 		ssthresh: math.Inf(1),
 		rto:      time.Second,
 		srtt:     cfg.InitRTTGuess,
-		bySeq:    make(map[int64]*tcpPktState),
 	}
 	if cfg.CC == BBR {
 		f.bbr = &bbrState{}
@@ -278,7 +276,7 @@ func (f *TCPFlow) currentRTT() time.Duration {
 func (f *TCPFlow) popRtx() *tcpPktState {
 	for f.rtxQueue.Len() > 0 {
 		seq := f.rtxQueue.Pop()
-		if st := f.bySeq[seq]; st != nil && !st.acked && st.lost {
+		if st := f.state(seq); st != nil && !st.acked && st.lost {
 			return st
 		}
 	}
@@ -310,7 +308,6 @@ func (f *TCPFlow) sendOne() bool {
 		} else {
 			st = &tcpPktState{seq: seq}
 		}
-		f.bySeq[seq] = st
 		f.outstanding.Push(st)
 	}
 	now := f.eng.Now()
@@ -413,7 +410,7 @@ const maxRTO = 4 * time.Second
 
 // onAck processes the ACK for seq arriving back at the sender.
 func (f *TCPFlow) onAck(seq int64, echoRtx int) {
-	st := f.bySeq[seq]
+	st := f.state(seq)
 	if st == nil || st.acked {
 		return
 	}
@@ -490,14 +487,25 @@ func (f *TCPFlow) addRTTSample(rtt time.Duration) {
 	}
 }
 
+// state returns the outstanding packet state of seq, nil once it has left
+// outstanding (or before it was sent). Segments are pushed in seq order
+// and popped only from the front, so outstanding holds one run of
+// consecutive seqs and seq's state is at its offset from the front.
+func (f *TCPFlow) state(seq int64) *tcpPktState {
+	if n := f.outstanding.Len(); n > 0 {
+		if i := seq - f.outstanding.Front().seq; 0 <= i && i < int64(n) {
+			return f.outstanding.At(int(i))
+		}
+	}
+	return nil
+}
+
 // compactOutstanding drops fully-acked prefix entries and recycles their
-// state records. Safe to pool: once a state leaves bySeq, stale rtxQueue
-// entries for its seq can no longer resolve to it.
+// state records. Safe to pool: once a state leaves outstanding, stale
+// rtxQueue entries for its seq can no longer resolve to it.
 func (f *TCPFlow) compactOutstanding() {
 	for f.outstanding.Len() > 0 && f.outstanding.Front().acked {
-		st := f.outstanding.Pop()
-		delete(f.bySeq, st.seq)
-		f.stPool = append(f.stPool, st)
+		f.stPool = append(f.stPool, f.outstanding.Pop())
 	}
 }
 

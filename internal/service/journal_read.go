@@ -52,11 +52,15 @@ func readRecords(raw []byte) (recs []record, good int) {
 	recs = make([]record, frames)
 
 	// decode verifies and decodes frames [lo, hi) and returns the index
-	// of the first one that fails, hi if none does.
+	// of the first one that fails, hi if none does. One decoder reads the
+	// whole chunk, so its records share the vocabulary strings and the
+	// slabs it keeps; no other goroutine sees that state.
 	decode := func(lo, hi int) int {
+		d := wireDec{ck: newChunkState()}
 		for i := lo; i < hi; i++ {
 			payload, ok := framing.Payload(body[off[i]:off[i+1]])
-			if !ok || unmarshalRecord(payload, &recs[i]) != nil {
+			d.ck.left = hi - i
+			if !ok || d.record(payload, &recs[i]) != nil {
 				return i
 			}
 		}

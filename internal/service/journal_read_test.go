@@ -77,6 +77,37 @@ func checkAgainstOracle(t *testing.T, raw []byte) {
 			t.Fatalf("record %d = %+v, oracle %+v", i, got[i], want[i])
 		}
 	}
+	// DeepEqual cannot see two records share a nested struct: a decoder
+	// handing one slab slot out twice would pass it.
+	owner := map[any]int{}
+	for i := range got {
+		for _, p := range nested(&got[i]) {
+			if j, taken := owner[p]; taken {
+				t.Fatalf("records %d and %d share one %T", j, i, p)
+			}
+			owner[p] = i
+		}
+	}
+}
+
+// nested returns r's non-nil nested pointers.
+func nested(r *record) (ps []any) {
+	if r.Result != nil {
+		ps = append(ps, r.Result)
+	}
+	if s := r.Spec; s != nil {
+		ps = append(ps, s)
+		if s.Sim != nil {
+			ps = append(ps, s.Sim)
+		}
+		if s.Testbed != nil {
+			ps = append(ps, s.Testbed)
+		}
+		if s.Fleet != nil {
+			ps = append(ps, s.Fleet)
+		}
+	}
+	return ps
 }
 
 // framedJournal is a journal image of the given payloads, with the
@@ -160,10 +191,46 @@ func FuzzReadJournal(f *testing.F) {
 		f.Add(body(one))
 	}
 	f.Add(body(all))
+	// Mid-chunk records that are valid JSON outside the codec's language —
+	// a space before the last brace, \u escapes — each declined after the
+	// codec has filled part of it, then records of the same vocabulary
+	// that leave those parts out: nothing of a declined record may reach
+	// the next one.
+	declined, _ := framedJournal(small[0],
+		[]byte(`{"op":"submit","id":"j000009","seq":9,"spec":{"backend":"sim","priority":3,"server_pair":"site-1","seed":1,"sim":{"app":"zoom","input_factor":2.5,"placement":"common","duration":12000000000},"fleet":{"campaign":"replay","session":9,"isp":9,"server":1}} }`),
+		[]byte(`{"op":"submit","id":"j000010","seq":10,"spec":{"backend":"sim","seed":2,"sim":{"app":"zoom"},"fleet":{"campaign":"replay","session":10}}}`),
+		[]byte(`{"op":"done","id":"j000001","result":{"detail":"first","backend":"sim","wehe_detected":true,"confirmed":true,"localized_to_isp":true,"evidence":"lo\u0073s","loss_rates":[0.5,0.25]}}`),
+		[]byte(`{"op":"d\u006fne","id":"j000010","result":{"backend":"sim","wehe_detected":false,"confirmed":false,"localized_to_isp":false,"evidence":"loss","loss_rates":[0,0]}}`),
+		[]byte(`{"op":"done","id":"j000009","result":{"backend":"sim","wehe_detected":false,"confirmed":false,"localized_to_isp":false,"evidence":"loss","loss_rates":[0,0]}}`),
+		small[2])
+	f.Add(body(declined))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkAgainstOracle(t, append([]byte(journalMagic), b...))
 	})
+}
+
+// TestJournalReplayAllocs pins the reader's allocations per record: the
+// ID string of each, a few slabs and vocabulary strings per chunk, and
+// nothing for the nested structs or the shared strings a record holds.
+// The reader that allocated each of those on its own took 7.5.
+func TestJournalReplayAllocs(t *testing.T) {
+	payloads := campaignPayloads(t, 2000)
+	raw, _ := framedJournal(payloads...)
+	const perRecord = 1.05
+	for _, procs := range []int{1, fuzzProcs} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			n := testing.AllocsPerRun(5, func() {
+				if recs, _ := readRecords(raw); len(recs) != len(payloads) {
+					t.Fatalf("read %d records, want %d", len(recs), len(payloads))
+				}
+			})
+			if got := n / float64(len(payloads)); got > perRecord {
+				t.Errorf("procs=%d: %.3f allocations per record, at most %.2f", procs, got, perRecord)
+			}
+		}()
+	}
 }
 
 // TestReadJournalWorkerCounts: whatever the number of workers, recovery

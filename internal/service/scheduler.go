@@ -200,10 +200,12 @@ func (s *Scheduler) replay(records []record) {
 	if n := len(jobs); n > 0 {
 		s.nextSeq = jobs[n-1].submit.Seq // jobs are in Seq order
 		s.bySeq = make([]*job, s.nextSeq)
+		s.jobs = make(map[string]*job, n)
 	}
-	for _, jj := range jobs {
+	all := make([]job, len(jobs)) // one allocation for every recovered job
+	for i, jj := range jobs {
 		snap := jj.snapshot()
-		j := newJob(snap.ID, snap.Seq, snap.Spec, now)
+		j := newJob(&all[i], snap.ID, snap.Seq, snap.Spec, now)
 		j.Resumed, j.durable = true, true
 		j.State, j.Result, j.Error = snap.State, snap.Result, snap.Error
 		s.jobs[j.ID] = j
@@ -222,9 +224,10 @@ func (s *Scheduler) replay(records []record) {
 	}
 }
 
-// newJob constructs the in-memory record for a submission.
-func newJob(id string, seq uint64, spec Spec, now time.Time) *job {
-	return &job{
+// newJob constructs the in-memory record for a submission in j and
+// returns j.
+func newJob(j *job, id string, seq uint64, spec Spec, now time.Time) *job {
+	*j = job{
 		Job: Job{
 			ID:          id,
 			Seq:         seq,
@@ -235,6 +238,7 @@ func newJob(id string, seq uint64, spec Spec, now time.Time) *job {
 		enqueuedAt: now,
 		heapIdx:    -1,
 	}
+	return j
 }
 
 // jitterRNG returns the job's seeded jitter generator, creating it on
@@ -370,7 +374,7 @@ func (s *Scheduler) SubmitBatch(specs []Spec) ([]Job, error) {
 	for i := range specs {
 		seq := first + uint64(i)
 		id := fmt.Sprintf("j%06d", seq)
-		js[i] = newJob(id, seq, specs[i], now)
+		js[i] = newJob(new(job), id, seq, specs[i], now)
 		recs[i] = record{Op: recSubmit, ID: id, Seq: seq, Spec: &specs[i]}
 	}
 	var frames []byte

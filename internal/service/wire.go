@@ -331,11 +331,78 @@ func appendWire(b []byte, v any) (out []byte, ok bool) {
 
 // wireDec reads JSON from p. bad is sticky: a reader that meets anything
 // outside the codec's language sets it and skips to the end of p, where
-// every reader fails.
+// every reader fails. ck is the journal reader's state for one chunk, nil
+// in every other decoder.
 type wireDec struct {
 	p   []byte
 	at  int
 	bad bool
+	ck  *chunkState
+}
+
+// chunkState is what the journal reader's decoder keeps from one record of
+// its chunk to the next (DESIGN.md §15): one copy of each vocabulary
+// string it has met, the first vocabCap of them, and the slabs the
+// records' nested structs are carved from. A chunk is thousands of records
+// that share a few dozen such strings and live as long as the replay; a
+// request body holds one spec or a few, so its decoder keeps nothing and
+// allocates as it always did.
+type chunkState struct {
+	vocab   map[string]string
+	left    int // records of the chunk not yet read: no slab is cut longer
+	specs   []Spec
+	sims    []SimJob
+	fleets  []FleetMeta
+	results []Result
+}
+
+// vocabCap bounds a chunk's vocabulary: past it, a string is copied for
+// each record, as without the table.
+const vocabCap = 256
+
+// slabLen is the most structs of one type a chunk cuts at once.
+const slabLen = 256
+
+func newChunkState() *chunkState { return &chunkState{vocab: make(map[string]string)} }
+
+// carve returns a zero T from the front of *slab, cutting a new slab when
+// it is empty. A slot is handed out once: a record that is then declined
+// abandons the slots it took, and encoding/json allocates its own.
+func carve[T any](slab *[]T, left int) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, min(max(left, 1), slabLen))
+	}
+	v := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return v
+}
+
+func (d *wireDec) newSpec() *Spec {
+	if d.ck == nil {
+		return new(Spec)
+	}
+	return carve(&d.ck.specs, d.ck.left)
+}
+
+func (d *wireDec) newSim() *SimJob {
+	if d.ck == nil {
+		return new(SimJob)
+	}
+	return carve(&d.ck.sims, d.ck.left)
+}
+
+func (d *wireDec) newFleet() *FleetMeta {
+	if d.ck == nil {
+		return new(FleetMeta)
+	}
+	return carve(&d.ck.fleets, d.ck.left)
+}
+
+func (d *wireDec) newResult() *Result {
+	if d.ck == nil {
+		return new(Result)
+	}
+	return carve(&d.ck.results, d.ck.left)
 }
 
 func (d *wireDec) fail() {
@@ -394,6 +461,28 @@ func (d *wireDec) str() string {
 		return string(q[1 : len(q)-1])
 	}
 	return ""
+}
+
+// name reads a string of the vocabulary: an op, a backend, a server
+// pair, an app, a placement, a campaign, an evidence class. A chunk's
+// decoder looks it up without copying it and copies it once.
+func (d *wireDec) name() string {
+	if d.ck == nil {
+		return d.str()
+	}
+	q := d.quoted()
+	if q == nil {
+		return ""
+	}
+	b := q[1 : len(q)-1]
+	if s, ok := d.ck.vocab[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(d.ck.vocab) < vocabCap {
+		d.ck.vocab[s] = s
+	}
+	return s
 }
 
 // digits consumes a run of decimal digits and reports whether there was
@@ -544,23 +633,23 @@ var jobFields = []field[Job]{
 }
 
 var specFields = []field[Spec]{
-	{"backend", func(d *wireDec, s *Spec) { s.Backend = d.str() }},
+	{"backend", func(d *wireDec, s *Spec) { s.Backend = d.name() }},
 	{"priority", func(d *wireDec, s *Spec) { s.Priority = d.int() }},
-	{"server_pair", func(d *wireDec, s *Spec) { s.ServerPair = d.str() }},
+	{"server_pair", func(d *wireDec, s *Spec) { s.ServerPair = d.name() }},
 	{"seed", func(d *wireDec, s *Spec) { s.Seed = d.int64() }},
 	{"deadline", func(d *wireDec, s *Spec) { s.Deadline = time.Duration(d.int64()) }},
 	{"max_attempts", func(d *wireDec, s *Spec) { s.MaxAttempts = d.int() }},
-	{"sim", func(d *wireDec, s *Spec) { s.Sim = new(SimJob); object(d, simFields, s.Sim) }},
+	{"sim", func(d *wireDec, s *Spec) { s.Sim = d.newSim(); object(d, simFields, s.Sim) }},
 	{"testbed", func(d *wireDec, s *Spec) { s.Testbed = new(TestbedJob); object(d, testbedFields, s.Testbed) }},
-	{"fleet", func(d *wireDec, s *Spec) { s.Fleet = new(FleetMeta); object(d, fleetFields, s.Fleet) }},
+	{"fleet", func(d *wireDec, s *Spec) { s.Fleet = d.newFleet(); object(d, fleetFields, s.Fleet) }},
 }
 
 var simFields = []field[SimJob]{
-	{"app", func(d *wireDec, s *SimJob) { s.App = d.str() }},
+	{"app", func(d *wireDec, s *SimJob) { s.App = d.name() }},
 	{"input_factor", func(d *wireDec, s *SimJob) { s.InputFactor = d.float() }},
 	{"queue_factor", func(d *wireDec, s *SimJob) { s.QueueFactor = d.float() }},
 	{"bg_share", func(d *wireDec, s *SimJob) { s.BgShare = d.float() }},
-	{"placement", func(d *wireDec, s *SimJob) { s.Placement = d.str() }},
+	{"placement", func(d *wireDec, s *SimJob) { s.Placement = d.name() }},
 	{"duration", func(d *wireDec, s *SimJob) { s.Duration = time.Duration(d.int64()) }},
 }
 
@@ -572,18 +661,18 @@ var testbedFields = []field[TestbedJob]{
 }
 
 var fleetFields = []field[FleetMeta]{
-	{"campaign", func(d *wireDec, f *FleetMeta) { f.Campaign = d.str() }},
+	{"campaign", func(d *wireDec, f *FleetMeta) { f.Campaign = d.name() }},
 	{"session", func(d *wireDec, f *FleetMeta) { f.Session = d.int() }},
 	{"isp", func(d *wireDec, f *FleetMeta) { f.ISP = d.int() }},
 	{"server", func(d *wireDec, f *FleetMeta) { f.Server = d.int() }},
 }
 
 var resultFields = []field[Result]{
-	{"backend", func(d *wireDec, r *Result) { r.Backend = d.str() }},
+	{"backend", func(d *wireDec, r *Result) { r.Backend = d.name() }},
 	{"wehe_detected", func(d *wireDec, r *Result) { r.WeHeDetected = d.bool() }},
 	{"confirmed", func(d *wireDec, r *Result) { r.Confirmed = d.bool() }},
 	{"localized_to_isp", func(d *wireDec, r *Result) { r.LocalizedToISP = d.bool() }},
-	{"evidence", func(d *wireDec, r *Result) { r.Evidence = d.str() }},
+	{"evidence", func(d *wireDec, r *Result) { r.Evidence = d.name() }},
 	{"loss_rates", func(d *wireDec, r *Result) {
 		d.need('[')
 		r.LossRates[0] = d.float()
@@ -595,11 +684,11 @@ var resultFields = []field[Result]{
 }
 
 var recordFields = []field[record]{
-	{"op", func(d *wireDec, r *record) { r.Op = recOp(d.str()) }},
+	{"op", func(d *wireDec, r *record) { r.Op = recOp(d.name()) }},
 	{"id", func(d *wireDec, r *record) { r.ID = d.str() }},
 	{"seq", func(d *wireDec, r *record) { r.Seq = d.uint() }},
-	{"spec", func(d *wireDec, r *record) { r.Spec = new(Spec); object(d, specFields, r.Spec) }},
-	{"result", func(d *wireDec, r *record) { r.Result = new(Result); object(d, resultFields, r.Result) }},
+	{"spec", func(d *wireDec, r *record) { r.Spec = d.newSpec(); object(d, specFields, r.Spec) }},
+	{"result", func(d *wireDec, r *record) { r.Result = d.newResult(); object(d, resultFields, r.Result) }},
 	{"error", func(d *wireDec, r *record) { r.Error = d.str() }},
 }
 
@@ -648,10 +737,11 @@ func array[T any](d *wireDec, fields []field[T]) []T {
 // language and all of the input.
 func (d *wireDec) whole() bool { return !d.bad && d.at == len(d.p) }
 
-// unmarshalRecord decodes one journal payload into r, a zero record.
-func unmarshalRecord(p []byte, r *record) error {
-	d := wireDec{p: p}
-	if object(&d, recordFields, r); d.whole() {
+// record decodes one journal payload into r, a zero record. The decoder
+// starts afresh: of the record before, only its chunk state is kept.
+func (d *wireDec) record(p []byte, r *record) error {
+	d.p, d.at, d.bad = p, 0, false
+	if object(d, recordFields, r); d.whole() {
 		return nil
 	}
 	*r = record{}

@@ -216,12 +216,13 @@ func checkDecode(t *testing.T, p []byte) (accepted int) {
 	var br BatchRequest
 	check(&br, new(BatchRequest), unmarshalWire(p, &br))
 
-	// A record has no declined outcome to observe: unmarshalRecord falls
-	// back itself, so it must simply agree with json.Unmarshal.
+	// A record has no declined outcome to observe: the journal reader's
+	// decoder falls back itself, so it must simply agree with
+	// json.Unmarshal.
 	var r, want record
-	err, wantErr := unmarshalRecord(p, &r), json.Unmarshal(p, &want)
+	err, wantErr := (&wireDec{ck: newChunkState()}).record(p, &r), json.Unmarshal(p, &want)
 	if (err == nil) != (wantErr == nil) || (err == nil && !reflect.DeepEqual(r, want)) {
-		t.Fatalf("unmarshalRecord(%q) = %+v, %v; json.Unmarshal %+v, %v", p, r, err, want, wantErr)
+		t.Fatalf("record(%q) = %+v, %v; json.Unmarshal %+v, %v", p, r, err, want, wantErr)
 	}
 	d := wireDec{p: p}
 	if object(&d, recordFields, new(record)); d.whole() {
@@ -436,6 +437,49 @@ func TestWireCoversEveryField(t *testing.T) {
 		t.Errorf("the codec declined its own encoding of a full record:\n%s", p)
 	} else if !reflect.DeepEqual(backRec, r) {
 		t.Errorf("record came back as %+v, want %+v", backRec, r)
+	}
+}
+
+// TestRequestDecodeAllocs pins what decoding one request body costs in
+// allocations: a POST /jobs body (one spec, which the codec declines to
+// encoding/json) and a batch of one spec. The journal reader's tables and
+// slabs stay out of a request's decoder; one that grew them would pay for
+// a chunk's worth of state on every session.
+func TestRequestDecodeAllocs(t *testing.T) {
+	spec := Spec{
+		Backend: BackendSim, ServerPair: "site-1", Seed: 3,
+		Sim:   &SimJob{App: "zoom", Duration: 12 * time.Second},
+		Fleet: &FleetMeta{Campaign: "serve", Session: 7, ISP: 2, Server: 1},
+	}
+	body, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(&BatchRequest{Specs: []Spec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	post := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		buf.Write(body)
+		buf.WriteByte('\n')
+		var got Spec
+		if err := decodeWire(&buf, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	one := testing.AllocsPerRun(100, func() {
+		var got BatchRequest
+		if !unmarshalWire(batch, &got) {
+			t.Fatal("the codec declined its own batch")
+		}
+	})
+	// The counts of the decoder before the journal reader kept any state.
+	const postAllocs, batchAllocs = 17, 9
+	if post > postAllocs || one > batchAllocs {
+		t.Errorf("POST /jobs body: %v allocations (at most %d); batch of one: %v (at most %d)",
+			post, postAllocs, one, batchAllocs)
 	}
 }
 
