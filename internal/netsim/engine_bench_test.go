@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,6 +17,9 @@ type holdSource struct {
 	eng  *Engine
 	left int
 	rnd  uint64
+	// offsets, when set, is a power-of-two table the intervals are drawn
+	// from; nil draws them uniformly from (0, 1 ms].
+	offsets []time.Duration
 }
 
 func (h *holdSource) handle(kind eventKind, _ uint64) {
@@ -28,20 +31,69 @@ func (h *holdSource) handle(kind eventKind, _ uint64) {
 	h.rnd ^= h.rnd << 13
 	h.rnd ^= h.rnd >> 7
 	h.rnd ^= h.rnd << 17
-	h.eng.afterCall(time.Duration(h.rnd%uint64(time.Millisecond))+1, h, kind, 0)
+	d := time.Duration(h.rnd%uint64(time.Millisecond)) + 1
+	if h.offsets != nil {
+		d = h.offsets[h.rnd&uint64(len(h.offsets)-1)]
+	}
+	h.eng.afterCall(d, h, kind, 0)
+}
+
+// newHold queues depth events of a hold source, the i-th at time i*gap.
+func newHold(eng *Engine, depth int, gap time.Duration, offsets []time.Duration) *holdSource {
+	h := &holdSource{eng: eng, rnd: 88172645463325252, offsets: offsets}
+	for i := 0; i < depth; i++ {
+		eng.scheduleCall(time.Duration(i)*gap, h, evTBFDrain, 0)
+	}
+	return h
+}
+
+// trialOffsets is a table of 4096 successor intervals drawn from the mix a
+// paper_cold trial pushes: 4 % at the current instant, 0.6 % log-uniform
+// between 67 ms and 1 s (beyond the ring), the rest log-uniform between
+// 30 µs and 67 ms.
+func trialOffsets() []time.Duration {
+	rng := rand.New(rand.NewSource(1))
+	logUniform := func(lo, hi time.Duration) time.Duration {
+		return time.Duration(float64(lo) * math.Pow(float64(hi)/float64(lo), rng.Float64()))
+	}
+	out := make([]time.Duration, 4096)
+	for i := range out {
+		switch u := rng.Float64(); {
+		case u < 0.04:
+		case u < 0.046:
+			out[i] = logUniform(67*time.Millisecond, time.Second)
+		default:
+			out[i] = logUniform(30*time.Microsecond, 67*time.Millisecond)
+		}
+	}
+	return out
 }
 
 // BenchmarkEngineHold measures one pop + one push at a steady queue depth.
-// Depth 64 is what a trial holds now that replays are stream-backed, 32768
-// what the eager per-packet preload used to build (DESIGN.md §8).
+// Over one round of the paper_cold design a trial's queue holds 98 entries
+// at the median (p90 179, max 406) now that replays are stream-backed;
+// 32768 is what the eager per-packet preload used to build (DESIGN.md §8).
+// The depth=N cases draw intervals uniformly from (0, 1 ms]; mix=trial
+// draws them from the trial's own mix at about its median depth, so each
+// tier of the queue is used as a trial uses it; instant holds 4096 keys at
+// one time, every successor pushed at the current instant.
 func BenchmarkEngineHold(b *testing.B) {
-	for _, depth := range []int{64, 4096, 32768} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+	cases := []struct {
+		name    string
+		depth   int
+		gap     time.Duration
+		offsets []time.Duration
+	}{
+		{"depth=64", 64, 1, nil},
+		{"depth=4096", 4096, 1, nil},
+		{"depth=32768", 32768, 1, nil},
+		{"mix=trial", 96, 1, trialOffsets()},
+		{"instant", 4096, 0, []time.Duration{0}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			var eng Engine
-			h := &holdSource{eng: &eng, rnd: 88172645463325252}
-			for i := 0; i < depth; i++ {
-				eng.scheduleCall(time.Duration(i), h, evTBFDrain, 0)
-			}
+			h := newHold(&eng, c.depth, c.gap, c.offsets)
 			h.left = b.N
 			b.ReportAllocs()
 			b.ResetTimer()

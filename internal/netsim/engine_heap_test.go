@@ -26,6 +26,9 @@ func (p popped) before(o popped) bool {
 
 // popOne pops the minimum event the way Run does, without dispatching it.
 func popOne(eng *Engine) popped {
+	if len(eng.keys) == 0 {
+		eng.refill()
+	}
 	var ev payload
 	k := eng.pop(&ev)
 	return popped{at: k.at, seq: k.seq, kind: ev.kind, arg: ev.arg}
@@ -35,7 +38,7 @@ func popOne(eng *Engine) popped {
 // the observed order.
 func drainHeap(eng *Engine) []popped {
 	out := make([]popped, 0, eng.Pending())
-	for len(eng.keys) > 0 {
+	for eng.queueLen() > 0 {
 		out = append(out, popOne(eng))
 	}
 	return out
@@ -85,19 +88,19 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	}
 	deepest := 0
 	for step := 0; step < 5000; step++ {
-		if len(eng.keys) == 0 || rng.Intn(3) > 0 {
+		if eng.queueLen() == 0 || rng.Intn(3) > 0 {
 			at := time.Duration(rng.Intn(1000)) * time.Millisecond
 			eng.scheduleCall(at, nopHandler{}, evTBFDrain, uint64(step))
 			live = append(live, popped{at: at, seq: eng.seq, kind: evTBFDrain, arg: uint64(step)})
-			if len(eng.keys) > deepest {
-				deepest = len(eng.keys)
+			if eng.queueLen() > deepest {
+				deepest = eng.queueLen()
 			}
 		} else if got, want := popOne(&eng), popMin(); got != want {
 			t.Fatalf("step %d: popped %+v, want %+v", step, got, want)
 		}
-		if len(eng.keys)+len(eng.freeSlots) != len(eng.slab) {
+		if eng.queueLen()+len(eng.freeSlots) != len(eng.slab) {
 			t.Fatalf("step %d: %d keys + %d free slots != %d slab slots",
-				step, len(eng.keys), len(eng.freeSlots), len(eng.slab))
+				step, eng.queueLen(), len(eng.freeSlots), len(eng.slab))
 		}
 	}
 	if len(eng.slab) != deepest {
@@ -126,9 +129,10 @@ type seriesScript struct {
 	pushes []time.Duration
 }
 
-func randomScript(rng *rand.Rand) seriesScript {
-	sc := seriesScript{start: time.Duration(rng.Intn(20)) * time.Microsecond}
-	at := func() time.Duration { return time.Duration(rng.Intn(60)) * time.Microsecond }
+// randomScript draws a script whose times are whole multiples of unit.
+func randomScript(rng *rand.Rand, unit time.Duration) seriesScript {
+	sc := seriesScript{start: time.Duration(rng.Intn(20)) * unit}
+	at := func() time.Duration { return time.Duration(rng.Intn(60)) * unit }
 	for n := rng.Intn(4); n > 0; n-- {
 		times := make([]time.Duration, rng.Intn(40))
 		for i := range times {
@@ -182,18 +186,22 @@ func (sc seriesScript) play(eager bool, h handler) *Engine {
 // same (at, seq, kind, arg) sequence as an engine that was handed every
 // series item as an ordinary push, and the two agree on Pending throughout.
 func TestStreamPopOrderMatchesEagerPushes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	checkStreamPopOrder(t, 7, time.Microsecond)
+}
+
+func checkStreamPopOrder(t *testing.T, seed int64, unit time.Duration) {
+	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < 300; round++ {
-		sc := randomScript(rng)
+		sc := randomScript(rng, unit)
 		eager, streamed := sc.play(true, nopHandler{}), sc.play(false, nopHandler{})
 		if eager.seq != streamed.seq {
 			t.Fatalf("round %d: streamed engine consumed seq %d, eager %d", round, streamed.seq, eager.seq)
 		}
-		if len(streamed.keys) > len(sc.pushes)+len(sc.series) {
+		if streamed.queueLen() > len(sc.pushes)+len(sc.series) {
 			t.Fatalf("round %d: %d queue entries for %d pushes + %d series",
-				round, len(streamed.keys), len(sc.pushes), len(sc.series))
+				round, streamed.queueLen(), len(sc.pushes), len(sc.series))
 		}
-		for step := 0; len(eager.keys) > 0; step++ {
+		for step := 0; eager.queueLen() > 0; step++ {
 			if eager.Pending() != streamed.Pending() {
 				t.Fatalf("round %d step %d: Pending %d, eager %d", round, step, streamed.Pending(), eager.Pending())
 			}
@@ -210,11 +218,12 @@ func TestStreamPopOrderMatchesEagerPushes(t *testing.T) {
 }
 
 // recorder logs every dispatched event with the time it ran at, and pushes
-// a follow-up for some of them so the run interleaves new pushes with
-// stream successors.
+// a follow-up for some of them, a few units ahead, so the run interleaves
+// new pushes with stream successors.
 type recorder struct {
-	eng *Engine
-	log []popped
+	eng  *Engine
+	unit time.Duration
+	log  []popped
 }
 
 func (r *recorder) handle(kind eventKind, arg uint64) {
@@ -225,7 +234,7 @@ func (r *recorder) handle(kind eventKind, arg uint64) {
 	// Follow-ups land on the series' own time grid, some of them at the
 	// current instant, to force ties; their own arg is not a multiple of 3,
 	// which ends the chain.
-	r.eng.afterCall(time.Duration(arg%5)*time.Microsecond, r, evTBFDrain, arg*3+1)
+	r.eng.afterCall(time.Duration(arg%5)*r.unit, r, evTBFDrain, arg*3+1)
 }
 
 // TestStreamRunMatchesEagerRun runs the same scripts through Run, in two
@@ -233,16 +242,20 @@ func (r *recorder) handle(kind eventKind, arg uint64) {
 // queued while handlers push, and a Run boundary falls between two items of
 // a series.
 func TestStreamRunMatchesEagerRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	checkStreamRun(t, 11, time.Microsecond)
+}
+
+func checkStreamRun(t *testing.T, seed int64, unit time.Duration) {
+	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < 300; round++ {
-		sc := randomScript(rng)
+		sc := randomScript(rng, unit)
 		var logs [2][]popped
 		var counts [2][2]int
 		for j, eager := range []bool{true, false} {
-			rec := &recorder{}
+			rec := &recorder{unit: unit}
 			eng := sc.play(eager, rec)
 			rec.eng = eng
-			counts[j][0] = eng.Run(30 * time.Microsecond)
+			counts[j][0] = eng.Run(30 * unit)
 			counts[j][1] = eng.Run(time.Second)
 			if eng.Pending() != 0 {
 				t.Fatalf("round %d eager=%v: %d events left", round, eager, eng.Pending())
@@ -305,7 +318,7 @@ func TestUDPStreamedReplayMatchesEager(t *testing.T) {
 			// first send ties with one of the first replay's.
 			start(flows[i], tr, time.Duration(i)*shift)
 		}
-		out := outcome{Depth: len(eng.keys)}
+		out := outcome{Depth: eng.queueLen()}
 		out.Events = eng.Run(10*time.Second) + eng.Run(60*time.Second)
 		for i, f := range flows {
 			f.Finish(eng.Now())
@@ -332,43 +345,286 @@ func TestUDPStreamedReplayMatchesEager(t *testing.T) {
 	}
 }
 
-// FuzzHeapPopOrder feeds arbitrary byte strings as event-time workloads —
-// even bytes as ordinary pushes, runs of odd bytes as one series each — and
-// checks the pop order is strictly increasing in (at, seq) and complete.
+// FuzzHeapPopOrder feeds arbitrary byte strings as queue workloads and
+// checks every pop against the sorted reference. Each byte pair is one
+// step: a value divisible by 5 pops (when anything is queued, advancing the
+// time as Run does), any other odd value joins the series being collected,
+// an even one ends that series and is pushed on its own. A value maps to a
+// time in 0–500 ms, several ring spans, so keys land in all three tiers,
+// before the time (clamped), and across the ring's wrap as pops advance it.
 func FuzzHeapPopOrder(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{5, 3, 3, 1, 255, 0, 7})
-	f.Add([]byte{9, 7, 7, 1, 2, 2, 201, 3, 3})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 0})
+	f.Add([]byte{5, 3, 3, 1, 255, 0, 7, 255})
+	f.Add([]byte{9, 7, 7, 1, 2, 2, 201, 3, 3, 0})
+	f.Add([]byte{255, 254, 40, 2, 0, 4, 0, 5, 254, 1, 253, 3, 0, 10, 0, 10, 0, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var eng Engine
+		m := &queueModel{tb: t}
 		var series []time.Duration
-		flush := func() {
-			eng.scheduleSeries(series, nopHandler{}, evSeries)
-			series = nil
-		}
-		for _, b := range data {
-			at := time.Duration(b) * time.Microsecond
-			if b%2 == 1 {
+		for i := 0; i+1 < len(data); i += 2 {
+			v := uint16(data[i])<<8 | uint16(data[i+1])
+			at := time.Duration(v) * (500 * time.Millisecond / 65536)
+			switch {
+			case v%5 == 0:
+				if len(m.live) > 0 {
+					m.pop()
+				}
+			case v%2 == 1:
 				series = append(series, at)
-				continue
+			default:
+				m.series(series)
+				series = nil
+				m.push(at)
 			}
-			flush()
-			eng.scheduleCall(at, nopHandler{}, evTBFDrain, 0)
 		}
-		flush()
-		if eng.Pending() != len(data) {
-			t.Fatalf("Pending = %d after scheduling %d events", eng.Pending(), len(data))
-		}
-		got := drainHeap(&eng)
-		if len(got) != len(data) {
-			t.Fatalf("popped %d events, scheduled %d", len(got), len(data))
-		}
-		for i := 1; i < len(got); i++ {
-			if !got[i-1].before(got[i]) {
-				t.Fatalf("pop %d: (%v, %d) not after (%v, %d)",
-					i, got[i].at, got[i].seq, got[i-1].at, got[i-1].seq)
+		m.series(series)
+		m.drain()
+	})
+}
+
+// queueModel drives an engine's queue by hand — pushes, series, and pops
+// that advance the time as Run does — beside the reference: every live
+// event in (at, seq) order, kept sorted latest first. Each step checks the
+// pop against the reference, Pending against its length, and that every
+// queue entry holds exactly one slab slot.
+type queueModel struct {
+	tb   testing.TB
+	eng  Engine
+	live []popped // descending: the next to pop is last
+}
+
+func (m *queueModel) insert(p popped) {
+	i := sort.Search(len(m.live), func(i int) bool { return m.live[i].before(p) })
+	m.live = append(m.live, popped{})
+	copy(m.live[i+1:], m.live[i:])
+	m.live[i] = p
+}
+
+// push schedules one event at at.
+func (m *queueModel) push(at time.Duration) {
+	arg := m.eng.seq
+	m.eng.scheduleCall(at, nopHandler{}, evTBFDrain, arg)
+	m.insert(popped{at: max(at, m.eng.now), seq: m.eng.seq, kind: evTBFDrain, arg: arg})
+	m.check()
+}
+
+// series schedules times as one series; the reference gets every item.
+func (m *queueModel) series(times []time.Duration) {
+	for i, at := range times {
+		m.insert(popped{at: max(at, m.eng.now), seq: m.eng.seq + 1 + uint64(i), kind: evSeries, arg: uint64(i)})
+	}
+	m.eng.scheduleSeries(times, nopHandler{}, evSeries)
+	m.check()
+}
+
+// pop pops the engine's minimum, checks it, and moves the time to it.
+func (m *queueModel) pop() popped {
+	m.tb.Helper()
+	want := m.live[len(m.live)-1]
+	m.live = m.live[:len(m.live)-1]
+	got := popOne(&m.eng)
+	if got != want {
+		m.tb.Fatalf("popped %+v, reference %+v (horizon %d, %d keys, %d in the ring, %d far)",
+			got, want, m.eng.horizon, len(m.eng.keys), m.eng.ringLen, len(m.eng.far))
+	}
+	m.eng.now = got.at
+	m.check()
+	return got
+}
+
+func (m *queueModel) drain() {
+	m.tb.Helper()
+	for len(m.live) > 0 {
+		m.pop()
+	}
+	if n := m.eng.queueLen(); n != 0 {
+		m.tb.Fatalf("queue holds %d entries after the reference drained", n)
+	}
+}
+
+func (m *queueModel) check() {
+	m.tb.Helper()
+	if m.eng.Pending() != len(m.live) {
+		m.tb.Fatalf("Pending = %d, reference holds %d", m.eng.Pending(), len(m.live))
+	}
+	if n := m.eng.queueLen(); n+len(m.eng.freeSlots) != len(m.eng.slab) {
+		m.tb.Fatalf("%d queue entries + %d free slots != %d slab slots", n, len(m.eng.freeSlots), len(m.eng.slab))
+	}
+}
+
+// bucketWidth and ringSpan are the queue's time bucket and the ring's span.
+const (
+	bucketWidth = time.Duration(1) << bucketShift
+	ringSpan    = ringSize * bucketWidth
+)
+
+// TestQueueTiersMatchReference checks the two-tier queue against the
+// sorted reference where its tiers meet: keys past the ring's span, keys on
+// bucket and span boundaries, ties at one instant split between a refilled
+// bucket, the ring, far and later pushes, bursts at one instant, and idle
+// stretches longer than the span.
+func TestQueueTiersMatchReference(t *testing.T) {
+	t.Run("far", func(t *testing.T) {
+		m := &queueModel{tb: t}
+		rng := rand.New(rand.NewSource(1))
+		var maxFar, maxRing int
+		for step := 0; step < 6000; step++ {
+			if len(m.live) == 0 || rng.Intn(3) > 0 {
+				m.push(m.eng.now + time.Duration(rng.Int63n(int64(3*ringSpan))))
+			} else {
+				m.pop()
 			}
+			maxFar, maxRing = max(maxFar, len(m.eng.far)), max(maxRing, m.eng.ringLen)
+		}
+		m.drain()
+		if maxFar < 100 || maxRing < 100 {
+			t.Fatalf("far held at most %d keys and the ring %d: the tiers were not exercised", maxFar, maxRing)
 		}
 	})
+	t.Run("boundaries", func(t *testing.T) {
+		m := &queueModel{tb: t}
+		rng := rand.New(rand.NewSource(2))
+		for round := 0; round < 40; round++ {
+			h := time.Duration(m.eng.horizon) * bucketWidth
+			for _, at := range []time.Duration{
+				m.eng.now, h - 1, h, h + 1, h + bucketWidth - 1, h + bucketWidth,
+				h + ringSpan - bucketWidth, h + ringSpan - 1, h + ringSpan, h + ringSpan + 1,
+				h + 2*ringSpan, h + 2*ringSpan - 1,
+			} {
+				m.push(at)
+			}
+			for n := 1 + rng.Intn(8); n > 0 && len(m.live) > 0; n-- {
+				m.pop()
+			}
+		}
+		m.drain()
+	})
+	t.Run("ties", func(t *testing.T) {
+		m := &queueModel{tb: t}
+		at := 3*bucketWidth + 17
+		far := at + 3*ringSpan
+		for i := 0; i < 50; i++ {
+			m.push(at)
+			m.push(far)
+		}
+		m.push(at + bucketWidth)
+		// Stepping stones walk the time toward far, a quarter span at a time.
+		for k := 1; k < 12; k++ {
+			m.push(at + time.Duration(k)*ringSpan/4)
+		}
+		m.pop() // refills at's bucket
+		if m.eng.now != at || m.eng.horizon != uint64(at)>>bucketShift+1 {
+			t.Fatalf("now %v horizon %d after the first pop", m.eng.now, m.eng.horizon)
+		}
+		for i := 0; i < 50; i++ {
+			m.push(at) // into the refilled bucket, behind its 49 left
+		}
+		for m.eng.now < at+11*ringSpan/4 {
+			m.pop()
+		}
+		if b := uint64(far) >> bucketShift; b-m.eng.horizon >= ringSize || m.eng.far[0].at != far {
+			t.Fatalf("far's bucket %d is not in the ring window from %d, or not far's first", b, m.eng.horizon)
+		}
+		for i := 0; i < 50; i++ {
+			m.push(far) // the ring's share of a bucket far holds too
+		}
+		if m.eng.ringLen != 50 || len(m.eng.far) != 50 {
+			t.Fatalf("%d keys in the ring and %d far, want 50 and 50", m.eng.ringLen, len(m.eng.far))
+		}
+		m.drain()
+	})
+	t.Run("burst", func(t *testing.T) {
+		m := &queueModel{tb: t}
+		at, later := 5*bucketWidth+3, 3*ringSpan+bucketWidth
+		for i := 0; i < 10000; i++ {
+			m.push(at)
+			m.push(later)
+		}
+		for i := 0; i < 5000; i++ {
+			m.pop()
+			m.push(at)
+		}
+		m.drain()
+	})
+	t.Run("idle", func(t *testing.T) {
+		m := &queueModel{tb: t}
+		rng := rand.New(rand.NewSource(3))
+		for round := 0; round < 60; round++ {
+			gap := time.Duration(1+rng.Intn(20))*ringSpan + time.Duration(rng.Int63n(int64(bucketWidth)))
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				m.push(m.eng.now + gap + time.Duration(n))
+			}
+			m.push(m.eng.now + time.Duration(rng.Int63n(int64(ringSpan))))
+			m.pop()
+			m.push(m.eng.now)
+			m.drain()
+		}
+	})
+}
+
+// TestStreamReKeysAcrossTiers runs the stream equivalence checks with times
+// on a grid of whole buckets, every one on a bucket boundary, and on a 3 ms
+// grid spanning several ring spans, so a stream's successor is re-keyed
+// into the current bucket, the ring or far.
+func TestStreamReKeysAcrossTiers(t *testing.T) {
+	for _, unit := range []time.Duration{bucketWidth, 3 * time.Millisecond} {
+		checkStreamPopOrder(t, 13, unit)
+		checkStreamRun(t, 17, unit)
+	}
+}
+
+// TestRunStopsInsideRefilledBucket stops a Run before the first event of a
+// bucket Run has already moved into the heap, then pushes into that bucket
+// — at, before and after its queued events, and before the time — and
+// checks the rest of the run against the reference order.
+func TestRunStopsInsideRefilledBucket(t *testing.T) {
+	at := 10*bucketWidth + 100
+	var eng Engine
+	rec := &recorder{eng: &eng, unit: time.Microsecond}
+	var want []qkey
+	push := func(t time.Duration) {
+		eng.scheduleCall(t, rec, evTCPPace, eng.seq)
+		want = append(want, qkey{at: max(t, eng.now), seq: eng.seq})
+	}
+	for _, t := range []time.Duration{at, at + 5, at + bucketWidth, at + 3*ringSpan} {
+		push(t)
+	}
+	until := at - 50
+	if n := eng.Run(until); n != 0 || eng.Now() != until {
+		t.Fatalf("Run(%v) processed %d events, now %v", until, n, eng.Now())
+	}
+	if b := uint64(at) >> bucketShift; eng.horizon != b+1 || len(eng.keys) != 2 {
+		t.Fatalf("bucket %d not refilled: horizon %d, %d keys", b, eng.horizon, len(eng.keys))
+	}
+	for _, t := range []time.Duration{until, at - 10, at, at + 2, at - 100, at + bucketWidth - 1} {
+		push(t)
+	}
+	eng.Run(time.Hour)
+	sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+	if len(rec.log) != len(want) {
+		t.Fatalf("ran %d events, want %d", len(rec.log), len(want))
+	}
+	for i, k := range want {
+		if got := rec.log[i]; got.at != k.at || got.arg != k.seq-1 {
+			t.Fatalf("event %d ran at %v with arg %d, want at %v arg %d", i, got.at, got.arg, k.at, k.seq-1)
+		}
+	}
+}
+
+// TestQueueSteadyStateAllocatesNothing holds 4096 events with the trial's
+// interval mix, which keeps keys in all three tiers: once the heaps and the
+// slab have grown to their working size, running on allocates nothing —
+// the ring's buckets are lists through the slab's slots, not slices.
+func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
+	var eng Engine
+	h := newHold(&eng, 4096, 1, trialOffsets())
+	h.left = 1 << 62
+	eng.Run(2 * time.Second)
+	if len(eng.far) == 0 || eng.ringLen == 0 {
+		t.Fatalf("%d keys far and %d in the ring: the tiers are not in use", len(eng.far), eng.ringLen)
+	}
+	allocs := testing.AllocsPerRun(20, func() { eng.Run(eng.Now() + 100*time.Millisecond) })
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per 100 ms of a 4096-deep hold run, want 0", allocs)
+	}
 }

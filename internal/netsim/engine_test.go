@@ -91,3 +91,21 @@ func TestEnginePastEventsRunNow(t *testing.T) {
 		t.Fatalf("past event ran at %v, want 1s", at)
 	}
 }
+
+// TestRunNeverMovesTimeBack calls Run with a horizon before the current
+// time, with and without an event queued: nothing runs and the time stays.
+func TestRunNeverMovesTimeBack(t *testing.T) {
+	var eng Engine
+	eng.Run(10 * time.Millisecond)
+	if n := eng.Run(5 * time.Millisecond); n != 0 || eng.Now() != 10*time.Millisecond {
+		t.Fatalf("Run(5ms) on an empty queue at 10ms: %d events, now %v", n, eng.Now())
+	}
+	ran := false
+	schedule(&eng, 20*time.Millisecond, func() { ran = true })
+	if n := eng.Run(5 * time.Millisecond); n != 0 || ran || eng.Now() != 10*time.Millisecond {
+		t.Fatalf("Run(5ms) at 10ms with an event at 20ms: %d events, now %v", n, eng.Now())
+	}
+	if eng.Run(time.Second); !ran || eng.Now() != time.Second {
+		t.Fatalf("event ran %v, now %v after Run(1s)", ran, eng.Now())
+	}
+}
